@@ -13,6 +13,7 @@ Units: hbar = 1, rates and energies in inverse time.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import StepTooLargeError
 from .mat2 import IDENTITY, dag, normalize_phase, trace
-from .tolerances import GENERATOR_DEGENERATE_TOL, STEP_FRACTION
+from .tolerances import STEP_FRACTION
 
 
 @dataclass(frozen=True)
@@ -138,38 +139,68 @@ def generator(p: DetectorParams) -> np.ndarray:
     )
 
 
-class _Propagator:
-    """exp(G t) evaluated through the eigenstructure of G.
+_SERIES_RADIUS = 1e-2
 
-    Non-degenerate: exp(Gt) = e^{l+ t} W+ + e^{l- t} W- with spectral
-    projectors W+-.  A (near-)defective G falls back to the exact
-    single-eigenvalue form e^{lt} (I + (G - l)t).
+
+def _series(z2):
+    """cosh(z) and sinhc(z) = sinh(z)/z from z2 = z^2, exact to rounding for
+    |z| < _SERIES_RADIUS, where the plain half-sums would cancel."""
+    return (
+        1.0 + z2 * (1.0 / 2.0 + z2 * (1.0 / 24.0 + z2 / 720.0)),
+        1.0 + z2 * (1.0 / 6.0 + z2 * (1.0 / 120.0 + z2 / 5040.0)),
+    )
+
+
+class _Propagator:
+    """exp(G t) = C I + S N with C = e^{mt} cosh(rt), S = e^{mt} t sinhc(rt).
+
+    m = tr G / 2 = -gamma_plus / 2, N = G - m I and r^2 = -det N, so
+    N^2 = r^2 I (Bernstein & So, IEEE TAC 38, 1993).  cosh and sinhc are
+    even in r, so no eigenvalue branch is chosen and the formula stays
+    smooth where G is defective (r = 0: beta = pi/2, E = |gamma_minus|).
+    C and S are half-sums of e^{(m +- r) t}, which cannot overflow as
+    Re(m +- r) <= 0, or Taylor series where |r t| < _SERIES_RADIUS.  A
+    float t is evaluated with cmath; anything else as a numpy array, giving
+    shape (..., 2, 2), with the series only when it covers every time.
     """
 
     def __init__(self, g: np.ndarray):
-        mid = 0.5 * (g[0, 0] + g[1, 1])
-        det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-        root = np.sqrt(mid * mid - det)
-        scale = max(abs(mid) + abs(root), 1e-300)
-        self.degenerate = abs(2.0 * root) < GENERATOR_DEGENERATE_TOL * scale
-        if self.degenerate:
-            self.lam = mid
-            self.nilpotent = g - mid * IDENTITY
-        else:
-            self.lam_hi = mid + root
-            self.lam_lo = mid - root
-            self.w_hi = (g - self.lam_lo * IDENTITY) / (2.0 * root)
-            self.w_lo = (g - self.lam_hi * IDENTITY) / (-2.0 * root)
+        self.m = float(0.5 * (g[0, 0] + g[1, 1]).real)  # tr G is real
+        self.n = g - self.m * IDENTITY
+        n00, n01, n10, n11 = self._entries = tuple(complex(v) for v in self.n.ravel())
+        self.r = cmath.sqrt(n01 * n10 - n00 * n11)
+
+    def coefficients(self, t):
+        """(C, S) at time(s) t."""
+        m, r = self.m, self.r
+        if isinstance(t, float):
+            z = r * t
+            if abs(z) < _SERIES_RADIUS:
+                e, (ch, sc) = math.exp(m * t), _series(z * z)
+                return e * ch, e * t * sc
+            e_hi, e_lo = cmath.exp((m + r) * t), cmath.exp((m - r) * t)
+            return 0.5 * (e_hi + e_lo), 0.5 * (e_hi - e_lo) / r
+        t = np.asarray(t, dtype=float)
+        if (abs(r) * np.abs(t) < _SERIES_RADIUS).all():
+            e, (ch, sc) = np.exp(m * t), _series((r * t) ** 2)
+            return e * ch, e * t * sc
+        # e^{(m +- r) t} = a_+- e^{+-iy}, a_- = a_+ (1 + q): expm1 keeps
+        # a_+ - a_- exact as r t -> 0, and one cos and sin serve both
+        a_hi = np.exp((m + r.real) * t)
+        q = np.expm1(-2.0 * r.real * t)
+        plus, minus = a_hi * (2.0 + q), -a_hi * q
+        cos, sin = np.cos(r.imag * t), np.sin(r.imag * t)
+        c = 0.5 * (plus * cos + 1j * (minus * sin))
+        s = (0.5 / r) * (minus * cos + 1j * (plus * sin))
+        return c, s
 
     def __call__(self, t):
         """Propagator at time(s) t; shape (..., 2, 2)."""
-        t = np.asarray(t, dtype=float)
-        if self.degenerate:
-            base = np.exp(self.lam * t)[..., None, None]
-            return base * (IDENTITY + t[..., None, None] * self.nilpotent)
-        e_hi = np.exp(self.lam_hi * t)[..., None, None]
-        e_lo = np.exp(self.lam_lo * t)[..., None, None]
-        return e_hi * self.w_hi + e_lo * self.w_lo
+        c, s = self.coefficients(t)
+        if isinstance(t, float):
+            n00, n01, n10, n11 = self._entries
+            return np.array([[c + s * n00, s * n01], [s * n10, c + s * n11]])
+        return c[..., None, None] * IDENTITY + s[..., None, None] * self.n
 
 
 def propagator(p: DetectorParams) -> _Propagator:
@@ -189,45 +220,35 @@ def u_s(p: DetectorParams, t: float, dt: float) -> np.ndarray:
     return p_switch(p, dt) @ u_ns(p, t)
 
 
-def survival_function(
-    p: DetectorParams, rho0: np.ndarray
+def _trace_form(
+    p: DetectorParams, rho0: np.ndarray, op: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized S(t) = Tr{U_ns(t) rho0 U_ns(t)^dag}.
+    """t -> Tr{U_ns(t)^dag op U_ns(t) rho0} for Hermitian op and rho0.
 
-    Returns a callable accepting scalar or array t.  The trace reduces to a
-    four-term exponential sum (or polynomial-times-exponential in the
-    defective case), so evaluation over large time grids is cheap; the
-    trajectory sampler leans on this.
+    With U_ns = C I + S N this is |C|^2 Tr(op rho0) + 2 Re(conj(C) S
+    Tr(op N rho0)) + |S|^2 Tr(N^dag op N rho0): three traces fixed here and
+    two coefficients per time, for a float t or an array of times.
     """
     prop = propagator(p)
     rho0 = np.asarray(rho0, dtype=complex)
-    if prop.degenerate:
-        lam2 = 2.0 * prop.lam.real
-        n = prop.nilpotent
-        a = trace(rho0).real
-        b = 2.0 * trace(n @ rho0).real
-        c = trace(n @ rho0 @ dag(n)).real
+    a = trace(op @ rho0).real
+    b = trace(op @ prop.n @ rho0)
+    d = trace(dag(prop.n) @ op @ prop.n @ rho0).real
+    coefficients = prop.coefficients
 
-        def s_degenerate(t):
-            t = np.asarray(t, dtype=float)
-            return np.exp(lam2 * t) * (a + b * t + c * t * t)
+    def f(t):
+        c, s = coefficients(t)
+        c_bar = c.conjugate()
+        return (c * c_bar).real * a + 2.0 * (c_bar * s * b).real + (s * s.conjugate()).real * d
 
-        return s_degenerate
+    return f
 
-    lams = (prop.lam_hi, prop.lam_lo)
-    ws = (prop.w_hi, prop.w_lo)
-    mus = np.array([[lj + lk.conjugate() for lk in lams] for lj in lams])
-    coef = np.array(
-        [[trace(ws[k].conj().T @ ws[j] @ rho0) for k in range(2)] for j in range(2)]
-    )
 
-    def s(t):
-        t = np.asarray(t, dtype=float)
-        return np.real(
-            np.einsum("jk,...jk->...", coef, np.exp(mus * t[..., None, None]))
-        )
-
-    return s
+def survival_function(
+    p: DetectorParams, rho0: np.ndarray
+) -> Callable[[np.ndarray], np.ndarray]:
+    """S(t) = Tr{U_ns(t) rho0 U_ns(t)^dag}, the trace form with op = I."""
+    return _trace_form(p, rho0, IDENTITY)
 
 
 def survival_probability(p: DetectorParams, rho0: np.ndarray, t: float) -> float:
@@ -242,51 +263,16 @@ def switch_density(p: DetectorParams, rho0: np.ndarray, t: float) -> float:
     """Switching-time probability density -dS/dt at time t (units 1/time)."""
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    u = u_ns(p, t)
-    m = dag(u) @ rate_matrix(p) @ u
-    return max(float(trace(m @ np.asarray(rho0, dtype=complex)).real), 0.0)
+    return float(switch_density_function(p, rho0)(float(t)))
 
 
 def switch_density_function(
     p: DetectorParams, rho0: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized switching-time density; same structure as survival_function."""
-    prop = propagator(p)
-    rho0 = np.asarray(rho0, dtype=complex)
-    gam = rate_matrix(p)
-    if prop.degenerate:
-        lam2 = 2.0 * prop.lam.real
-        n = prop.nilpotent
-        a = trace(gam @ rho0).real
-        b = (trace(dag(n) @ gam @ rho0) + trace(gam @ n @ rho0)).real
-        c = trace(dag(n) @ gam @ n @ rho0).real
-
-        def d_degenerate(t):
-            t = np.asarray(t, dtype=float)
-            return np.maximum(np.exp(lam2 * t) * (a + b * t + c * t * t), 0.0)
-
-        return d_degenerate
-
-    lams = (prop.lam_hi, prop.lam_lo)
-    ws = (prop.w_hi, prop.w_lo)
-    mus = np.array([[lj.conjugate() + lk for lk in lams] for lj in lams])
-    coef = np.array(
-        [
-            [trace(ws[j].conj().T @ gam @ ws[k] @ rho0) for k in range(2)]
-            for j in range(2)
-        ]
-    )
-
-    def d(t):
-        t = np.asarray(t, dtype=float)
-        return np.maximum(
-            np.real(
-                np.einsum("jk,...jk->...", coef, np.exp(mus * t[..., None, None]))
-            ),
-            0.0,
-        )
-
-    return d
+    """-dS/dt = Tr{U_ns(t)^dag Gamma U_ns(t) rho0}, the trace form with the
+    rate matrix Gamma, clipped at zero against rounding."""
+    form = _trace_form(p, rho0, rate_matrix(p))
+    return lambda t: np.maximum(form(t), 0.0)
 
 
 def max_step(p: DetectorParams) -> float:

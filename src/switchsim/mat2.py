@@ -113,10 +113,6 @@ def check_density_matrix(rho: np.ndarray, tol: float = 1e-12) -> None:
         raise ValueError(f"density matrix has negative eigenvalue {ev_lo}")
 
 
-def density_from_state(psi: np.ndarray) -> np.ndarray:
-    return projector(psi)
-
-
 class EigResult(NamedTuple):
     eval_hi: float
     eval_lo: float

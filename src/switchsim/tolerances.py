@@ -29,10 +29,6 @@ DECOMPOSE_DEGENERATE_TOL = 1e-12
 # Outcome-probability floor below which fidelity is undefined.
 ZERO_OUTCOME_TOL = 1e-300
 
-# Relative eigenvalue splitting below which the evolution generator is
-# treated as non-diagonalizable.
-GENERATOR_DEGENERATE_TOL = 1e-10
-
 # Target absolute accuracy for adaptive quadrature of fidelity averages.
 QUADRATURE_TOL = 1e-8
 

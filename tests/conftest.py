@@ -1,7 +1,13 @@
 import os
 import sys
 
+from hypothesis import settings
+
 sys.path.insert(0, os.path.dirname(__file__))
+
+# Reproducible draws, and no per-example deadline: timings on a shared
+# machine drift too much for one.
+settings.register_profile("default", derandomize=True, deadline=None)
 
 
 def pytest_runtest_logreport(report):

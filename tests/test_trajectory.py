@@ -192,6 +192,17 @@ class TestExactSampling:
         se = times.std(ddof=1) / math.sqrt(len(times))
         assert abs(times.mean() - mean_analytic) < 4.0 * se
 
+    def test_exceptional_point_matches_model(self):
+        # beta = pi/2, E = |gamma_minus| makes G defective; the sampler must
+        # invert the survival function on it and next to it
+        rho0 = m2.projector(m2.pure_state(1.0, 0.6 + 0.3j))
+        cfg = traj.SimConfig(n_traj=100_000, tau=1.5, seed=29, n_bins=60)
+        for delta in (1e-11, 1e-13, 0.0):
+            p = det.DetectorParams(0.0, 4.0, math.pi / 2, 2.0 * (1.0 + delta))
+            h = traj.run_ensemble(p, rho0, cfg)
+            stat, dof, pval = traj.chi2_vs_analytic(h, p, rho0)
+            assert pval > 1e-3
+
 
 class TestPurity:
     def test_pure_stays_pure_exact(self):
