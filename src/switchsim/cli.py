@@ -57,8 +57,6 @@ DEFAULTS = {
         "n_traj": 100000,
         "tau": 1.0,
         "n_bins": 50,
-        "method": "exact",
-        "dt": None,
         "seed": 1,
         "time_unit": None,
     },
@@ -213,8 +211,6 @@ def cmd_simulate(config: dict, out: Path) -> dict:
         n_traj=int(config["n_traj"]),
         tau=float(config["tau"]),
         seed=int(config["seed"]),
-        method=str(config["method"]),
-        dt=None if config["dt"] is None else float(config["dt"]),
         n_bins=int(config["n_bins"]),
     )
     times, no_switch = traj.sample_switch_times(p, rho0, cfg)

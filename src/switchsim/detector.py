@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import StepTooLargeError
 from .mat2 import IDENTITY, dag, normalize_phase, trace
-from .tolerances import STEP_FRACTION
 
 
 @dataclass(frozen=True)
@@ -93,13 +92,19 @@ def _check_step(p: DetectorParams, dt: float) -> None:
         )
 
 
+def sqrt_rate_matrix(p: DetectorParams) -> np.ndarray:
+    """Square root of the rate matrix, sqrt(gL)|L><L| + sqrt(gR)|R><R|: the
+    amplitude operator of a switch."""
+    basis = probe_basis(p)
+    return math.sqrt(p.gamma_L) * np.outer(basis.L, basis.L.conj()) + math.sqrt(
+        p.gamma_R
+    ) * np.outer(basis.R, basis.R.conj())
+
+
 def p_switch(p: DetectorParams, dt: float) -> np.ndarray:
     """Switching operator sqrt(gL dt)|L><L| + sqrt(gR dt)|R><R|."""
     _check_step(p, dt)
-    basis = probe_basis(p)
-    return math.sqrt(p.gamma_L * dt) * np.outer(basis.L, basis.L.conj()) + math.sqrt(
-        p.gamma_R * dt
-    ) * np.outer(basis.R, basis.R.conj())
+    return math.sqrt(dt) * sqrt_rate_matrix(p)
 
 
 def p_no_switch(p: DetectorParams, dt: float) -> np.ndarray:
@@ -273,29 +278,3 @@ def switch_density_function(
     rate matrix Gamma, clipped at zero against rounding."""
     form = _trace_form(p, rho0, rate_matrix(p))
     return lambda t: np.maximum(form(t), 0.0)
-
-
-def max_step(p: DetectorParams) -> float:
-    """Largest admissible step for discretized no-switch evolution."""
-    scales = [1.0 / v for v in (p.gamma_plus, p.E) if v > 0.0]
-    return STEP_FRACTION * min(scales) if scales else math.inf
-
-
-def u_ns_stepped(p: DetectorParams, t: float, n_steps: int) -> np.ndarray:
-    """Discretized no-switch propagator: n alternating free/no-switch steps.
-
-    First-order accurate in t/n; retained as an independent cross-check of
-    the closed-form propagator.  The step must resolve both the precession
-    and decay timescales.
-    """
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    step = t / n_steps
-    if step > max_step(p):
-        raise StepTooLargeError(
-            f"step {step} exceeds {max_step(p)}; increase n_steps"
-        )
-    a = u_ham(p, step) @ p_no_switch(p, step)
-    return np.linalg.matrix_power(a, n_steps)

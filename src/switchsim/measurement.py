@@ -96,20 +96,22 @@ def decompose(u: np.ndarray) -> MeasurementDecomposition:
         psi1, psi2 = eig.evec_hi, eig.evec_lo
 
     # Columns of the rotation: images of the basis under U, renormalized;
-    # zero-probability directions are completed orthogonally.
+    # zero-probability directions are completed orthogonally.  A probability
+    # at or below the floor is rounding noise of a rank-deficient U^dag U,
+    # so it is set to zero to keep reconstruct exact.
     floor = 1e-14 * max(p1, 1e-300)
     if p1 > floor:
         w1 = u @ psi1 / math.sqrt(p1)
         w1 = w1 / np.linalg.norm(w1)
     else:
-        w1 = m2.KET_0.copy()
+        w1, p1 = m2.KET_0.copy(), 0.0
     if p2 > floor:
         w2 = u @ psi2 / math.sqrt(p2)
         w2 = w2 - np.vdot(w1, w2) * w1
         nrm = np.linalg.norm(w2)
         w2 = w2 / nrm if nrm > 1e-14 else _orthogonal_complement(w1)
     else:
-        w2 = _orthogonal_complement(w1)
+        w2, p2 = _orthogonal_complement(w1), 0.0
     rotation = np.outer(w1, psi1.conj()) + np.outer(w2, psi2.conj())
     return MeasurementDecomposition(psi1, psi2, p1, p2, rotation, degenerate)
 

@@ -36,10 +36,6 @@ QUADRATURE_TOL = 1e-8
 BISECTION_REL_TOL = 1e-10
 BISECTION_MAX_ITER = 200
 
-# Discretized evolution must resolve both the precession and the decay:
-# step <= STEP_FRACTION * min(1/E, 1/gamma_plus).
-STEP_FRACTION = 0.01
-
 # Regime guard for the slow-measurement closed forms: E >= REGIME_FACTOR * gamma_plus.
 REGIME_FACTOR = 10.0
 

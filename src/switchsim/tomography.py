@@ -117,28 +117,6 @@ def model_density(p: DetectorParams, b: BlochComponents, t: float) -> float:
     return switch_density(p, b.to_density(), t)
 
 
-def model_density_slow_form(p: DetectorParams, b: BlochComponents, t: float) -> float:
-    """Slow-regime (E >> gamma_plus) closed form of the density.
-
-    The coherence terms carry the full gamma_minus * sin(beta) weight; the
-    coefficient was pinned against the exact density.  Kept for regime
-    studies; the fitter always uses the exact path.
-    """
-    gp, gm = p.gamma_plus, p.gamma_minus
-    g = gm * math.cos(p.beta)
-    e_eff = p.E - gm**2 / (2.0 * p.E) if p.E > 0.0 else 0.0
-    r00 = 0.5 * (1.0 - b.z)
-    r11 = 0.5 * (1.0 + b.z)
-    val = (
-        r00 * math.exp(g * t) * (gp - g)
-        + r11 * math.exp(-g * t) * (gp + g)
-        - gm
-        * math.sin(p.beta)
-        * (b.x * math.cos(e_eff * t) + b.y * math.sin(e_eff * t))
-    )
-    return math.exp(-gp * t) * max(val, 0.0)
-
-
 @dataclass(frozen=True)
 class IdentifiabilityReport:
     """Information spectrum of the free parameters at one configuration."""
@@ -299,13 +277,15 @@ def fit(
     magnitude are observable), so an all-parameter fit is rejected as not
     identifiable; pinning one rate or the angle breaks the gauge.
 
-    Multi-start damped least squares (Latin-hypercube starts drawn
-    deterministically from the bounds box, plus the optional `init` seed
-    point); the winner is the lowest deviance with index tie-break.
+    Multi-start damped least squares (n_starts Latin-hypercube starts
+    drawn deterministically from the bounds box, plus the optional `init`
+    seed point); the winner is the lowest deviance with index tie-break.
     Covariance is the Gauss-Newton inverse at the optimum.
     """
     if h.total < 1000:
         raise InsufficientDataError(f"histogram total {h.total} below 1000")
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be >= 1, got {n_starts}")
     free_bloch = tuple(free_bloch)
     for name in free_bloch:
         if name not in BLOCH_NAMES:
@@ -376,7 +356,7 @@ def fit(
         return _deviance_residuals(observed, probs * h.total)
 
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
-    starts = list(_latin_hypercube(rng, max(n_starts, 8), lo, hi))
+    starts = list(_latin_hypercube(rng, n_starts, lo, hi))
     if init is not None:
         vals = {
             "x": init.bloch.x, "y": init.bloch.y, "z": init.bloch.z,

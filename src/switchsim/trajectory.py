@@ -2,15 +2,14 @@
 
 Each trajectory is one experimental run: the detector either switches at
 some random time in [0, tau] or survives the whole pulse, and the qubit
-ends in the state conditioned on that record.  The default sampler inverts
-the survival probability exactly (no discretization error); a first-order
-stepped sampler is kept as an independent cross-check.
+ends in the state conditioned on that record.  The run's record is drawn
+by inverting the survival probability exactly, so no discretization error
+enters.
 
 Randomness is counter-based (Philox) and keyed by (seed, trajectory
-index): trajectory i always sees the same numbers no matter how many
-trajectories run, in which order, or on how many workers.  For the exact
-sampler trajectory i consumes the i-th variate of the base stream; the
-stepped sampler gives trajectory i its own dedicated stream.
+index): trajectory i consumes the i-th variate of the Philox(seed) stream,
+so it sees the same number no matter how many trajectories run, in which
+order, or on how many workers.
 """
 
 from __future__ import annotations
@@ -23,35 +22,18 @@ import numpy as np
 from scipy.stats import chi2 as chi2_dist
 
 from . import mat2 as m2
-from .detector import (
-    DetectorParams,
-    max_step,
-    p_no_switch,
-    probe_basis,
-    propagator,
-    rate_matrix,
-    survival_function,
-    u_ham,
-)
-from .errors import BisectionFailureError, InsufficientCountsError, StepTooLargeError
+from .detector import DetectorParams, propagator, sqrt_rate_matrix, survival_function
+from .errors import BisectionFailureError, InsufficientCountsError
 from .tolerances import BISECTION_MAX_ITER, BISECTION_REL_TOL
-
-_EULER_CHUNK = 16384
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Ensemble size, pulse duration, RNG seed and sampling method.
-
-    method "exact" inverts the survival function; "euler" steps the state
-    with step dt, which must resolve both 1/gamma_plus and 1/E.
-    """
+    """Ensemble size, pulse duration, RNG seed and histogram bin count."""
 
     n_traj: int
     tau: float
     seed: int
-    method: str = "exact"
-    dt: Optional[float] = None
     n_bins: int = 50
 
     def __post_init__(self):
@@ -61,10 +43,6 @@ class SimConfig:
             raise ValueError("tau must be positive and finite")
         if self.n_bins < 2:
             raise ValueError("n_bins must be >= 2")
-        if self.method not in ("exact", "euler"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "euler" and (self.dt is None or self.dt <= 0.0):
-            raise ValueError("euler method requires a positive dt")
 
 
 @dataclass(frozen=True)
@@ -93,32 +71,33 @@ class Histogram:
             raise ValueError("need len(bin_edges) == len(counts) + 1")
         if np.any(np.diff(edges) <= 0.0):
             raise ValueError("bin edges must be strictly increasing")
+        if np.any(counts < 0) or int(self.no_switch_count) < 0:
+            raise ValueError("counts and no_switch_count must be >= 0")
         if int(counts.sum()) + int(self.no_switch_count) != int(self.total):
             raise ValueError("counts + no_switch_count must equal total")
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "counts", counts)
 
 
-def _base_stream(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-
-
-def _euler_stream(seed: int, index: int) -> np.random.Generator:
-    # counter word 3 keys the substream; word 0 counts blocks within it
-    return np.random.Generator(
-        np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, 1 + index])
-    )
-
-
-def _sqrt_rate_matrix(p: DetectorParams) -> np.ndarray:
-    basis = probe_basis(p)
-    return math.sqrt(p.gamma_L) * np.outer(basis.L, basis.L.conj()) + math.sqrt(
-        p.gamma_R
-    ) * np.outer(basis.R, basis.R.conj())
+def _uniforms(seed: int, start: int, n: int) -> np.ndarray:
+    """Variates start .. start + n - 1 of the Philox(seed) stream, as 1 - U
+    in (0, 1].  Philox yields four doubles per counter step, so the stream
+    is advanced by whole steps and the remainder drawn and dropped."""
+    bits = np.random.Philox(key=np.uint64(seed))
+    bits.advance(start // 4)
+    skip = start % 4
+    return 1.0 - np.random.Generator(bits).random(skip + n)[skip:]
 
 
 def _normalize(rho: np.ndarray) -> np.ndarray:
     return rho / m2.trace(rho).real
+
+
+def _checked_state(rho0: np.ndarray) -> np.ndarray:
+    m2.check_density_matrix(rho0)
+    if abs(m2.trace(rho0).real - 1.0) > 1e-10:
+        raise ValueError("rho0 must have unit trace")
+    return np.asarray(rho0, dtype=complex)
 
 
 def _invert_survival(surv, u: np.ndarray, tau: float) -> np.ndarray:
@@ -148,115 +127,26 @@ def _invert_survival(surv, u: np.ndarray, tau: float) -> np.ndarray:
     return t
 
 
-def _sample_exact(
-    p: DetectorParams, rho0: np.ndarray, cfg: SimConfig
-) -> tuple[np.ndarray, int]:
-    """Switch times (sorted by trajectory index removed) and no-switch count."""
-    u = 1.0 - _base_stream(cfg.seed).random(cfg.n_traj)  # in (0, 1]
-    surv = survival_function(p, rho0)
-    s_tau = float(surv(cfg.tau))
-    switched = u > s_tau
-    times = _invert_survival(surv, u[switched], cfg.tau)
-    return times, int(cfg.n_traj - switched.sum())
-
-
-def _euler_step_operator(p: DetectorParams, dt: float) -> np.ndarray:
-    return u_ham(p, dt) @ p_no_switch(p, dt)
-
-
-def _check_euler_step(p: DetectorParams, dt: float) -> float:
-    cap = max_step(p)
-    if dt > cap:
-        raise StepTooLargeError(f"euler dt {dt} exceeds {cap}")
-    return dt
-
-
-def _euler_step_probabilities(
-    p: DetectorParams, rho0: np.ndarray, n_steps: int, dt: float
-) -> np.ndarray:
-    """Per-step switch probabilities along the deterministic no-switch chain.
-
-    Conditioned on not having switched, every trajectory carries the same
-    state, so the whole ensemble shares one probability sequence.
-    """
-    gam = rate_matrix(p)
-    step_op = _euler_step_operator(p, dt)
-    step_op_dag = m2.dag(step_op)
-    rho = np.asarray(rho0, dtype=complex)
-    probs = np.empty(n_steps)
-    for k in range(n_steps):
-        probs[k] = dt * m2.trace(gam @ rho).real
-        rho = _normalize(step_op @ rho @ step_op_dag)
-    return probs
-
-
-def _sample_euler(
-    p: DetectorParams, rho0: np.ndarray, cfg: SimConfig
-) -> tuple[np.ndarray, int]:
-    _check_euler_step(p, cfg.dt)
-    n_steps = max(int(math.ceil(cfg.tau / cfg.dt)), 1)
-    dt = cfg.tau / n_steps
-    probs = _euler_step_probabilities(p, rho0, n_steps, dt)
-
-    all_times = []
-    no_switch = 0
-    for start in range(0, cfg.n_traj, _EULER_CHUNK):
-        n = min(_EULER_CHUNK, cfg.n_traj - start)
-        uniforms = np.empty((n, n_steps))
-        for i in range(n):
-            uniforms[i] = _euler_stream(cfg.seed, start + i).random(n_steps)
-        hit = uniforms < probs[None, :]
-        any_hit = hit.any(axis=1)
-        first = np.argmax(hit, axis=1)
-        all_times.append((first[any_hit] + 0.5) * dt)
-        no_switch += int(n - any_hit.sum())
-    return np.concatenate(all_times) if all_times else np.array([]), no_switch
-
-
 def run_trajectory(
     p: DetectorParams, rho0: np.ndarray, cfg: SimConfig, stream_index: int
 ) -> TrajectoryOutcome:
     """Simulate the single trajectory with the given stream index.
 
     Reproduces exactly the record that run_ensemble attributes to the same
-    index under the same config.
+    index under the same config, at a cost independent of the index.
     """
-    m2.check_density_matrix(rho0)
-    if abs(m2.trace(rho0).real - 1.0) > 1e-10:
-        raise ValueError("rho0 must have unit trace")
+    rho0 = _checked_state(rho0)
     if not 0 <= stream_index < cfg.n_traj:
         raise ValueError("stream_index must lie in [0, n_traj)")
-    rho0 = np.asarray(rho0, dtype=complex)
-
-    if cfg.method == "exact":
-        u = 1.0 - float(_base_stream(cfg.seed).random(stream_index + 1)[-1])
-        surv = survival_function(p, rho0)
-        prop = propagator(p)
-        if float(surv(cfg.tau)) >= u:
-            u_tau = prop(cfg.tau)
-            return TrajectoryOutcome(False, None, _normalize(u_tau @ rho0 @ m2.dag(u_tau)))
-        t = float(_invert_survival(surv, np.array([u]), cfg.tau)[0])
-        k = _sqrt_rate_matrix(p)
-        u_t = prop(t)
-        final = _normalize(k @ u_t @ rho0 @ m2.dag(u_t) @ m2.dag(k))
-        return TrajectoryOutcome(True, t, final)
-
-    _check_euler_step(p, cfg.dt)
-    n_steps = max(int(math.ceil(cfg.tau / cfg.dt)), 1)
-    dt = cfg.tau / n_steps
-    gam = rate_matrix(p)
-    k_op = _sqrt_rate_matrix(p)
-    step_op = _euler_step_operator(p, dt)
-    uniforms = _euler_stream(cfg.seed, stream_index).random(n_steps)
-    rho = rho0.copy()
-    for k in range(n_steps):
-        p_sw = dt * m2.trace(gam @ rho).real
-        if uniforms[k] < p_sw:
-            return TrajectoryOutcome(
-                True, (k + 0.5) * dt, _normalize(k_op @ rho @ m2.dag(k_op))
-            )
-        rho = _normalize(step_op @ rho @ m2.dag(step_op))
-    return TrajectoryOutcome(False, None, rho)
+    u = _uniforms(cfg.seed, stream_index, 1)
+    surv = survival_function(p, rho0)
+    prop = propagator(p)
+    if float(surv(cfg.tau)) >= u[0]:
+        u_tau = prop(cfg.tau)
+        return TrajectoryOutcome(False, None, _normalize(u_tau @ rho0 @ m2.dag(u_tau)))
+    t = float(_invert_survival(surv, u, cfg.tau)[0])
+    k = sqrt_rate_matrix(p) @ prop(t)
+    return TrajectoryOutcome(True, t, _normalize(k @ rho0 @ m2.dag(k)))
 
 
 def sample_switch_times(
@@ -264,13 +154,12 @@ def sample_switch_times(
 ) -> tuple[np.ndarray, int]:
     """Switching times of the trajectories that switched (in trajectory
     order), and the count of those that survived the pulse."""
-    m2.check_density_matrix(rho0)
-    if abs(m2.trace(rho0).real - 1.0) > 1e-10:
-        raise ValueError("rho0 must have unit trace")
-    rho0 = np.asarray(rho0, dtype=complex)
-    if cfg.method == "exact":
-        return _sample_exact(p, rho0, cfg)
-    return _sample_euler(p, rho0, cfg)
+    rho0 = _checked_state(rho0)
+    u = _uniforms(cfg.seed, 0, cfg.n_traj)
+    surv = survival_function(p, rho0)
+    switched = u > float(surv(cfg.tau))
+    times = _invert_survival(surv, u[switched], cfg.tau)
+    return times, int(cfg.n_traj - switched.sum())
 
 
 def bin_switch_times(times: np.ndarray, no_switch: int, cfg: SimConfig) -> Histogram:
@@ -381,10 +270,14 @@ def write_histogram_csv(h: Histogram, path, time_scale: float = 1.0) -> None:
 
 
 def read_histogram_csv(path, time_scale: float = 1.0) -> Histogram:
-    """Inverse of write_histogram_csv (divides edges by time_scale)."""
+    """Inverse of write_histogram_csv (divides edges by time_scale).
+
+    Rows must tile the time axis: each bin_start equals the previous
+    row's bin_end, compared as written in the file.
+    """
     edges = []
     counts = []
-    no_switch = total = None
+    no_switch = total = prev_end = None
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "bin_start,bin_end,count":
@@ -399,9 +292,13 @@ def read_histogram_csv(path, time_scale: float = 1.0) -> Histogram:
                 total = int(line.split(",")[1])
             else:
                 start, end, count = line.split(",")
+                start, end = float(start), float(end)
                 if not edges:
-                    edges.append(float(start) / time_scale)
-                edges.append(float(end) / time_scale)
+                    edges.append(start / time_scale)
+                elif start != prev_end:
+                    raise ValueError(f"bin_start {start} does not follow bin_end {prev_end}")
+                prev_end = end
+                edges.append(end / time_scale)
                 counts.append(int(count))
     if no_switch is None or total is None:
         raise ValueError("histogram file missing #no_switch or #total rows")

@@ -105,14 +105,18 @@ class TestSimulateCommand:
         assert h.bin_edges[-1] == pytest.approx(1.0)
 
     def test_simulation_error_exit_code(self, tmp_path):
+        # dark state: no run switches, so the chi-squared check has one cell
         code = run_cli(
             [
                 "simulate", "--out", tmp_path, "--seed", 1,
-                "--set", "method=euler", "--set", "dt=0.5",
-                "--set", "params.E=30",
+                "--set", "params.gamma_L=0", "--set", "params.beta=0",
+                "--set", "bloch.z=-1", "--set", "n_traj=2000",
             ]
         )
         assert code == 3
+
+    def test_method_key_rejected(self, tmp_path):
+        assert run_cli(["simulate", "--out", tmp_path, "--set", "method=euler"]) == 2
 
 
 class TestTomographyCommand:

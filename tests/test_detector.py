@@ -11,7 +11,7 @@ from switchsim import detector as det
 from switchsim import mat2 as m2
 from switchsim.errors import StepTooLargeError
 
-from oracles import integrate_matrix, u_ns_half_angle_form
+from oracles import integrate_matrix, u_ns_half_angle_form, u_ns_stepped
 
 
 def random_params(rng, beta_range=(0.0, math.pi)):
@@ -237,20 +237,15 @@ class TestUNoSwitch:
         for _ in range(5):
             p = random_params(rng)
             t = 0.5
-            n0 = max(int(t / det.max_step(p)) + 1, 200)
+            n0 = max(int(t / (0.01 * min(1.0 / p.gamma_plus, 1.0 / p.E))) + 1, 200)
             exact = det.u_ns(p, t)
             errs = [
-                np.max(np.abs(det.u_ns_stepped(p, t, n) - exact))
+                np.max(np.abs(u_ns_stepped(p, t, n) - exact))
                 for n in (n0, 2 * n0, 4 * n0)
             ]
             # halving the step should roughly halve the error
             assert errs[1] < 0.6 * errs[0] + 1e-14
             assert errs[2] < 0.6 * errs[1] + 1e-14
-
-    def test_stepped_enforces_step_cap(self):
-        p = det.DetectorParams(1.0, 4.0, 0.3, 10.0)
-        with pytest.raises(StepTooLargeError):
-            det.u_ns_stepped(p, 10.0, 3)
 
 
 class TestUSwitch:

@@ -85,6 +85,15 @@ class TestDecompose:
         assert d.p2 == pytest.approx(0.0, abs=1e-15)
         assert meas.outcome_fidelity(d) == pytest.approx(1.0, abs=1e-12)
 
+    def test_rank_one_round_trip(self):
+        # one-sided detector: U^dag U has rank one, so p2 is rounding noise
+        # and must not enter the reconstruction
+        p = det.DetectorParams(0.0, 1.0, math.pi / 4, 100.0)
+        for t in np.linspace(0.0, 3.0, 601):
+            u = det.u_s(p, float(t), 1e-3)
+            err = np.max(np.abs(meas.reconstruct(meas.decompose(u)) - u))
+            assert err <= 1e-12 * m2.norm2(u), t
+
     def test_basis_covariance(self):
         rng = np.random.default_rng(2)
         for _ in range(200):

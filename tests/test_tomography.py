@@ -12,6 +12,8 @@ from switchsim.errors import (
     UnphysicalBlochError,
 )
 
+from oracles import model_density_slow_form
+
 IDENTIFIABLE = det.DetectorParams(1.0, 5.0, math.pi / 4, 60.0)  # E = 20 gamma_plus
 
 
@@ -70,7 +72,7 @@ class TestModelDensity:
             p = det.DetectorParams(1.0, 4.0, 0.9, e_val)
             for t in (0.05, 0.3, 0.8):
                 exact = tomo.model_density(p, b, t)
-                closed = tomo.model_density_slow_form(p, b, t)
+                closed = model_density_slow_form(p, b, t)
                 assert abs(closed - exact) < tol
 
     def test_maximally_mixed_has_no_oscillation(self):
@@ -79,7 +81,7 @@ class TestModelDensity:
         grid = np.linspace(0.0, 1.0, 400)
         vals = np.array([tomo.model_density(p, b0, float(t)) for t in grid])
         smooth = np.array(
-            [tomo.model_density_slow_form(p, b0, float(t)) for t in grid]
+            [model_density_slow_form(p, b0, float(t)) for t in grid]
         )
         # the closed form at b=0 is oscillation-free; the exact density can
         # deviate from it only at the regime-correction scale
@@ -214,6 +216,20 @@ class TestFit:
             assert abs(fitted - true_val) < 4.0 * sigmas[name] + 1e-9, name
         assert abs(result.params.E - IDENTIFIABLE.E) < 0.2
         assert abs(result.params.beta - IDENTIFIABLE.beta) < 0.05
+
+    def test_n_starts_honoured(self, monkeypatch):
+        h = synthesize(IDENTIFIABLE, tomo.BlochComponents(0.3, -0.4, 0.5), 20000, seed=13)
+        real, calls = tomo.least_squares, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tomo, "least_squares", counting)
+        tomo.fit(h, fixed=IDENTIFIABLE, n_starts=3)
+        assert len(calls) == 3
+        with pytest.raises(ValueError):
+            tomo.fit(h, fixed=IDENTIFIABLE, n_starts=0)
 
     def test_insufficient_data(self):
         h = synthesize(IDENTIFIABLE, tomo.BlochComponents(0, 0, 0), 500, seed=12)

@@ -9,7 +9,9 @@ from scipy.stats import kstest
 from switchsim import detector as det
 from switchsim import mat2 as m2
 from switchsim import trajectory as traj
-from switchsim.errors import InsufficientCountsError, StepTooLargeError
+from switchsim.errors import InsufficientCountsError
+
+from oracles import stepped_switch_times
 
 MIXED = 0.5 * np.eye(2, dtype=complex)
 
@@ -66,17 +68,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             traj.SimConfig(n_traj=10, tau=-1.0, seed=1)
         with pytest.raises(ValueError):
-            traj.SimConfig(n_traj=10, tau=1.0, seed=1, method="euler")
-        with pytest.raises(ValueError):
-            traj.SimConfig(n_traj=10, tau=1.0, seed=1, method="rk4")
-        with pytest.raises(ValueError):
             traj.SimConfig(n_traj=10, tau=1.0, seed=1, n_bins=1)
-
-    def test_euler_step_cap_enforced(self):
-        p = det.DetectorParams(1.0, 4.0, 0.3, 10.0)
-        cfg = traj.SimConfig(n_traj=5, tau=1.0, seed=1, method="euler", dt=0.1)
-        with pytest.raises(StepTooLargeError):
-            traj.run_ensemble(p, MIXED, cfg)
 
 
 class TestExactSampling:
@@ -84,7 +76,7 @@ class TestExactSampling:
         gamma, tau = 2.0, 1.5
         p = det.DetectorParams(gamma, gamma, 1.0, 3.0)
         cfg = traj.SimConfig(n_traj=20000, tau=tau, seed=42)
-        times, no_switch = traj._sample_exact(p, MIXED, cfg)
+        times, no_switch = traj.sample_switch_times(p, MIXED, cfg)
         trunc = 1.0 - math.exp(-gamma * tau)
 
         def cdf(t):
@@ -122,12 +114,10 @@ class TestExactSampling:
         assert h1.no_switch_count == h2.no_switch_count
 
     def test_partial_histograms_merge(self):
-        # stepped sampler: per-trajectory substreams make worker partials
-        # (disjoint index ranges) merge to the full-ensemble result
+        # trajectory i reads the i-th variate of the stream, so worker
+        # partials over disjoint index ranges merge to the full ensemble
         p = det.DetectorParams(1.0, 3.0, 0.8, 2.0)
-        full_cfg = traj.SimConfig(
-            n_traj=400, tau=0.5, seed=19, method="euler", dt=0.004, n_bins=8
-        )
+        full_cfg = traj.SimConfig(n_traj=400, tau=0.5, seed=19, n_bins=8)
         full = traj.run_ensemble(p, MIXED, full_cfg)
         parts = []
         edges = full.bin_edges
@@ -165,6 +155,22 @@ class TestExactSampling:
         np.testing.assert_array_equal(counts, h.counts)
         assert no_switch == h.no_switch_count
 
+    def test_single_trajectory_far_into_stream(self):
+        # the stream is advanced, not drawn, up to the index: 2**40 costs
+        # the same as 0, and reads the double built from that raw word
+        p = det.DetectorParams(1.0, 4.0, 0.7, 5.0)
+        index = 2**40 + 3
+        cfg = traj.SimConfig(n_traj=index + 1, tau=1.0, seed=17)
+        bits = np.random.Philox(key=np.uint64(cfg.seed))
+        bits.advance(index // 4)
+        raw = int(bits.random_raw(4)[index % 4])
+        u = 1.0 - (raw >> 11) * 2.0**-53
+        out = traj.run_trajectory(p, MIXED, cfg, index)
+        surv = det.survival_function(p, MIXED)
+        assert out.switched == (u > float(surv(cfg.tau)))
+        if out.switched:
+            assert abs(float(surv(out.switch_time)) - u) < 1e-7
+
     def test_no_switch_fraction_various_params(self):
         rng = np.random.default_rng(5)
         for _ in range(5):
@@ -184,7 +190,7 @@ class TestExactSampling:
         p = det.DetectorParams(1.0, 4.0, 0.9, 6.0)
         tau = 1.2
         cfg = traj.SimConfig(n_traj=40000, tau=tau, seed=11)
-        times, _ = traj._sample_exact(p, MIXED, cfg)
+        times, _ = traj.sample_switch_times(p, MIXED, cfg)
         surv = det.survival_function(p, MIXED)
         s_tau = float(surv(tau))
         integral_s, _ = quad(lambda t: float(surv(t)), 0.0, tau, limit=200)
@@ -211,14 +217,6 @@ class TestPurity:
         psi = m2.pure_state(0.8, 0.6j)
         cfg = traj.SimConfig(n_traj=100, tau=1.0, seed=13)
         for i in range(100):
-            out = traj.run_trajectory(p, m2.projector(psi), cfg, i)
-            assert m2.purity(out.final_state) == pytest.approx(1.0, abs=1e-10)
-
-    def test_pure_stays_pure_euler(self):
-        p = det.DetectorParams(1.0, 3.0, 0.8, 2.0)
-        psi = m2.pure_state(1.0, 1.0)
-        cfg = traj.SimConfig(n_traj=40, tau=1.0, seed=29, method="euler", dt=0.004)
-        for i in range(40):
             out = traj.run_trajectory(p, m2.projector(psi), cfg, i)
             assert m2.purity(out.final_state) == pytest.approx(1.0, abs=1e-10)
 
@@ -270,10 +268,8 @@ class TestEuler:
     def test_sampler_matches_law(self):
         p = det.DetectorParams(1.0, 3.0, 0.8, 2.0)
         tau, dt = 1.0, 0.004
-        cfg = traj.SimConfig(
-            n_traj=20000, tau=tau, seed=31, method="euler", dt=dt, n_bins=20
-        )
-        h = traj.run_ensemble(p, MIXED, cfg)
+        cfg = traj.SimConfig(n_traj=20000, tau=tau, seed=31, n_bins=20)
+        h = traj.bin_switch_times(*stepped_switch_times(p, MIXED, cfg, dt), cfg)
         probs = euler_law_cell_probabilities(p, MIXED, tau, dt, h.bin_edges)
         expected = probs * h.total
         observed = np.append(h.counts, h.no_switch_count).astype(float)
@@ -287,31 +283,11 @@ class TestEuler:
         p = det.DetectorParams(0.8, 2.2, 0.9, 2.0)
         tau = 1.0
         cfg_exact = traj.SimConfig(n_traj=100000, tau=tau, seed=301, n_bins=20)
-        cfg_euler = traj.SimConfig(
-            n_traj=100000, tau=tau, seed=302, method="euler", dt=0.001, n_bins=20
-        )
+        cfg_euler = traj.SimConfig(n_traj=100000, tau=tau, seed=302, n_bins=20)
         h1 = traj.run_ensemble(p, MIXED, cfg_exact)
-        h2 = traj.run_ensemble(p, MIXED, cfg_euler)
+        h2 = traj.bin_switch_times(*stepped_switch_times(p, MIXED, cfg_euler, 0.001), cfg_euler)
         stat, dof, pval = two_sample_chi2(h1, h2)
         assert pval > 0.001
-
-    def test_euler_deterministic_and_matches_single(self):
-        p = det.DetectorParams(1.0, 3.0, 0.8, 2.0)
-        cfg = traj.SimConfig(n_traj=50, tau=0.5, seed=41, method="euler", dt=0.004, n_bins=8)
-        h1 = traj.run_ensemble(p, MIXED, cfg)
-        h2 = traj.run_ensemble(p, MIXED, cfg)
-        np.testing.assert_array_equal(h1.counts, h2.counts)
-        times = []
-        no_switch = 0
-        for i in range(cfg.n_traj):
-            out = traj.run_trajectory(p, MIXED, cfg, i)
-            if out.switched:
-                times.append(out.switch_time)
-            else:
-                no_switch += 1
-        counts, _ = np.histogram(times, bins=h1.bin_edges)
-        np.testing.assert_array_equal(counts, h1.counts)
-        assert no_switch == h1.no_switch_count
 
 
 class TestHistogramCsv:
@@ -340,3 +316,14 @@ class TestHistogramCsv:
             traj.Histogram(np.array([0.0, 1.0]), np.array([3]), 2, 9)
         with pytest.raises(ValueError):
             traj.Histogram(np.array([1.0, 0.0]), np.array([3]), 6, 9)
+        with pytest.raises(ValueError):
+            traj.Histogram(np.array([0.0, 0.5, 1.0]), np.array([-1, 8]), 2, 9)
+        with pytest.raises(ValueError):
+            traj.Histogram(np.array([0.0, 1.0]), np.array([10]), -1, 9)
+
+    def test_non_contiguous_rows_rejected(self, tmp_path):
+        path = tmp_path / "hist.csv"
+        for rows in ("0.0,0.5,3\n0.6,1.0,4\n", "0.0,0.5,3\n0.4,1.0,4\n"):
+            path.write_text("bin_start,bin_end,count\n" + rows + "#no_switch,2\n#total,9\n")
+            with pytest.raises(ValueError):
+                traj.read_histogram_csv(path, time_scale=2.0)
