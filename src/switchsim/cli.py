@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config validation, 3 simulation error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import json
 import math
@@ -30,9 +31,11 @@ from . import trajectory as traj
 from .detector import DetectorParams
 from .errors import (
     ConfigError,
+    InsufficientCountsError,
     NoConvergenceError,
     NotIdentifiableError,
     SwitchSimError,
+    UnphysicalBlochError,
 )
 
 EXIT_OK = 0
@@ -203,45 +206,72 @@ def cmd_fidelity(config: dict, out: Path) -> dict:
     return {"tau0": tau0, "files": ["fig2.csv", "fig3.csv", "fig4.csv"]}
 
 
-def cmd_simulate(config: dict, out: Path) -> dict:
-    p = _params_from(config["params"])
-    b = config["bloch"]
-    rho0 = tomo.BlochComponents(float(b["x"]), float(b["y"]), float(b["z"])).to_density()
-    cfg = traj.SimConfig(
-        n_traj=int(config["n_traj"]),
-        tau=float(config["tau"]),
-        seed=int(config["seed"]),
-        n_bins=int(config["n_bins"]),
-    )
-    times, no_switch = traj.sample_switch_times(p, rho0, cfg)
-    h = traj.bin_switch_times(times, no_switch, cfg)
+@contextlib.contextmanager
+def _config_values():
+    """Report a value that the library rejects while a command reads its
+    config as a config error (exit 2); the command builds every such value
+    before it starts work."""
+    try:
+        yield
+    except (TypeError, ValueError, UnphysicalBlochError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _time_scale(config: dict, p: DetectorParams) -> float:
+    """Histogram CSV time unit: `time_unit`, or gamma_R when it is unset."""
     time_unit = config["time_unit"]
     scale = float(time_unit) if time_unit is not None else p.gamma_R
+    if not (scale > 0.0 and math.isfinite(scale)):
+        raise ConfigError(
+            f"histogram time scale is {scale}; set time_unit to a positive value"
+        )
+    return scale
+
+
+def cmd_simulate(config: dict, out: Path) -> dict:
+    with _config_values():
+        p = _params_from(config["params"])
+        b = config["bloch"]
+        rho0 = tomo.BlochComponents(float(b["x"]), float(b["y"]), float(b["z"])).to_density()
+        cfg = traj.SimConfig(
+            n_traj=int(config["n_traj"]),
+            tau=float(config["tau"]),
+            seed=int(config["seed"]),
+            n_bins=int(config["n_bins"]),
+        )
+        scale = _time_scale(config, p)
+    times, no_switch = traj.sample_switch_times(p, rho0, cfg)
+    h = traj.bin_switch_times(times, no_switch, cfg)
     traj.write_histogram_csv(h, out / "histogram.csv", time_scale=scale)
-    stat, dof, pval = traj.chi2_vs_analytic(h, p, rho0)
+    try:
+        stat, dof, pval = traj.chi2_vs_analytic(h, p, rho0)
+        chi2 = {"statistic": stat, "dof": dof, "p_value": pval}
+    except InsufficientCountsError:
+        chi2 = None  # one populated cell, as for a dark state: no statistic
     return {
         "files": ["histogram.csv"],
         "no_switch_fraction": no_switch / cfg.n_traj,
         "mean_switch_time": float(times.mean()) if times.size else None,
         "time_unit_scale": scale,
-        "chi2": {"statistic": stat, "dof": dof, "p_value": pval},
+        "chi2": chi2,
     }
 
 
 def cmd_tomography(config: dict, out: Path) -> dict:
-    p = _params_from(config["params"])
-    time_unit = config["time_unit"]
-    scale = float(time_unit) if time_unit is not None else p.gamma_R
+    with _config_values():
+        p = _params_from(config["params"])
+        scale = _time_scale(config, p)
+        options = dict(
+            fixed=p,
+            bounds=config["bounds"] or None,
+            free_bloch=tuple(config["free_bloch"]),
+            free_params=tuple(config["free_params"]),
+            n_starts=int(config["n_starts"]),
+        )
+        tomo.search_box(**options)
+        seed = int(config["seed"])
     h = traj.read_histogram_csv(config["histogram"], time_scale=scale)
-    result = tomo.fit(
-        h,
-        fixed=p,
-        bounds=config["bounds"] or None,
-        free_bloch=tuple(config["free_bloch"]),
-        free_params=tuple(config["free_params"]),
-        seed=int(config["seed"]),
-        n_starts=int(config["n_starts"]),
-    )
+    result = tomo.fit(h, seed=seed, **options)
     _write_json(out / "tomography.json", result.to_json_dict())
     return {"files": ["tomography.json"], "converged": result.converged}
 

@@ -225,6 +225,12 @@ def u_s(p: DetectorParams, t: float, dt: float) -> np.ndarray:
     return p_switch(p, dt) @ u_ns(p, t)
 
 
+def _traces(n: np.ndarray, rho0: np.ndarray, op: np.ndarray):
+    """Tr(op rho0), Tr(op N rho0) and Tr(N^dag op N rho0): the fixed part
+    of the trace form."""
+    return trace(op @ rho0).real, trace(op @ n @ rho0), trace(dag(n) @ op @ n @ rho0).real
+
+
 def _trace_form(
     p: DetectorParams, rho0: np.ndarray, op: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -235,16 +241,33 @@ def _trace_form(
     two coefficients per time, for a float t or an array of times.
     """
     prop = propagator(p)
-    rho0 = np.asarray(rho0, dtype=complex)
-    a = trace(op @ rho0).real
-    b = trace(op @ prop.n @ rho0)
-    d = trace(dag(prop.n) @ op @ prop.n @ rho0).real
+    a, b, d = _traces(prop.n, np.asarray(rho0, dtype=complex), op)
     coefficients = prop.coefficients
 
     def f(t):
         c, s = coefficients(t)
         c_bar = c.conjugate()
         return (c * c_bar).real * a + 2.0 * (c_bar * s * b).real + (s * s.conjugate()).real * d
+
+    return f
+
+
+def _survival_and_density(
+    p: DetectorParams, rho0: np.ndarray
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Array of times -> (S, -dS/dt): both trace forms on one evaluation of
+    the coefficients, for solvers that need the value and slope together."""
+    prop = propagator(p)
+    rho0 = np.asarray(rho0, dtype=complex)
+    forms = (_traces(prop.n, rho0, IDENTITY), _traces(prop.n, rho0, rate_matrix(p)))
+    coefficients = prop.coefficients
+
+    def f(t):
+        c, s = coefficients(t)
+        c_bar = c.conjugate()
+        cc, cs, ss = (c * c_bar).real, c_bar * s, (s * s.conjugate()).real
+        surv, rate = (cc * a + 2.0 * (cs * b).real + ss * d for a, b, d in forms)
+        return surv, rate
 
     return f
 

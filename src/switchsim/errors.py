@@ -46,7 +46,8 @@ class QuadratureFailureError(SwitchSimError):
 
 
 class BisectionFailureError(SwitchSimError):
-    """Survival-function inversion failed; indicates a numerical bug."""
+    """Survival-function inversion left a residual |S(t) - u| above
+    INVERSION_RESIDUAL_TOL; indicates a numerical bug."""
 
 
 class InsufficientCountsError(SwitchSimError):

@@ -32,9 +32,11 @@ ZERO_OUTCOME_TOL = 1e-300
 # Target absolute accuracy for adaptive quadrature of fidelity averages.
 QUADRATURE_TOL = 1e-8
 
-# Survival-function inversion: time tolerance as a fraction of the pulse.
-BISECTION_REL_TOL = 1e-10
-BISECTION_MAX_ITER = 200
+# Survival-function inversion: a solve ends once its step falls below this
+# fraction of the pulse, and a sampled switching time is accepted only if
+# |S(t) - u| stays within the residual bound.
+INVERSION_STEP_REL_TOL = 1e-10
+INVERSION_RESIDUAL_TOL = 1e-7
 
 # Regime guard for the slow-measurement closed forms: E >= REGIME_FACTOR * gamma_plus.
 REGIME_FACTOR = 10.0

@@ -256,6 +256,49 @@ def _latin_hypercube(rng: np.random.Generator, n: int, lo: np.ndarray, hi: np.nd
     return pts
 
 
+def search_box(
+    fixed: Optional[DetectorParams] = None,
+    bounds: Optional[dict] = None,
+    free_bloch: Sequence[str] = BLOCH_NAMES,
+    free_params: Optional[Sequence[str]] = None,
+    n_starts: int = 8,
+) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray, np.ndarray]:
+    """Check fit's options without fitting: (free names, free detector
+    parameter names, lower and upper corners of the search box).
+
+    Raises ValueError on an unknown name, nothing to fit, an empty box or
+    n_starts < 1.
+    """
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be >= 1, got {n_starts}")
+    free_bloch = tuple(free_bloch)
+    for name in free_bloch:
+        if name not in BLOCH_NAMES:
+            raise ValueError(f"unknown Bloch component {name!r}")
+    if fixed is None:
+        free_param_names = PARAM_NAMES
+    else:
+        free_param_names = tuple(free_params or ())
+        for name in free_param_names:
+            if name not in PARAM_NAMES:
+                raise ValueError(f"unknown detector parameter {name!r}")
+    free = free_bloch + free_param_names
+    if not free:
+        raise ValueError("nothing to fit")
+
+    box = dict(DEFAULT_BOUNDS)
+    if bounds:
+        unknown = set(bounds) - set(box)
+        if unknown:
+            raise ValueError(f"unknown bound names {sorted(unknown)}")
+        box.update(bounds)
+    lo = np.array([box[name][0] for name in free])
+    hi = np.array([box[name][1] for name in free])
+    if np.any(hi <= lo):
+        raise ValueError("bounds box is empty")
+    return free, free_param_names, lo, hi
+
+
 def fit(
     h: Histogram,
     fixed: Optional[DetectorParams] = None,
@@ -284,33 +327,7 @@ def fit(
     """
     if h.total < 1000:
         raise InsufficientDataError(f"histogram total {h.total} below 1000")
-    if n_starts < 1:
-        raise ValueError(f"n_starts must be >= 1, got {n_starts}")
-    free_bloch = tuple(free_bloch)
-    for name in free_bloch:
-        if name not in BLOCH_NAMES:
-            raise ValueError(f"unknown Bloch component {name!r}")
-    if fixed is None:
-        free_param_names = PARAM_NAMES
-    else:
-        free_param_names = tuple(free_params or ())
-        for name in free_param_names:
-            if name not in PARAM_NAMES:
-                raise ValueError(f"unknown detector parameter {name!r}")
-    free = free_bloch + free_param_names
-    if not free:
-        raise ValueError("nothing to fit")
-
-    box = dict(DEFAULT_BOUNDS)
-    if bounds:
-        unknown = set(bounds) - set(box)
-        if unknown:
-            raise ValueError(f"unknown bound names {sorted(unknown)}")
-        box.update(bounds)
-    lo = np.array([box[name][0] for name in free])
-    hi = np.array([box[name][1] for name in free])
-    if np.any(hi <= lo):
-        raise ValueError("bounds box is empty")
+    free, free_param_names, lo, hi = search_box(fixed, bounds, free_bloch, free_params, n_starts)
 
     if fixed is not None and not free_param_names:
         # pure state fit: the information structure is known up front

@@ -22,9 +22,22 @@ import numpy as np
 from scipy.stats import chi2 as chi2_dist
 
 from . import mat2 as m2
-from .detector import DetectorParams, propagator, sqrt_rate_matrix, survival_function
+from .detector import (
+    DetectorParams,
+    _survival_and_density,
+    propagator,
+    sqrt_rate_matrix,
+    survival_function,
+)
 from .errors import BisectionFailureError, InsufficientCountsError
-from .tolerances import BISECTION_MAX_ITER, BISECTION_REL_TOL
+from .tolerances import INVERSION_RESIDUAL_TOL, INVERSION_STEP_REL_TOL
+
+# Trajectories per Philox draw.  A multiple of 4, so every chunk starts on
+# a whole counter step of the stream.
+CHUNK = 1 << 16
+_TABLE_POINTS = 4097
+# Bisection alone narrows a grid bracket to the step tolerance in ~22 steps.
+_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -100,31 +113,63 @@ def _checked_state(rho0: np.ndarray) -> np.ndarray:
     return np.asarray(rho0, dtype=complex)
 
 
-def _invert_survival(surv, u: np.ndarray, tau: float) -> np.ndarray:
-    """Solve S(t) = u for each u < S(0), on [0, tau], by bisection.
+def _survival_inverter(p: DetectorParams, rho0: np.ndarray, tau: float):
+    """(S(tau), u -> t): the pulse's survival and a solver of S(t) = u on
+    [0, tau] for an array of u with S(tau) < u <= 1.
 
-    S is monotone non-increasing; the bracket is checked and a residual
-    mismatch raises, since it would indicate a broken survival function
-    rather than bad data.
+    S is tabulated once on _TABLE_POINTS grid times and made monotone; each
+    u takes its bracket and a linear-interpolation seed from the table.
+    Safeguarded Newton steps t += (S(t) - u) / rho(t), rho = -dS/dt, follow
+    (Numerical Recipes' rtsafe): each shrinks the bracket, and a step that
+    would leave it, or not halve the previous step, or meets rho = 0, is a
+    bisection instead.  A solve ends once its step is below
+    INVERSION_STEP_REL_TOL * tau, which takes two Newton steps almost
+    everywhere; S flat or staircase-like on the grid's scale (a long pulse
+    with many precession periods, or rho near zero) falls back towards
+    bisection.  A residual above INVERSION_RESIDUAL_TOL raises, since it
+    would indicate a broken survival function rather than bad data.
     """
-    if u.size == 0:
-        return np.empty(0)
-    lo = np.zeros_like(u)
-    hi = np.full_like(u, tau)
-    tol = BISECTION_REL_TOL * tau
-    for _ in range(BISECTION_MAX_ITER):
-        if np.max(hi - lo) <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        above = surv(mid) >= u
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    t = 0.5 * (lo + hi)
-    if np.max(np.abs(surv(t) - u)) > 1e-7:
-        raise BisectionFailureError(
-            "survival inversion residual too large; S(t) appears non-monotone"
-        )
-    return t
+    surv = survival_function(p, rho0)
+    paired = _survival_and_density(p, rho0)
+    grid = np.linspace(0.0, tau, _TABLE_POINTS)
+    table = np.minimum.accumulate(surv(grid))
+    rising = -table  # searchsorted needs ascending values
+    step_tol = INVERSION_STEP_REL_TOL * tau
+
+    def invert(u: np.ndarray) -> np.ndarray:
+        # bracket: table[k - 1] >= u > table[k]
+        k = np.clip(np.searchsorted(rising, -u, side="right"), 1, _TABLE_POINTS - 1)
+        lo, hi = grid[k - 1], grid[k]
+        drop = table[k - 1] - table[k]
+        frac = np.divide(table[k - 1] - u, drop, out=np.zeros_like(u), where=drop > 0.0)
+        t = np.clip(lo + frac * (hi - lo), lo, hi)
+        times = np.empty_like(u)
+        todo, target, last = np.arange(u.size), u, hi - lo
+        for _ in range(_MAX_STEPS):
+            s, rate = paired(t)
+            above = s >= target
+            lo, hi = np.where(above, t, lo), np.where(above, hi, t)
+            step = np.divide(s - target, rate, out=np.full_like(t, np.inf), where=rate > 0.0)
+            nxt = t + step
+            newton = (lo <= nxt) & (nxt <= hi) & (2.0 * np.abs(step) <= last)
+            nxt = np.where(newton, nxt, 0.5 * (lo + hi))
+            last = np.abs(nxt - t)
+            done = last <= step_tol
+            times[todo[done]] = nxt[done]
+            keep = ~done
+            todo, target, t, lo, hi, last = (
+                a[keep] for a in (todo, target, nxt, lo, hi, last)
+            )
+            if not todo.size:
+                break
+        times[todo] = t
+        if times.size and np.max(np.abs(surv(times) - u)) > INVERSION_RESIDUAL_TOL:
+            raise BisectionFailureError(
+                "survival inversion residual too large; S(t) appears non-monotone"
+            )
+        return times
+
+    return float(surv(tau)), invert
 
 
 def run_trajectory(
@@ -139,14 +184,25 @@ def run_trajectory(
     if not 0 <= stream_index < cfg.n_traj:
         raise ValueError("stream_index must lie in [0, n_traj)")
     u = _uniforms(cfg.seed, stream_index, 1)
-    surv = survival_function(p, rho0)
+    s_tau, invert = _survival_inverter(p, rho0, cfg.tau)
     prop = propagator(p)
-    if float(surv(cfg.tau)) >= u[0]:
+    if s_tau >= u[0]:
         u_tau = prop(cfg.tau)
         return TrajectoryOutcome(False, None, _normalize(u_tau @ rho0 @ m2.dag(u_tau)))
-    t = float(_invert_survival(surv, u, cfg.tau)[0])
+    t = float(invert(u)[0])
     k = sqrt_rate_matrix(p) @ prop(t)
     return TrajectoryOutcome(True, t, _normalize(k @ rho0 @ m2.dag(k)))
+
+
+def _chunked_switch_times(p: DetectorParams, rho0: np.ndarray, cfg: SimConfig):
+    """Yield (switching times, no-switch count) for trajectories taken CHUNK
+    at a time in index order, so memory stays O(CHUNK) for any n_traj."""
+    rho0 = _checked_state(rho0)
+    s_tau, invert = _survival_inverter(p, rho0, cfg.tau)
+    for start in range(0, cfg.n_traj, CHUNK):
+        u = _uniforms(cfg.seed, start, min(CHUNK, cfg.n_traj - start))
+        switched = u > s_tau
+        yield invert(u[switched]), int(u.size - np.count_nonzero(switched))
 
 
 def sample_switch_times(
@@ -154,12 +210,8 @@ def sample_switch_times(
 ) -> tuple[np.ndarray, int]:
     """Switching times of the trajectories that switched (in trajectory
     order), and the count of those that survived the pulse."""
-    rho0 = _checked_state(rho0)
-    u = _uniforms(cfg.seed, 0, cfg.n_traj)
-    surv = survival_function(p, rho0)
-    switched = u > float(surv(cfg.tau))
-    times = _invert_survival(surv, u[switched], cfg.tau)
-    return times, int(cfg.n_traj - switched.sum())
+    chunks = list(_chunked_switch_times(p, rho0, cfg))
+    return np.concatenate([t for t, _ in chunks]), sum(n for _, n in chunks)
 
 
 def bin_switch_times(times: np.ndarray, no_switch: int, cfg: SimConfig) -> Histogram:
@@ -174,10 +226,16 @@ def run_ensemble(p: DetectorParams, rho0: np.ndarray, cfg: SimConfig) -> Histogr
     Deterministic: identical (params, rho0, config) give identical
     histograms, and per-trajectory records are independent of ensemble
     size ordering, so partial histograms from parallel workers merge to
-    the same result.
+    the same result.  Times are binned chunk by chunk, so memory stays
+    O(CHUNK) for any n_traj.
     """
-    times, no_switch = sample_switch_times(p, rho0, cfg)
-    return bin_switch_times(times, no_switch, cfg)
+    edges = np.linspace(0.0, cfg.tau, cfg.n_bins + 1)
+    counts = np.zeros(cfg.n_bins, dtype=np.int64)
+    no_switch = 0
+    for times, n in _chunked_switch_times(p, rho0, cfg):
+        counts += np.histogram(times, bins=edges)[0]
+        no_switch += n
+    return Histogram(edges, counts, no_switch, cfg.n_traj)
 
 
 def merge_histograms(parts: list[Histogram]) -> Histogram:
@@ -253,12 +311,18 @@ def chi2_vs_analytic(
     return stat, dof, float(chi2_dist.sf(stat, dof))
 
 
+def _check_time_scale(time_scale: float) -> None:
+    if not (time_scale > 0.0 and math.isfinite(time_scale)):
+        raise ValueError(f"time_scale must be positive and finite, got {time_scale}")
+
+
 def write_histogram_csv(h: Histogram, path, time_scale: float = 1.0) -> None:
     """Write `bin_start,bin_end,count` rows with trailing metadata rows.
 
     Edge values are multiplied by time_scale (e.g. gamma_R to express times
-    in units of 1/gamma_R).
+    in units of 1/gamma_R), which must be positive and finite.
     """
+    _check_time_scale(time_scale)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("bin_start,bin_end,count\n")
         for i, c in enumerate(h.counts):
@@ -275,6 +339,7 @@ def read_histogram_csv(path, time_scale: float = 1.0) -> Histogram:
     Rows must tile the time axis: each bin_start equals the previous
     row's bin_end, compared as written in the file.
     """
+    _check_time_scale(time_scale)
     edges = []
     counts = []
     no_switch = total = prev_end = None

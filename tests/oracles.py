@@ -148,3 +148,18 @@ def integrate_matrix(fn, lo: float, hi: float, **kw):
     out[1, 0] = v01r - 1j * v01i
     max_err = max(e1, e2, e3, e4)
     return out, max_err
+
+
+def bisect_survival(surv, u: np.ndarray, tau: float) -> np.ndarray:
+    """Solve S(t) = u for each u in (S(tau), S(0)] on [0, tau] by bisection
+    to 1e-10 tau: the reference for the sampler's inversion."""
+    lo = np.zeros_like(u)
+    hi = np.full_like(u, tau)
+    for _ in range(200):
+        if np.max(hi - lo) <= 1e-10 * tau:
+            break
+        mid = 0.5 * (lo + hi)
+        above = surv(mid) >= u
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return 0.5 * (lo + hi)

@@ -8,6 +8,7 @@ from switchsim import cli
 from switchsim import detector as det
 from switchsim import tomography as tomo
 from switchsim import trajectory as traj
+from switchsim.errors import BisectionFailureError
 
 
 def run_cli(args):
@@ -104,8 +105,16 @@ class TestSimulateCommand:
         assert h.total == 3000
         assert h.bin_edges[-1] == pytest.approx(1.0)
 
-    def test_simulation_error_exit_code(self, tmp_path):
-        # dark state: no run switches, so the chi-squared check has one cell
+    def test_simulation_error_exit_code(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise BisectionFailureError("survival inversion residual too large")
+
+        monkeypatch.setattr(traj, "sample_switch_times", broken)
+        assert run_cli(["simulate", "--out", tmp_path, "--set", "n_traj=2000"]) == 3
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_dark_state_reports_null_chi2(self, tmp_path):
+        # no run switches, so the chi-squared check has a single cell
         code = run_cli(
             [
                 "simulate", "--out", tmp_path, "--seed", 1,
@@ -113,7 +122,27 @@ class TestSimulateCommand:
                 "--set", "bloch.z=-1", "--set", "n_traj=2000",
             ]
         )
-        assert code == 3
+        assert code == 0
+        s = read_summary(tmp_path)
+        assert s["chi2"] is None
+        assert s["no_switch_fraction"] == 1.0
+
+    @pytest.mark.parametrize(
+        "sets",
+        [
+            ["n_traj=0"],
+            ["params.gamma_L=-1"],
+            ["bloch.z=1.5"],
+            ["params.gamma_R=0"],
+            ["time_unit=0"],
+        ],
+    )
+    def test_bad_values_exit_config(self, tmp_path, sets):
+        args = ["simulate", "--out", tmp_path]
+        for assignment in sets:
+            args += ["--set", assignment]
+        assert run_cli(args) == 2
+        assert not (tmp_path / "histogram.csv").exists()
 
     def test_method_key_rejected(self, tmp_path):
         assert run_cli(["simulate", "--out", tmp_path, "--set", "method=euler"]) == 2
@@ -160,6 +189,23 @@ class TestTomographyCommand:
         assert code == 5
         with open(tmp_path / "tomography.json") as fh:
             assert json.load(fh)["converged"] is False
+
+    @pytest.mark.parametrize(
+        "sets", [["n_starts=0"], ["params.gamma_R=0"], ['bounds={"x": [0.5, -0.5]}']]
+    )
+    def test_bad_values_exit_config(self, tmp_path, sets):
+        p = det.DetectorParams(1.0, 5.0, math.pi / 4, 60.0)
+        hist = self.make_histogram(tmp_path, p, tomo.BlochComponents(0, 0, 0.5), n=2000)
+        args = ["tomography", "--out", tmp_path, "--set", f"histogram={hist}"]
+        for assignment in sets:
+            args += ["--set", assignment]
+        assert run_cli(args) == 2
+        assert not (tmp_path / "tomography.json").exists()
+
+    def test_malformed_histogram_exit_simulation(self, tmp_path):
+        hist = tmp_path / "hist.csv"
+        hist.write_text("start,end,count\n0.0,1.0,5\n#no_switch,0\n#total,5\n")
+        assert run_cli(["tomography", "--out", tmp_path, "--set", f"histogram={hist}"]) == 3
 
 
 class TestSCurvesCommand:

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import chi2 as chi2_dist
 from scipy.stats import kstest
@@ -9,9 +12,10 @@ from scipy.stats import kstest
 from switchsim import detector as det
 from switchsim import mat2 as m2
 from switchsim import trajectory as traj
-from switchsim.errors import InsufficientCountsError
+from switchsim.errors import BisectionFailureError, InsufficientCountsError
+from switchsim.tolerances import INVERSION_RESIDUAL_TOL
 
-from oracles import stepped_switch_times
+from oracles import bisect_survival, stepped_switch_times
 
 MIXED = 0.5 * np.eye(2, dtype=complex)
 
@@ -169,7 +173,7 @@ class TestExactSampling:
         surv = det.survival_function(p, MIXED)
         assert out.switched == (u > float(surv(cfg.tau)))
         if out.switched:
-            assert abs(float(surv(out.switch_time)) - u) < 1e-7
+            assert abs(float(surv(out.switch_time)) - u) < INVERSION_RESIDUAL_TOL
 
     def test_no_switch_fraction_various_params(self):
         rng = np.random.default_rng(5)
@@ -208,6 +212,93 @@ class TestExactSampling:
             h = traj.run_ensemble(p, rho0, cfg)
             stat, dof, pval = traj.chi2_vs_analytic(h, p, rho0)
             assert pval > 1e-3
+
+
+def assert_inversion_matches_bisection(p, rho0, tau):
+    """The sampler's solve of S(t) = u against the bisection reference, at
+    256 targets spread over the switched range (S(tau), 1]."""
+    s_tau, invert = traj._survival_inverter(p, rho0, tau)
+    u = s_tau + (1.0 - s_tau) * np.linspace(0.0, 1.0, 257)[1:]
+    ref = bisect_survival(det.survival_function(p, rho0), u, tau)
+    err = np.max(np.abs(invert(u) - ref))
+    assert err <= 1e-9 * tau, f"inverted times off by {err / tau:.2e} tau"
+
+
+unit = st.floats(-1.0, 1.0)
+
+
+class TestInversion:
+    @settings(max_examples=200)
+    @given(
+        st.floats(0.0, 100.0),
+        st.floats(0.0, 100.0),
+        st.floats(0.0, math.pi),
+        st.floats(0.0, 1000.0),
+        st.floats(1e-3, 1.0),
+        st.tuples(unit, unit, unit, unit).filter(lambda v: sum(x * x for x in v) > 1e-6),
+    )
+    def test_matches_bisection_over_parameter_box(self, gamma_l, gamma_r, beta, e, frac, amps):
+        """Pulses up to 30 decay times (gamma_plus floored at 1e-3), which
+        at E = 1000 spans ~5e3 precession periods, about one per grid cell
+        of the table.  Pulses that switch with probability below 1e-6 are
+        skipped: their roots move by the 1e-16 rounding of S over a density
+        of ~1e-6 / tau, beyond 1e-9 tau for any solver."""
+        p = det.DetectorParams(gamma_l, gamma_r, beta, e)
+        tau = frac * 30.0 / max(p.gamma_plus, 1e-3)
+        rho = m2.projector(m2.pure_state(amps[0] + 1j * amps[1], amps[2] + 1j * amps[3]))
+        assume(det.survival_probability(p, rho, tau) < 1.0 - 1e-6)
+        assert_inversion_matches_bisection(p, rho, tau)
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-13, 1e-11])
+    def test_matches_bisection_at_exceptional_point(self, delta):
+        p = det.DetectorParams(0.0, 4.0, math.pi / 2, 2.0 * (1.0 + delta))
+        assert_inversion_matches_bisection(p, m2.projector(m2.pure_state(1.0, 0.6 + 0.3j)), 1.5)
+
+    def test_matches_bisection_near_dark_state(self):
+        # |0> is dark (gamma_L = 0, beta = 0); tilted by 0.01 it switches
+        # with probability ~1e-4
+        p = det.DetectorParams(0.0, 3.0, 0.0, 2.0)
+        rho = m2.projector(m2.pure_state(math.cos(0.01), math.sin(0.01)))
+        assert_inversion_matches_bisection(p, rho, 5.0)
+
+    def test_prefix_across_chunk_boundaries(self):
+        # trajectory i reads variate i however the stream is cut into chunks
+        p = det.DetectorParams(1.0, 4.0, 0.7, 5.0)
+        big = traj.SimConfig(n_traj=3 * traj.CHUNK + 5, tau=1.0, seed=41)
+        big_times, _ = traj.sample_switch_times(p, MIXED, big)
+        for n in (traj.CHUNK - 1, traj.CHUNK + 1, 2 * traj.CHUNK - 1, 2 * traj.CHUNK + 1):
+            cfg = traj.SimConfig(n_traj=n, tau=1.0, seed=41)
+            times, no_switch = traj.sample_switch_times(p, MIXED, cfg)
+            assert times.size + no_switch == n
+            np.testing.assert_array_equal(times, big_times[: times.size])
+            last = traj.run_trajectory(p, MIXED, big, n - 1)
+            if last.switched:
+                assert last.switch_time == times[-1]
+
+    def test_non_monotone_survival_raises(self, monkeypatch):
+        exact = det.survival_function
+
+        def wiggly(p, rho0):
+            s = exact(p, rho0)
+            return lambda t: s(t) + 0.05 * np.sin(40.0 * np.asarray(t))
+
+        monkeypatch.setattr(traj, "survival_function", wiggly)
+        p = det.DetectorParams(1.0, 4.0, 0.7, 5.0)
+        with pytest.raises(BisectionFailureError):
+            traj.run_ensemble(p, MIXED, traj.SimConfig(n_traj=2000, tau=1.0, seed=3))
+
+    def test_ensemble_memory_independent_of_size(self):
+        # ~16 MB, the same as for one chunk; drawing all 2e6 trajectories
+        # at once peaks at ~270 MB
+        p = det.DetectorParams(1.0, 5.0, math.pi / 4, 60.0)
+        cfg = traj.SimConfig(n_traj=2_000_000, tau=1.2, seed=5, n_bins=150)
+        tracemalloc.start()
+        try:
+            traj.run_ensemble(p, MIXED, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * traj.CHUNK * 8, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestPurity:
@@ -320,6 +411,16 @@ class TestHistogramCsv:
             traj.Histogram(np.array([0.0, 0.5, 1.0]), np.array([-1, 8]), 2, 9)
         with pytest.raises(ValueError):
             traj.Histogram(np.array([0.0, 1.0]), np.array([10]), -1, 9)
+
+    @pytest.mark.parametrize("scale", [0.0, -2.0, math.nan, math.inf])
+    def test_bad_time_scale_rejected(self, tmp_path, scale):
+        h = traj.Histogram(np.array([0.0, 0.5, 1.0]), np.array([3, 4]), 2, 9)
+        path = tmp_path / "hist.csv"
+        with pytest.raises(ValueError):
+            traj.write_histogram_csv(h, path, time_scale=scale)
+        traj.write_histogram_csv(h, path)
+        with pytest.raises(ValueError):
+            traj.read_histogram_csv(path, time_scale=scale)
 
     def test_non_contiguous_rows_rejected(self, tmp_path):
         path = tmp_path / "hist.csv"
