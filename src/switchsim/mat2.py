@@ -9,6 +9,7 @@ the probability weight of the detector record that produced the state).
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -49,12 +50,13 @@ def trace(m: np.ndarray) -> complex:
 
 def norm2(m: np.ndarray) -> float:
     """Spectral norm (largest singular value)."""
-    # Largest eigenvalue of the 2x2 Hermitian m†m, closed form.
-    h = dag(m) @ m
-    half_tr = 0.5 * (h[0, 0].real + h[1, 1].real)
-    det = np.linalg.det(h).real
+    # Largest eigenvalue of the 2x2 Hermitian m†m, closed form, in Python
+    # scalars: det = h00 h11 - |h01|^2.
+    (h00, h01), (_, h11) = (dag(m) @ m).tolist()
+    half_tr = 0.5 * (h00.real + h11.real)
+    det = h00.real * h11.real - (h01.real * h01.real + h01.imag * h01.imag)
     disc = max(half_tr * half_tr - det, 0.0)
-    return float(np.sqrt(max(half_tr + np.sqrt(disc), 0.0)))
+    return math.sqrt(max(half_tr + math.sqrt(disc), 0.0))
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:

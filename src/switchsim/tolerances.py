@@ -60,3 +60,7 @@ RANK_DEFICIENCY_TOL = 1e-8
 # Gradient-norm criterion for declaring a fit converged (relative to the
 # deviance scale).
 FIT_GRADIENT_TOL = 1e-8
+
+# The state-only fit's Newton iteration stops once a step is this many
+# standard deviations long (its length in the Fisher metric).
+FIT_NEWTON_STEP_TOL = 1e-9

@@ -21,6 +21,7 @@ from scipy.optimize import least_squares
 from . import mat2 as m2
 from .detector import (
     DetectorParams,
+    _survival_and_density,
     survival_function,
     switch_density,
     switch_density_function,
@@ -33,6 +34,7 @@ from .errors import (
 )
 from .tolerances import (
     FIT_GRADIENT_TOL,
+    FIT_NEWTON_STEP_TOL,
     IDENTIFIABILITY_REL_TOL,
     RANK_DEFICIENCY_TOL,
 )
@@ -131,6 +133,14 @@ class IdentifiabilityReport:
 
 _CANONICAL_BLOCH = BlochComponents(0.25, 0.25, 0.25)
 
+# rho(b) = I/2 + sum_k b_k _BLOCH_BASIS[k]: the density matrix, and with it
+# every survival and switching-density value, is affine in the Bloch vector
+_MIXED = 0.5 * np.eye(2, dtype=complex)
+_BLOCH_BASIS = {
+    name: BlochComponents(*np.eye(3)[k]).to_density() - _MIXED
+    for k, name in enumerate(BLOCH_NAMES)
+}
+
 
 def _density_rows(
     p: DetectorParams, b: BlochComponents, grid: np.ndarray, tau: float
@@ -149,10 +159,12 @@ def identifiability(
     """Rank analysis of the switching-time model in the free directions.
 
     Builds the Poisson information matrix of the density (plus the
-    no-switch weight) on a canonical time grid by central differences,
-    then flags singular directions whose singular value falls below
-    rel_threshold times the largest.  Sensitivities are taken per
-    relative parameter change (each direction scaled by its magnitude),
+    no-switch weight) on a canonical time grid, then flags singular
+    directions whose singular value falls below rel_threshold times the
+    largest.  The Bloch columns are exact, as the density is affine in the
+    Bloch vector: the density and survival of its traceless part; detector
+    parameter columns are central differences.  Sensitivities are taken
+    per relative parameter change (each direction scaled by its magnitude),
     so directions with different units compare meaningfully.  Direction
     names list the parameters with non-negligible weight in the flagged
     singular vectors.
@@ -162,7 +174,7 @@ def identifiability(
         if name not in BLOCH_NAMES + PARAM_NAMES:
             raise ValueError(f"unknown parameter name {name!r}")
     b0 = bloch_point if bloch_point is not None else _CANONICAL_BLOCH
-    # keep finite-difference probes of the Bloch components inside the ball
+    # weigh at a point strictly inside the ball, where the density has no zeros
     r0 = math.sqrt(b0.x**2 + b0.y**2 + b0.z**2)
     if r0 > 0.99:
         shrink = 0.99 / r0
@@ -191,14 +203,19 @@ def identifiability(
     jac_s = np.empty(len(free))
     for i, name in enumerate(free):
         scale = max(abs(theta0[name]), 0.1)
+        if name in BLOCH_NAMES:
+            # the grid ends at t_max, so the last survival value is S(t_max)
+            surv, dens = _survival_and_density(p, _BLOCH_BASIS[name])(grid)
+            jac_d[i] = dens * scale
+            jac_s[i] = surv[-1] * scale
+            continue
         h = 1e-5 * scale
         hi = dict(theta0)
         lo = dict(theta0)
         hi[name] = theta0[name] + h
         lo[name] = theta0[name] - h
         # keep rates/energies non-negative and beta inside [0, pi]
-        if name in ("gamma_L", "gamma_R", "E", "beta"):
-            lo[name] = max(lo[name], 0.0)
+        lo[name] = max(lo[name], 0.0)
         if name == "beta":
             hi[name] = min(hi[name], math.pi)
         step = hi[name] - lo[name]
@@ -299,6 +316,104 @@ def search_box(
     return free, free_param_names, lo, hi
 
 
+def _ball_step(hess: np.ndarray, c: np.ndarray, radius: float) -> tuple[np.ndarray, float]:
+    """Minimizer x of x.hess.x/2 + c.x over |x| <= radius, hess positive
+    definite, and its multiplier lam >= 0: (hess + lam I) x = -c.
+
+    On the sphere lam solves the secular equation 1/|x(lam)| = 1/radius.
+    1/|x(lam)| is increasing and concave, so Newton's method from lam = 0
+    climbs to the root without overshooting (Moré & Sorensen, "Computing a
+    trust region step", SIAM J. Sci. Stat. Comput. 4, 1983).
+    """
+    if radius == 0.0:
+        return np.zeros_like(c), 0.0
+    evals, vecs = np.linalg.eigh(hess)
+    w = vecs.T @ c
+    lam = 0.0
+    for _ in range(100):
+        x = w / (evals + lam)
+        norm = math.sqrt(x @ x)
+        if norm <= radius:
+            break
+        step = (norm - radius) / radius * norm**2 / (x @ (x / (evals + lam)))
+        if step <= 1e-15 * lam:
+            break
+        lam += step
+    return -(vecs @ x), lam
+
+
+def _fit_state(
+    h: Histogram, p: DetectorParams, free_bloch: tuple[str, ...], base_bloch: dict
+) -> tuple[BlochComponents, np.ndarray, bool, float]:
+    """Maximum-likelihood Bloch components at fixed detector parameters:
+    (state, covariance, converged, deviance).
+
+    Each cell probability is affine in the Bloch vector, probs = a0 + A b,
+    with a0 and the columns of A the cells of rho = I/2 and of the traceless
+    basis, so the Poisson deviance is convex in b.  It is minimized by
+    damped Newton over the ball left by the fixed components, each step
+    the ball-constrained minimizer of the local quadratic model.
+    """
+    s_edges = np.array([
+        survival_function(p, rho)(h.bin_edges)
+        for rho in (_MIXED, *_BLOCH_BASIS.values())
+    ])
+    cells = np.hstack([-np.diff(s_edges, axis=1), s_edges[:, -1:]])
+    free_idx = [BLOCH_NAMES.index(name) for name in free_bloch]
+    fixed = np.array([0.0 if name in free_bloch else base_bloch[name] for name in BLOCH_NAMES])
+    a0 = cells[0] + fixed @ cells[1:]
+    design = cells[1:][free_idx].T
+    radius = math.sqrt(max(1.0 - fixed @ fixed, 0.0))
+
+    observed = np.append(h.counts, h.no_switch_count).astype(float)
+    seen = observed > 0.0
+    counts, a_seen, design_seen = observed[seen], a0[seen], design[seen]
+
+    def derivatives(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian of the negative log-likelihood
+        -sum n log(probs); the cell probabilities sum to one for every b."""
+        ratio = counts / (a_seen + design_seen @ b)
+        grad = -design_seen.T @ ratio
+        return grad, (design_seen.T * (ratio * ratio / counts)) @ design_seen
+
+    def cost(b: np.ndarray) -> float:
+        probs = a_seen + design_seen @ b
+        return -float(counts @ np.log(probs)) if probs.min() > 0.0 else math.inf
+
+    b = np.zeros(design.shape[1])
+    for _ in range(50):
+        grad, hess = derivatives(b)
+        x, lam = _ball_step(hess, grad - hess @ b, radius)
+        step = x - b
+        # the step's length in standard deviations (the Newton decrement);
+        # -n log p is self-concordant, so a step under 1/4 keeps every cell
+        # probability positive and converges quadratically
+        size = math.sqrt(max(step @ hess @ step, 0.0))
+        t = 1.0
+        if size > 0.25:
+            # far from the optimum: backtrack to sufficient decrease
+            f0, slope = cost(b), grad @ step
+            while t > 1e-12 and cost(b + t * step) > f0 + 1e-4 * t * slope:
+                t *= 0.5
+        b = b + t * step
+        if size <= FIT_NEWTON_STEP_TOL:
+            break
+
+    grad, _ = derivatives(b)
+    # KKT: grad + lam b = 0 with lam >= 0 (lam = 0 inside the ball); the
+    # gradient is in counts, as in the free-parameter fit's criterion
+    converged = bool(np.max(np.abs(grad + lam * b)) < FIT_GRADIENT_TOL * h.total)
+
+    probs = a0 + design @ b
+    fisher = h.total * (design.T / probs) @ design
+    covariance = np.linalg.inv(fisher)
+    deviance = float(np.sum(_deviance_residuals(observed, probs * h.total) ** 2))
+    bloch = fixed.copy()
+    bloch[free_idx] = b
+    state = BlochComponents(*(float(v) for v in bloch))
+    return state, 0.5 * (covariance + covariance.T), converged, deviance
+
+
 def fit(
     h: Histogram,
     fixed: Optional[DetectorParams] = None,
@@ -320,16 +435,30 @@ def fit(
     magnitude are observable), so an all-parameter fit is rejected as not
     identifiable; pinning one rate or the angle breaks the gauge.
 
-    Multi-start damped least squares (n_starts Latin-hypercube starts
-    drawn deterministically from the bounds box, plus the optional `init`
-    seed point); the winner is the lowest deviance with index tie-break.
-    Covariance is the Gauss-Newton inverse at the optimum.
+    With the detector parameters fixed (`free_params` empty) the deviance
+    is convex in the Bloch vector and is minimized in one Newton solve over
+    the Bloch ball; components not in `free_bloch` keep `init`'s values
+    (0 without `init`).  `converged` then holds when the KKT conditions of
+    the ball constraint do, and the covariance is the inverse Fisher
+    information.  `seed`, `n_starts`, `init`'s starting point and the
+    Bloch bounds serve only the free-parameter fit below.
+
+    With detector parameters free: multi-start damped least squares
+    (n_starts Latin-hypercube starts drawn deterministically from the
+    bounds box, plus the optional `init` seed point); the winner is the
+    lowest deviance with index tie-break.  Covariance is the Gauss-Newton
+    inverse at the optimum.
     """
     if h.total < 1000:
         raise InsufficientDataError(f"histogram total {h.total} below 1000")
     free, free_param_names, lo, hi = search_box(fixed, bounds, free_bloch, free_params, n_starts)
 
-    if fixed is not None and not free_param_names:
+    base_bloch = {"x": 0.0, "y": 0.0, "z": 0.0}
+    if init is not None:
+        base_bloch = {"x": init.bloch.x, "y": init.bloch.y, "z": init.bloch.z}
+
+    dof = max(len(h.counts) - len(free), 1)  # cells, less the total and the free names
+    if not free_param_names:
         # pure state fit: the information structure is known up front
         report = identifiability(fixed, free=free, rel_threshold=RANK_DEFICIENCY_TOL)
         if report.flagged:
@@ -337,12 +466,10 @@ def fit(
                 f"degenerate directions {report.degenerate_directions} at the "
                 "fixed detector parameters"
             )
+        b_fit, covariance, converged, deviance = _fit_state(h, fixed, free, base_bloch)
+        return TomographyResult(b_fit, fixed, covariance, converged, deviance, dof, free)
 
     observed = np.append(h.counts, h.no_switch_count).astype(float)
-
-    base_bloch = {"x": 0.0, "y": 0.0, "z": 0.0}
-    if init is not None:
-        base_bloch = {"x": init.bloch.x, "y": init.bloch.y, "z": init.bloch.z}
     base_params = {
         "gamma_L": fixed.gamma_L if fixed else 0.0,
         "gamma_R": fixed.gamma_R if fixed else 0.0,
@@ -357,8 +484,6 @@ def fit(
             vals.get("y", base_bloch["y"]),
             vals.get("z", base_bloch["z"]),
         )
-        if fixed is not None and not free_param_names:
-            return b, fixed
         params = DetectorParams(
             vals.get("gamma_L", base_params["gamma_L"]),
             vals.get("gamma_R", base_params["gamma_R"]),
@@ -415,26 +540,23 @@ def fit(
     covariance = np.linalg.pinv(jtj, hermitian=True)
     covariance = 0.5 * (covariance + covariance.T)
 
-    if free_param_names:
-        # with parameters free, rank deficiency (such as the gauge null
-        # direction of the all-parameter model) is only visible at the
-        # fitted point
-        report = identifiability(
-            p_fit, free=free, bloch_point=b_fit, rel_threshold=RANK_DEFICIENCY_TOL
+    # with parameters free, rank deficiency (such as the gauge null
+    # direction of the all-parameter model) is only visible at the fitted
+    # point
+    report = identifiability(
+        p_fit, free=free, bloch_point=b_fit, rel_threshold=RANK_DEFICIENCY_TOL
+    )
+    if report.flagged:
+        raise NotIdentifiableError(
+            f"degenerate directions {report.degenerate_directions} at the "
+            "fitted parameters"
         )
-        if report.flagged:
-            raise NotIdentifiableError(
-                f"degenerate directions {report.degenerate_directions} at the "
-                "fitted parameters"
-            )
-
-    n_cells = len(observed)
     return TomographyResult(
         bloch=b_fit,
         params=p_fit,
         covariance=covariance,
         converged=converged,
         chi2=deviance,
-        dof=max(n_cells - 1 - len(free), 1),
+        dof=dof,
         free_names=free,
     )

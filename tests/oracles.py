@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import least_squares
 
 from switchsim import detector as det
 from switchsim import mat2 as m2
 from switchsim import measurement as meas
+from switchsim import tomography as tomo
+from switchsim import trajectory as traj
 from switchsim.detector import DetectorParams
 
 
@@ -163,3 +166,40 @@ def bisect_survival(surv, u: np.ndarray, tau: float) -> np.ndarray:
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def multistart_state_fit(h, p: DetectorParams, n_starts: int = 8, seed: int = 0):
+    """State-only fit by multi-start least squares: (Bloch vector, covariance).
+
+    Deviance residuals of the clipped model cell probabilities, minimized
+    by bounded least squares from n_starts Latin-hypercube starts in the
+    cube [-1, 1]^3, the Bloch vector clamped radially into the unit ball;
+    the lowest deviance wins, and the covariance is the Gauss-Newton
+    pseudo-inverse there.  The reference for the convex state fit.
+    """
+    observed = np.append(h.counts, h.no_switch_count).astype(float)
+
+    def clamp(v):
+        r = np.linalg.norm(v)
+        return v * (1.0 - 1e-12) / r if r > 1.0 else v
+
+    def residuals(v):
+        rho = tomo.BlochComponents(*clamp(v)).to_density()
+        probs = traj.expected_cell_probabilities(h, p, rho)
+        return tomo._deviance_residuals(observed, probs * h.total)
+
+    rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
+    starts = np.empty((n_starts, 3))
+    for j in range(3):
+        starts[:, j] = -1.0 + 2.0 * (rng.permutation(n_starts) + rng.random(n_starts)) / n_starts
+    best, best_dev = None, math.inf
+    for x0 in starts:
+        res = least_squares(
+            residuals, x0, bounds=(-1.0, 1.0), method="trf",
+            xtol=1e-14, ftol=1e-14, gtol=1e-12, max_nfev=2000,
+        )
+        deviance = float(np.sum(res.fun**2))
+        if deviance < best_dev - 1e-12:
+            best, best_dev = res, deviance
+    covariance = np.linalg.pinv(best.jac.T @ best.jac, hermitian=True)
+    return clamp(best.x), 0.5 * (covariance + covariance.T)

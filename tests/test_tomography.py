@@ -11,10 +11,19 @@ from switchsim.errors import (
     NotIdentifiableError,
     UnphysicalBlochError,
 )
+from switchsim.tolerances import FIT_GRADIENT_TOL
 
-from oracles import model_density_slow_form
+from oracles import model_density_slow_form, multistart_state_fit
 
 IDENTIFIABLE = det.DetectorParams(1.0, 5.0, math.pi / 4, 60.0)  # E = 20 gamma_plus
+
+# (gamma_L, gamma_R, beta, E) of the benchmark configurations C1-C4
+CONFIGS = (
+    (1.0, 5.0, math.pi / 4, 60.0),
+    (0.0, 10.0, math.pi / 3, 200.0),
+    (2.0, 8.0, 1.0, 20.0),
+    (1.0, 4.0, 0.6, 120.0),
+)
 
 
 def synthesize(p, bloch, n_traj, seed, tau=1.2, n_bins=150):
@@ -226,10 +235,14 @@ class TestFit:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(tomo, "least_squares", counting)
-        tomo.fit(h, fixed=IDENTIFIABLE, n_starts=3)
+        tomo.fit(h, fixed=IDENTIFIABLE, free_params=("E",), bounds={"E": (55.0, 65.0)}, n_starts=3)
         assert len(calls) == 3
         with pytest.raises(ValueError):
             tomo.fit(h, fixed=IDENTIFIABLE, n_starts=0)
+        # with the detector parameters fixed the state is one convex solve
+        calls.clear()
+        tomo.fit(h, fixed=IDENTIFIABLE, n_starts=3)
+        assert calls == []
 
     def test_insufficient_data(self):
         h = synthesize(IDENTIFIABLE, tomo.BlochComponents(0, 0, 0), 500, seed=12)
@@ -252,3 +265,56 @@ class TestFit:
         result = tomo.fit(h, fixed=IDENTIFIABLE)
         evals = np.linalg.eigvalsh(result.covariance)
         assert np.all(evals > -1e-10)
+
+
+class TestStateFit:
+    @pytest.mark.parametrize("k", range(len(CONFIGS)))
+    def test_matches_multistart_reference(self, k):
+        p = det.DetectorParams(*CONFIGS[k])
+        truth = tomo.BlochComponents(*[(0.3, -0.4, 0.5), (-0.5, 0.2, 0.4),
+                                       (0.1, 0.6, -0.3), (-0.2, -0.5, -0.5)][k])
+        edges = np.linspace(0.0, 3.6 / p.gamma_plus, 151)
+        empty = traj.Histogram(edges, np.zeros(150, dtype=np.int64), 0, 0)
+        probs = traj.expected_cell_probabilities(empty, p, truth.to_density())
+        cells = np.random.default_rng(k).multinomial(1_000_000, probs / probs.sum())
+        h = traj.Histogram(edges, cells[:-1], int(cells[-1]), 1_000_000)
+        result = tomo.fit(h, fixed=p)
+        b_ref, cov_ref = multistart_state_fit(h, p)
+        b = np.array([result.bloch.x, result.bloch.y, result.bloch.z])
+        assert result.converged
+        assert np.linalg.norm(b_ref) < 0.99
+        assert np.max(np.abs(b - b_ref)) <= 1e-6
+        np.testing.assert_allclose(
+            np.sqrt(np.diag(result.covariance)), np.sqrt(np.diag(cov_ref)), rtol=1e-3
+        )
+
+    def test_pure_states_meet_ball_kkt(self):
+        """On the sphere the fit satisfies grad D/2 = -lam b with lam >= 0;
+        inside, grad D/2 = 0.  The gradient is built here from cell
+        probabilities at physical states, which are affine in b."""
+        rng = np.random.default_rng(2024)
+        on_sphere = 0
+        for i in range(20):
+            v = rng.standard_normal(3)
+            truth = tomo.BlochComponents(*(v / np.linalg.norm(v)))
+            h = synthesize(IDENTIFIABLE, truth, 200000, seed=100 + i)
+            result = tomo.fit(h, fixed=IDENTIFIABLE)
+            b = np.array([result.bloch.x, result.bloch.y, result.bloch.z])
+            assert np.linalg.norm(b) <= 1.0 + 1e-12
+
+            def cells(*bloch):
+                rho = tomo.BlochComponents(*bloch).to_density()
+                return traj.expected_cell_probabilities(h, IDENTIFIABLE, rho)
+
+            a0 = cells(0.0, 0.0, 0.0)
+            design = np.array([cells(*(0.5 * e)) - cells(*(-0.5 * e)) for e in np.eye(3)]).T
+            observed = np.append(h.counts, h.no_switch_count)
+            grad = h.total * design.T @ (1.0 - observed / (h.total * (a0 + design @ b)))
+            lam = 0.0
+            if np.linalg.norm(b) > 1.0 - 1e-9:
+                on_sphere += 1
+                lam = -(grad @ b) / (b @ b)
+            kkt = lam >= 0.0 and np.max(np.abs(grad + lam * b)) < FIT_GRADIENT_TOL * h.total
+            assert result.converged == kkt, i
+            assert kkt, i
+        assert on_sphere >= 1
