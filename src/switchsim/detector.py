@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import StepTooLargeError
-from .mat2 import IDENTITY, dag, normalize_phase, trace
+from .mat2 import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, normalize_phase, trace
 
 
 @dataclass(frozen=True)
@@ -268,6 +268,34 @@ def _survival_and_density(
         cc, cs, ss = (c * c_bar).real, c_bar * s, (s * s.conjugate()).real
         surv, rate = (cc * a + 2.0 * (cs * b).real + ss * d for a, b, d in forms)
         return surv, rate
+
+    return f
+
+
+def _half_gap(p: DetectorParams, op: np.ndarray) -> Callable[[float], float]:
+    """Float t -> half the eigenvalue gap of U_ns(t)^dag op U_ns(t), op Hermitian.
+
+    That is the length of the matrix's traceless part, whose Pauli
+    components are the trace forms with rho0 = sigma_k / 2: nine fixed
+    traces and one evaluation of the coefficients per time.  The sum of
+    squares keeps a closing gap exact to rounding, where
+    sqrt((tr/2)^2 - det) would lose half the digits.
+    """
+    prop = propagator(p)
+    (ax, bx, dx), (ay, by, dy), (az, bz, dz) = (
+        (float(a), 2.0 * complex(b), float(d))
+        for a, b, d in (_traces(prop.n, 0.5 * sigma, op) for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+    )
+    coefficients = prop.coefficients
+
+    def f(t: float) -> float:
+        c, s = coefficients(t)
+        c_bar = c.conjugate()
+        cc, cs, ss = (c * c_bar).real, c_bar * s, (s * s.conjugate()).real
+        wx = cc * ax + (cs * bx).real + ss * dx
+        wy = cc * ay + (cs * by).real + ss * dy
+        wz = cc * az + (cs * bz).real + ss * dz
+        return math.sqrt(wx * wx + wy * wy + wz * wz)
 
     return f
 

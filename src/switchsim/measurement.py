@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import mat2 as m2
-from .detector import DetectorParams, propagator, rate_matrix
+from .detector import DetectorParams, _half_gap, rate_matrix
 from .errors import (
     DegenerateRatesError,
     FlatObjectiveError,
@@ -144,12 +144,6 @@ def purity_equals_fidelity_check(u: np.ndarray) -> tuple[float, float]:
     return fid, m2.purity(rho)
 
 
-def _half_split(m: np.ndarray) -> float:
-    """Half the eigenvalue gap of a Hermitian 2x2 matrix."""
-    half_diff = 0.5 * (m[0, 0].real - m[1, 1].real)
-    return math.hypot(half_diff, abs(m[0, 1]))
-
-
 def overall_fidelity_numeric(
     p: DetectorParams, tau: float, resolve_switch_time: bool = True
 ) -> float:
@@ -158,24 +152,16 @@ def overall_fidelity_numeric(
     With switch-time resolution, each switching instant contributes its own
     fidelity weighted by its occurrence probability (for the maximally
     mixed input the weighted integrand reduces to half the eigenvalue gap
-    of the per-time switching matrix); the no-switch record adds its own
-    term.  Without resolution only "switched during the pulse" vs "did
-    not" is known, and the two measurement matrices share one eigenbasis
-    gap.  Valid at any probe angle and energy.
+    of the per-time switching matrix U^dag Gamma U); the no-switch record
+    adds half the gap of U^dag U.  Without resolution only "switched during
+    the pulse" vs "did not" is known, and the two measurement matrices
+    share one eigenbasis gap.  Valid at any probe angle and energy.
     """
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
-    prop = propagator(p)
-    gam = rate_matrix(p)
-
-    u_tau = prop(tau)
-    m_ns = m2.dag(u_tau) @ u_tau
+    no_switch = _half_gap(p, m2.IDENTITY)(float(tau))
     if not resolve_switch_time:
-        return min(2.0 * _half_split(m_ns), 1.0)
-
-    def integrand(t: float) -> float:
-        u = prop(t)
-        return _half_split(m2.dag(u) @ gam @ u)
+        return min(2.0 * no_switch, 1.0)
 
     points = None
     if p.beta == 0.0 and p.gamma_L > 0.0 and p.gamma_R > 0.0 and p.gamma_L != p.gamma_R:
@@ -183,11 +169,12 @@ def overall_fidelity_numeric(
         if t0 < tau:
             points = [t0]  # fidelity kink: split the quadrature there
     integral, err = quad(
-        integrand, 0.0, tau, points=points, limit=300, epsabs=1e-12, epsrel=1e-12
+        _half_gap(p, rate_matrix(p)), 0.0, tau, points=points, limit=300,
+        epsabs=1e-12, epsrel=1e-12,
     )
     if err > QUADRATURE_TOL:
         raise QuadratureFailureError(f"quadrature error estimate {err} above target")
-    return min(integral + _half_split(m_ns), 1.0)
+    return min(integral + no_switch, 1.0)
 
 
 def two_rate_overall_fidelity(rate_a: float, rate_b: float) -> float:

@@ -12,7 +12,9 @@ depend on how the detector operates:
 
 The maximal vertical separation between the two S-curves bounds the
 readout fidelity; sweeping it against the probe angle reproduces each
-detector type's fidelity law.
+detector type's fidelity law.  For every kind that separation is
+f |e^{-c0 A} - e^{-c1 A}| with A = pulse e^{s x}, so its bias optimum and
+peak value are closed forms (`max_separation`).
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .measurement import FidelityCurve
-from .optimize import grid_then_golden_max
+from .measurement import FidelityCurve, two_rate_overall_fidelity
 
 KINDS = ("strong", "weak_incoherent", "weak_coherent")
 
@@ -47,15 +48,34 @@ class SCurveSpec:
     pulse: float = 1.0
 
     def __post_init__(self):
-        if self.detector_kind not in KINDS:
-            raise ValueError(f"detector_kind must be one of {KINDS}")
-        if not 0.0 <= self.mixing_p <= 1.0:
-            raise ValueError("mixing_p must lie in [0, 1]")
         lo, hi, n = self.x_range
-        if not (hi > lo and n >= 2):
-            raise ValueError("x_range must be (lo, hi, n>=2) with hi > lo")
-        if self.steepness <= 0.0 or self.pulse <= 0.0:
-            raise ValueError("steepness and pulse must be positive")
+        if not n >= 2:
+            raise ValueError(f"x_range needs n >= 2 points, got {n}")
+        _check_inputs(
+            self.detector_kind, self.mixing_p, self.steepness, self.pulse, (lo, hi)
+        )
+
+
+def _check_inputs(
+    kind: str,
+    mixing_p: float,
+    steepness: float,
+    pulse: float,
+    x_range: tuple[float, float],
+) -> None:
+    """Reject what no S-curve is defined for: an unknown kind, a mixing
+    weight outside [0, 1], a steepness or pulse that is not finite and
+    positive, or a bias range without finite hi > lo."""
+    if kind not in KINDS:
+        raise ValueError(f"detector_kind must be one of {KINDS}")
+    if not 0.0 <= mixing_p <= 1.0:
+        raise ValueError(f"mixing_p must lie in [0, 1], got {mixing_p}")
+    for name, v in (("steepness", steepness), ("pulse", pulse)):
+        if not (math.isfinite(v) and v > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {v}")
+    lo, hi = x_range
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise ValueError(f"x_range needs finite hi > lo, got {x_range}")
 
 
 @dataclass(frozen=True)
@@ -121,22 +141,47 @@ def scurve(spec: SCurveSpec) -> list[SCurvePoint]:
     return points
 
 
+def _rate_factors(kind: str, m: float, steepness: float) -> tuple[float, float, float]:
+    """(c0, c1, f): the eigenstates switch with probability 1 - e^{-c A}
+    at A = pulse e^{s x} (for `strong`, up to the common weights that scale
+    their separation by f = |2m - 1|)."""
+    low = math.exp(-BIAS_OFFSET * steepness)
+    if kind == "strong":
+        return low, 1.0, abs(2.0 * m - 1.0)
+    if kind == "weak_incoherent":
+        return m * low + 1.0 - m, (1.0 - m) * low + m, 1.0
+    return (
+        math.exp(-BIAS_OFFSET * steepness * m),
+        math.exp(-BIAS_OFFSET * steepness * (1.0 - m)),
+        1.0,
+    )
+
+
 def max_separation(
     kind: str,
     mixing_p: float,
     steepness: float = DEFAULT_STEEPNESS,
     pulse: float = 1.0,
     x_range: tuple[float, float] = (DEFAULT_X_RANGE[0], DEFAULT_X_RANGE[1]),
-    n_grid: int = 2000,
 ) -> float:
-    """Largest vertical separation |p1 - p0| over the bias sweep."""
+    """Largest vertical separation |p1 - p0| over the bias sweep.
 
-    def sep(x: float) -> float:
-        p0, p1 = _state_probs(kind, mixing_p, x, steepness, pulse)
-        return abs(p1 - p0)
-
-    _, best = grid_then_golden_max(sep, x_range[0], x_range[1], n_grid=n_grid)
-    return best
+    The separation f |e^{-c0 A} - e^{-c1 A}| is unimodal in A = pulse e^{s x}
+    with its peak at A* = ln(c1/c0)/(c1 - c0), where it equals f times the
+    two-rate fidelity of (c0, c1).  When A* falls outside the sweep, the
+    nearer end of the range is the maximum.
+    """
+    _check_inputs(kind, mixing_p, steepness, pulse, x_range)
+    lo, hi = x_range
+    c0, c1, scale = _rate_factors(kind, mixing_p, steepness)
+    if scale == 0.0 or c0 == c1:
+        return 0.0
+    a_peak = math.log(c1 / c0) / (c1 - c0) if c0 > 0.0 and c1 > 0.0 else math.inf
+    x_peak = math.log(a_peak / pulse) / steepness
+    if lo <= x_peak <= hi:
+        return scale * two_rate_overall_fidelity(c0, c1)
+    p0, p1 = _state_probs(kind, mixing_p, min(max(x_peak, lo), hi), steepness, pulse)
+    return abs(p1 - p0)
 
 
 def max_fidelity_vs_beta(
@@ -148,8 +193,6 @@ def max_fidelity_vs_beta(
 ) -> FidelityCurve:
     """Readout fidelity (max S-curve separation, bias-optimized) versus the
     probe angle, with mixing weight cos^2(beta/2)."""
-    if kind not in KINDS:
-        raise ValueError(f"detector_kind must be one of {KINDS}")
     betas = np.asarray(beta_grid, dtype=float)
     fids = np.array(
         [

@@ -41,9 +41,6 @@ INVERSION_RESIDUAL_TOL = 1e-7
 # Regime guard for the slow-measurement closed forms: E >= REGIME_FACTOR * gamma_plus.
 REGIME_FACTOR = 10.0
 
-# Golden-section search tolerance on the abscissa.
-GOLDEN_TOL = 1e-10
-
 # Relative singular-value threshold for flagging degenerate directions in
 # the identifiability information matrix.  Exactly degenerate configurations
 # (probe aligned with or orthogonal to the Hamiltonian axis) sit at ~1e-22;

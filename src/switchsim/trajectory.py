@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import chi2 as chi2_dist
+from scipy.special import chdtrc  # chi2.sf of scipy.stats, without its ~20 MB import
 
 from . import mat2 as m2
 from .detector import (
@@ -308,7 +308,7 @@ def chi2_vs_analytic(
     obs_arr = np.asarray(obs_m)
     stat = float(np.sum((obs_arr - exp_arr) ** 2 / exp_arr))
     dof = len(exp_arr) - 1
-    return stat, dof, float(chi2_dist.sf(stat, dof))
+    return stat, dof, float(chdtrc(dof, stat))
 
 
 def _check_time_scale(time_scale: float) -> None:

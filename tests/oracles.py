@@ -11,6 +11,7 @@ from scipy.optimize import least_squares
 from switchsim import detector as det
 from switchsim import mat2 as m2
 from switchsim import measurement as meas
+from switchsim import scurves as sc
 from switchsim import tomography as tomo
 from switchsim import trajectory as traj
 from switchsim.detector import DetectorParams
@@ -203,3 +204,95 @@ def multistart_state_fit(h, p: DetectorParams, n_starts: int = 8, seed: int = 0)
             best, best_dev = res, deviance
     covariance = np.linalg.pinv(best.jac.T @ best.jac, hermitian=True)
     return clamp(best.x), 0.5 * (covariance + covariance.T)
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_max(f, lo: float, hi: float, tol: float = 1e-10):
+    """Maximize a unimodal function on [lo, hi] by golden-section search.
+
+    Returns (argmax, max).  Deterministic; tol bounds the abscissa error.
+    """
+    if hi < lo:
+        raise ValueError("need lo <= hi")
+    a, b = lo, hi
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def grid_then_golden_max(f, lo: float, hi: float, n_grid: int = 2000, tol: float = 1e-10):
+    """Coarse grid presearch followed by golden-section refinement: the
+    brute-force reference for closed-form maxima.
+
+    Robust against multiple local maxima as long as the grid resolves them.
+    """
+    if n_grid < 3:
+        raise ValueError("n_grid must be >= 3")
+    step = (hi - lo) / (n_grid - 1)
+    best_i, best_v = 0, -math.inf
+    for i in range(n_grid):
+        v = f(lo + i * step)
+        if v > best_v:
+            best_i, best_v = i, v
+    a = lo + max(best_i - 1, 0) * step
+    b = lo + min(best_i + 1, n_grid - 1) * step
+    return golden_section_max(f, a, b, tol)
+
+
+def max_separation_search(kind, mixing_p, steepness, pulse, x_range) -> float:
+    """Largest eigenstate S-curve separation |p1 - p0| found by grid plus
+    golden-section search over the bias range: the reference for the
+    closed-form peak."""
+
+    def sep(x: float) -> float:
+        p0, p1 = sc._state_probs(kind, mixing_p, x, steepness, pulse)
+        return abs(p1 - p0)
+
+    return grid_then_golden_max(sep, x_range[0], x_range[1])[1]
+
+
+def _half_split(m: np.ndarray) -> float:
+    """Half the eigenvalue gap of a Hermitian 2x2 matrix."""
+    return math.hypot(0.5 * (m[0, 0].real - m[1, 1].real), abs(m[0, 1]))
+
+
+def overall_fidelity_products(
+    p: DetectorParams, tau: float, resolve_switch_time: bool = True
+) -> float:
+    """Outcome-averaged fidelity with the half eigenvalue gaps taken from the
+    2x2 products U(t)^dag Gamma U(t) and U(tau)^dag U(tau) at every
+    quadrature node, under the same adaptive quadrature as the package:
+    the reference for its trace-and-determinant integrand."""
+    prop = det.propagator(p)
+    gam = det.rate_matrix(p)
+    u_tau = prop(float(tau))
+    no_switch = _half_split(m2.dag(u_tau) @ u_tau)
+    if not resolve_switch_time:
+        return min(2.0 * no_switch, 1.0)
+
+    def integrand(t: float) -> float:
+        u = prop(t)
+        return _half_split(m2.dag(u) @ gam @ u)
+
+    points = None
+    if p.beta == 0.0 and p.gamma_L > 0.0 and p.gamma_R > 0.0 and p.gamma_L != p.gamma_R:
+        t0 = meas.case1_tau0(p)
+        if t0 < tau:
+            points = [t0]
+    integral, _ = quad(
+        integrand, 0.0, tau, points=points, limit=300, epsabs=1e-12, epsrel=1e-12
+    )
+    return min(integral + no_switch, 1.0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchsim import detector as det
 from switchsim import mat2 as m2
@@ -13,9 +15,9 @@ from switchsim.errors import (
     ZeroOutcomeProbabilityError,
     ZeroRateError,
 )
-from switchsim.optimize import grid_then_golden_max
+from switchsim.tolerances import QUADRATURE_TOL
 
-from oracles import basis_azimuth
+from oracles import basis_azimuth, grid_then_golden_max, overall_fidelity_products
 
 
 def random_operator(rng, scale=1.0):
@@ -181,6 +183,50 @@ class TestOverallFidelityNumeric:
         for resolved in (True, False):
             f = meas.overall_fidelity_numeric(p, 1.0, resolve_switch_time=resolved)
             assert f == pytest.approx(0.0, abs=1e-10)
+
+    def test_tau_guard(self):
+        # NaN fails every comparison, so only "not tau > 0" rejects it;
+        # an unbounded pulse stays a valid quadrature range
+        p = det.DetectorParams(1.0, 10.0, 0.5, 30.0)
+        for resolved in (True, False):
+            for tau in (float("nan"), 0.0, -1.0):
+                with pytest.raises(ValueError):
+                    meas.overall_fidelity_numeric(p, tau, resolve_switch_time=resolved)
+            f = meas.overall_fidelity_numeric(p, math.inf, resolve_switch_time=resolved)
+            assert f == pytest.approx(
+                overall_fidelity_products(p, math.inf, resolved), abs=QUADRATURE_TOL
+            )
+
+    @pytest.mark.parametrize(
+        "params, tau",
+        [
+            ((0.0, 4.0, math.pi / 2, 2.0), 0.3),  # exceptional point: G defective
+            ((0.0, 4.0, math.pi / 2, 2.0), 2.5),
+            ((1.0, 10.0, 0.0, 2.0), 1.0),  # beta = 0: quadrature split at case1_tau0
+            ((1.0, 10.0, 0.0, 2.0), 0.1),  # beta = 0 with tau below case1_tau0
+        ],
+    )
+    def test_matches_products_at_special_points(self, params, tau):
+        p = det.DetectorParams(*params)
+        for resolved in (True, False):
+            assert meas.overall_fidelity_numeric(p, tau, resolved) == pytest.approx(
+                overall_fidelity_products(p, tau, resolved), abs=QUADRATURE_TOL
+            )
+
+    @settings(max_examples=200)
+    @given(
+        gamma_L=st.floats(0.0, 20.0),
+        gamma_R=st.floats(0.0, 20.0),
+        beta=st.floats(0.0, math.pi),
+        E=st.floats(0.0, 100.0),
+        tau=st.floats(0.05, 3.0),
+        resolved=st.booleans(),
+    )
+    def test_matches_products(self, gamma_L, gamma_R, beta, E, tau, resolved):
+        p = det.DetectorParams(gamma_L, gamma_R, beta, E)
+        assert meas.overall_fidelity_numeric(p, tau, resolved) == pytest.approx(
+            overall_fidelity_products(p, tau, resolved), abs=QUADRATURE_TOL
+        )
 
 
 class TestCase1ClosedForms:

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchsim import detector as det
 from switchsim import measurement as meas
 from switchsim import scurves as sc
+
+from oracles import max_separation_search
 
 
 class TestBareRates:
@@ -97,6 +101,65 @@ class TestMaxSeparation:
             assert sc.max_separation(
                 "weak_incoherent", m, steepness=16.0, x_range=(-1.0, 3.0)
             ) == pytest.approx(f_closed, abs=1e-6)
+
+
+    @settings(max_examples=300)
+    @given(
+        kind=st.sampled_from(sc.KINDS),
+        mixing_p=st.floats(0.0, 1.0),
+        steepness=st.floats(0.5, 20.0),
+        pulse=st.floats(0.1, 10.0),
+        lo=st.floats(-3.0, 3.0),
+        width=st.floats(0.05, 4.0),
+    )
+    def test_closed_form_matches_search(self, kind, mixing_p, steepness, pulse, lo, width):
+        # narrow ranges put most peaks at a range end; the search stops
+        # 1e-10 inside an end, so it may fall short there by ~slope * 1e-10
+        x_range = (lo, lo + width)
+        closed = sc.max_separation(kind, mixing_p, steepness, pulse, x_range)
+        search = max_separation_search(kind, mixing_p, steepness, pulse, x_range)
+        assert search - 1e-15 <= closed <= search + 1e-9
+
+
+_GOOD = dict(mixing_p=0.7, steepness=5.0, pulse=1.0, x_range=(-1.0, 3.0))
+_BAD = [
+    dict(mixing_p=1.5),
+    dict(mixing_p=-0.1),
+    dict(mixing_p=math.nan),
+    dict(steepness=math.nan),
+    dict(steepness=-1.0),
+    dict(steepness=math.inf),
+    dict(pulse=-1.0),
+    dict(pulse=0.0),
+    dict(pulse=math.inf),
+    dict(x_range=(1.0, 0.0)),
+    dict(x_range=(1.0, 1.0)),
+    dict(x_range=(0.0, math.inf)),
+    dict(x_range=(math.nan, 1.0)),
+]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("bad", _BAD)
+    def test_rejected_everywhere(self, bad):
+        args = {**_GOOD, **bad}
+        with pytest.raises(ValueError):
+            sc.max_separation("strong", **args)
+        lo, hi = args["x_range"]
+        with pytest.raises(ValueError):
+            sc.SCurveSpec(
+                "strong", args["mixing_p"], (lo, hi, 11), args["steepness"], args["pulse"]
+            )
+        if "mixing_p" not in bad:
+            del args["mixing_p"]
+            with pytest.raises(ValueError):
+                sc.max_fidelity_vs_beta("strong", [0.0, 0.5], **args)
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError):
+            sc.max_separation("squid", 0.7)
+        with pytest.raises(ValueError):
+            sc.max_fidelity_vs_beta("squid", [0.0, 0.5])
 
 
 class TestMaxFidelityVsBeta:
