@@ -159,19 +159,25 @@ def overall_fidelity_numeric(
     """
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
+    if p.gamma_L == 0.0 and p.gamma_R == 0.0:
+        return 0.0  # a detector that never switches gives no information
     no_switch = _half_gap(p, m2.IDENTITY)(float(tau))
     if not resolve_switch_time:
         return min(2.0 * no_switch, 1.0)
 
-    points = None
+    pieces = [0.0, tau]
     if p.beta == 0.0 and p.gamma_L > 0.0 and p.gamma_R > 0.0 and p.gamma_L != p.gamma_R:
         t0 = case1_tau0(p)
         if t0 < tau:
-            points = [t0]  # fidelity kink: split the quadrature there
-    integral, err = quad(
-        _half_gap(p, rate_matrix(p)), 0.0, tau, points=points, limit=300,
-        epsabs=1e-12, epsrel=1e-12,
-    )
+            # fidelity kink: split the quadrature there, by hand, as quad
+            # takes no break points on an infinite range
+            pieces.insert(1, t0)
+    integrand = _half_gap(p, rate_matrix(p))
+    integral = err = 0.0
+    for lo, hi in zip(pieces, pieces[1:]):
+        part, part_err = quad(integrand, lo, hi, limit=300, epsabs=1e-12, epsrel=1e-12)
+        integral += part
+        err += part_err
     if err > QUADRATURE_TOL:
         raise QuadratureFailureError(f"quadrature error estimate {err} above target")
     return min(integral + no_switch, 1.0)

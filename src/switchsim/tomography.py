@@ -22,6 +22,7 @@ from . import mat2 as m2
 from .detector import (
     DetectorParams,
     _survival_and_density,
+    propagator,
     survival_function,
     switch_density,
     switch_density_function,
@@ -30,6 +31,7 @@ from .errors import (
     InsufficientDataError,
     NoConvergenceError,
     NotIdentifiableError,
+    SwitchSimError,
     UnphysicalBlochError,
 )
 from .tolerances import (
@@ -38,7 +40,7 @@ from .tolerances import (
     IDENTIFIABILITY_REL_TOL,
     RANK_DEFICIENCY_TOL,
 )
-from .trajectory import Histogram, expected_cell_probabilities
+from .trajectory import Histogram
 
 BLOCH_NAMES = ("x", "y", "z")
 PARAM_NAMES = ("gamma_L", "gamma_R", "beta", "E")
@@ -140,6 +142,8 @@ _BLOCH_BASIS = {
     name: BlochComponents(*np.eye(3)[k]).to_density() - _MIXED
     for k, name in enumerate(BLOCH_NAMES)
 }
+# Tr(A rho) = _BASIS_TRACES[j] @ A.ravel() for rho = I/2 (j = 0) and the basis
+_BASIS_TRACES = np.array([rho.T.ravel() for rho in (_MIXED, *_BLOCH_BASIS.values())])
 
 
 def _density_rows(
@@ -256,14 +260,6 @@ def _deviance_residuals(observed: np.ndarray, expected: np.ndarray) -> np.ndarra
     return np.sign(observed - expected) * np.sqrt(np.maximum(dev, 0.0))
 
 
-def _clamp_bloch(x: float, y: float, z: float) -> BlochComponents:
-    r = math.sqrt(x * x + y * y + z * z)
-    if r > 1.0:
-        scale = (1.0 - 1e-12) / r
-        x, y, z = x * scale, y * scale, z * scale
-    return BlochComponents(x, y, z)
-
-
 def _latin_hypercube(rng: np.random.Generator, n: int, lo: np.ndarray, hi: np.ndarray):
     d = len(lo)
     pts = np.empty((n, d))
@@ -342,76 +338,230 @@ def _ball_step(hess: np.ndarray, c: np.ndarray, radius: float) -> tuple[np.ndarr
     return -(vecs @ x), lam
 
 
+def _cell_rows(p: DetectorParams, edges: np.ndarray) -> np.ndarray:
+    """Cell probabilities of rho = I/2 and of the three traceless Bloch
+    basis matrices at one parameter point, shape (4, len(edges)): the bins
+    between the edges, then the no-switch cell.
+
+    Every survival function is the trace form |C|^2 Tr(rho) + 2 Re(conj(C)
+    S Tr(N rho)) + |S|^2 Tr(N^dag N rho) (detector._trace_form with op = I),
+    so one evaluation of the propagator coefficients serves all four rows,
+    and their fixed traces are one product of _BASIS_TRACES with I, N and
+    N^dag N.
+    """
+    prop = propagator(p)
+    n = prop.n
+    ops = np.array([m2.IDENTITY, n, m2.dag(n) @ n]).reshape(3, 4)
+    tr_one, tr_n, tr_nn = (_BASIS_TRACES @ ops.T).T
+    weights = np.array([tr_one.real, 2.0 * tr_n.real, -2.0 * tr_n.imag, tr_nn.real]).T
+    c, s = prop.coefficients(edges)
+    cs = c.conjugate() * s
+    surv = weights @ np.array([c.real**2 + c.imag**2, cs.real, cs.imag, s.real**2 + s.imag**2])
+    cells = np.empty_like(surv)
+    np.subtract(surv[:, :-1], surv[:, 1:], out=cells[:, :-1])
+    cells[:, -1] = surv[:, -1]
+    return cells
+
+
+def _covariance(total: int, probs: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Inverse Fisher information of the cell probabilities, whose
+    derivatives in the free names are the columns."""
+    covariance = np.linalg.inv(total * (columns.T / probs) @ columns)
+    return 0.5 * (covariance + covariance.T)
+
+
+class _StateSolver:
+    """Maximum-likelihood Bloch components of one histogram at one
+    parameter point at a time.
+
+    Each cell probability is affine in the Bloch vector, probs = a0 + A b,
+    with a0 and the columns of A the cell rows of rho = I/2 and of the
+    traceless basis (components not in free_bloch held at base_bloch), so
+    the Poisson deviance is convex in b.  It is minimized by damped Newton
+    over the ball left by the fixed components, each step the
+    ball-constrained minimizer of the local quadratic model.
+    """
+
+    def __init__(self, h: Histogram, free_bloch: tuple[str, ...], base_bloch: dict):
+        self.total = h.total
+        self.observed = np.append(h.counts, h.no_switch_count).astype(float)
+        # only cells with counts enter the likelihood (a slice, a view, when
+        # all have counts)
+        seen = self.observed > 0.0
+        self.seen = slice(None) if seen.all() else seen
+        self.free_idx = [BLOCH_NAMES.index(name) for name in free_bloch]
+        self.fixed = np.array(
+            [0.0 if name in free_bloch else base_bloch[name] for name in BLOCH_NAMES]
+        )
+        self.radius = math.sqrt(max(1.0 - self.fixed @ self.fixed, 0.0))
+
+    def affine(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(a0, A) from the cell rows of one parameter point."""
+        return cells[0] + self.fixed @ cells[1:], cells[1:][self.free_idx].T
+
+    def solve(self, a0: np.ndarray, design: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+        """(minimizer, ball multiplier), starting from b, or from the mixed
+        state if b leaves a seen cell no probability."""
+        if not self.free_idx:
+            return b, 0.0
+        counts = self.observed[self.seen]
+        a_seen, design_seen = a0[self.seen], design[self.seen]
+
+        def cost(b: np.ndarray) -> float:
+            probs = a_seen + design_seen @ b
+            return -float(counts @ np.log(probs)) if probs.min() > 0.0 else math.inf
+
+        probs = a_seen + design_seen @ b
+        if probs.min() <= 0.0:
+            b = np.zeros_like(b)
+            probs = a_seen
+        for _ in range(50):
+            # gradient and Hessian of the negative log-likelihood
+            # -sum n log(probs); the cell probabilities sum to one for every b
+            ratio = counts / probs
+            grad = -(ratio @ design_seen)
+            hess = (design_seen.T * (ratio / probs)) @ design_seen
+            x, lam = _ball_step(hess, grad - hess @ b, self.radius)
+            step = x - b
+            # the step's length in standard deviations (the Newton decrement);
+            # -n log p is self-concordant, so a step under 1/4 keeps every cell
+            # probability positive and converges quadratically
+            size = math.sqrt(max(step @ hess @ step, 0.0))
+            t = 1.0
+            if size > 0.25:
+                # far from the optimum: backtrack to sufficient decrease
+                f0, slope = cost(b), grad @ step
+                while t > 1e-12 and cost(b + t * step) > f0 + 1e-4 * t * slope:
+                    t *= 0.5
+            b = b + t * step
+            if size <= FIT_NEWTON_STEP_TOL:
+                break
+            probs = a_seen + design_seen @ b
+        return b, lam
+
+    def converged(self, a0: np.ndarray, design: np.ndarray, b: np.ndarray, lam: float) -> bool:
+        """KKT test of a solution: grad + lam b = 0 with lam >= 0 (lam = 0
+        inside the ball), the gradient in counts, as in the free-parameter
+        fit's criterion."""
+        seen = self.seen
+        grad = -(self.observed[seen] / (a0[seen] + design[seen] @ b)) @ design[seen]
+        return bool(np.max(np.abs(grad + lam * b), initial=0.0) < FIT_GRADIENT_TOL * self.total)
+
+    def state(self, b: np.ndarray) -> BlochComponents:
+        bloch = self.fixed.copy()
+        bloch[self.free_idx] = b
+        return BlochComponents(*(float(v) for v in bloch))
+
+
 def _fit_state(
     h: Histogram, p: DetectorParams, free_bloch: tuple[str, ...], base_bloch: dict
 ) -> tuple[BlochComponents, np.ndarray, bool, float]:
     """Maximum-likelihood Bloch components at fixed detector parameters:
-    (state, covariance, converged, deviance).
-
-    Each cell probability is affine in the Bloch vector, probs = a0 + A b,
-    with a0 and the columns of A the cells of rho = I/2 and of the traceless
-    basis, so the Poisson deviance is convex in b.  It is minimized by
-    damped Newton over the ball left by the fixed components, each step
-    the ball-constrained minimizer of the local quadratic model.
-    """
-    s_edges = np.array([
-        survival_function(p, rho)(h.bin_edges)
-        for rho in (_MIXED, *_BLOCH_BASIS.values())
-    ])
-    cells = np.hstack([-np.diff(s_edges, axis=1), s_edges[:, -1:]])
-    free_idx = [BLOCH_NAMES.index(name) for name in free_bloch]
-    fixed = np.array([0.0 if name in free_bloch else base_bloch[name] for name in BLOCH_NAMES])
-    a0 = cells[0] + fixed @ cells[1:]
-    design = cells[1:][free_idx].T
-    radius = math.sqrt(max(1.0 - fixed @ fixed, 0.0))
-
-    observed = np.append(h.counts, h.no_switch_count).astype(float)
-    seen = observed > 0.0
-    counts, a_seen, design_seen = observed[seen], a0[seen], design[seen]
-
-    def derivatives(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient and Hessian of the negative log-likelihood
-        -sum n log(probs); the cell probabilities sum to one for every b."""
-        ratio = counts / (a_seen + design_seen @ b)
-        grad = -design_seen.T @ ratio
-        return grad, (design_seen.T * (ratio * ratio / counts)) @ design_seen
-
-    def cost(b: np.ndarray) -> float:
-        probs = a_seen + design_seen @ b
-        return -float(counts @ np.log(probs)) if probs.min() > 0.0 else math.inf
-
-    b = np.zeros(design.shape[1])
-    for _ in range(50):
-        grad, hess = derivatives(b)
-        x, lam = _ball_step(hess, grad - hess @ b, radius)
-        step = x - b
-        # the step's length in standard deviations (the Newton decrement);
-        # -n log p is self-concordant, so a step under 1/4 keeps every cell
-        # probability positive and converges quadratically
-        size = math.sqrt(max(step @ hess @ step, 0.0))
-        t = 1.0
-        if size > 0.25:
-            # far from the optimum: backtrack to sufficient decrease
-            f0, slope = cost(b), grad @ step
-            while t > 1e-12 and cost(b + t * step) > f0 + 1e-4 * t * slope:
-                t *= 0.5
-        b = b + t * step
-        if size <= FIT_NEWTON_STEP_TOL:
-            break
-
-    grad, _ = derivatives(b)
-    # KKT: grad + lam b = 0 with lam >= 0 (lam = 0 inside the ball); the
-    # gradient is in counts, as in the free-parameter fit's criterion
-    converged = bool(np.max(np.abs(grad + lam * b)) < FIT_GRADIENT_TOL * h.total)
-
+    (state, covariance, converged, deviance)."""
+    solver = _StateSolver(h, free_bloch, base_bloch)
+    a0, design = solver.affine(_cell_rows(p, h.bin_edges))
+    b, lam = solver.solve(a0, design, np.zeros(len(free_bloch)))
     probs = a0 + design @ b
-    fisher = h.total * (design.T / probs) @ design
-    covariance = np.linalg.inv(fisher)
-    deviance = float(np.sum(_deviance_residuals(observed, probs * h.total) ** 2))
-    bloch = fixed.copy()
-    bloch[free_idx] = b
-    state = BlochComponents(*(float(v) for v in bloch))
-    return state, 0.5 * (covariance + covariance.T), converged, deviance
+    deviance = float(np.sum(_deviance_residuals(solver.observed, probs * h.total) ** 2))
+    converged = solver.converged(a0, design, b, lam)
+    return solver.state(b), _covariance(h.total, probs, design), converged, deviance
+
+
+def _residual_slopes(observed: np.ndarray, expected: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Derivatives of the deviance residuals res in the expected counts.
+
+    That is (1 - observed/expected) / res, which loses digits where the
+    counts nearly agree; for |v| < 1e-4, v = expected/observed - 1, its
+    expansion -(1 + v/3) / ((1 + v) sqrt(observed)) is used instead.
+    """
+    expected = np.maximum(expected, 1e-12)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = expected / observed - 1.0
+        return np.where(
+            np.abs(v) < 1e-4,
+            -(1.0 + v / 3.0) / ((1.0 + v) * np.sqrt(observed)),
+            (1.0 - observed / expected) / res,
+        )
+
+
+def _difference_columns(
+    probs_at, theta: np.ndarray, lo: np.ndarray, hi: np.ndarray, base=None
+) -> np.ndarray:
+    """Derivatives of probs_at in each component of theta by differences
+    inside the box [lo, hi]: forward from base, the probabilities at theta,
+    when given, else central."""
+    eps = np.finfo(float).eps
+    cols = []
+    for j, value in enumerate(theta):
+        up, down = theta.copy(), theta.copy()
+        if base is None:
+            h = eps ** (1.0 / 3.0) * max(1.0, abs(value))
+            up[j], down[j] = min(value + h, hi[j]), max(value - h, lo[j])
+            cols.append((probs_at(up) - probs_at(down)) / (up[j] - down[j]))
+        else:
+            h = math.sqrt(eps) * max(1.0, abs(value))
+            up[j] = value + h if value + h <= hi[j] else value - h
+            cols.append((probs_at(up) - base) / (up[j] - value))
+    return np.stack(cols, axis=1)
+
+
+class _Profile:
+    """Profiled deviance residuals r(theta) = r(theta, b*(theta)) over the
+    free detector parameters theta, and their Jacobian, along one start.
+
+    Residuals and Jacobian share one evaluation per theta, and each inner
+    solve starts from the previous b*.  The Jacobian is Kaufman's: forward
+    differences of the cell rows in theta at fixed b*, projected off the
+    exact residual columns of the directions in which b* can move (Kaufman,
+    BIT 15, 1975; O'Leary & Rust, Comput. Optim. Appl. 54, 2013).  At b*
+    the residuals are orthogonal to those columns, so its gradient J^T r is
+    the profiled deviance's.
+    """
+
+    def __init__(self, h: Histogram, solver: _StateSolver, params_at, lo, hi):
+        self.edges, self.solver, self.params_at = h.bin_edges, solver, params_at
+        self.lo, self.hi = lo, hi
+        self.key = None
+        self.b = np.zeros(len(solver.free_idx))
+
+    def at(self, theta: np.ndarray) -> "_Profile":
+        """Solve for b* at theta unless theta was the last point solved."""
+        key = theta.tobytes()
+        if key != self.key:
+            self.a0, self.design = self.solver.affine(_cell_rows(self.params_at(theta), self.edges))
+            self.b, self.lam = self.solver.solve(self.a0, self.design, self.b)
+            self.probs = self.a0 + self.design @ self.b
+            self.res = _deviance_residuals(self.solver.observed, self.probs * self.solver.total)
+            self.key = key
+        return self
+
+    def residuals(self, theta: np.ndarray) -> np.ndarray:
+        return self.at(theta).res
+
+    def converged(self) -> bool:
+        """The inner solve's KKT test at the last point solved."""
+        return self.solver.converged(self.a0, self.design, self.b, self.lam)
+
+    def probs_at(self, theta: np.ndarray) -> np.ndarray:
+        """Cell probabilities at theta with the state held at the last b*."""
+        a0, design = self.solver.affine(_cell_rows(self.params_at(theta), self.edges))
+        return a0 + design @ self.b
+
+    def jacobian(self, theta: np.ndarray) -> np.ndarray:
+        self.at(theta)
+        total = self.solver.total
+        slopes = total * _residual_slopes(self.solver.observed, self.probs * total, self.res)
+        jac = slopes[:, None] * _difference_columns(
+            self.probs_at, theta, self.lo, self.hi, self.probs
+        )
+        moves = self.design if self.solver.radius > 0.0 else self.design[:, :0]
+        if self.lam > 0.0:
+            # on the sphere b* moves only along it
+            moves = moves @ np.linalg.svd(self.b[None, :])[2][1:].T
+        if moves.shape[1]:
+            q, _ = np.linalg.qr(slopes[:, None] * moves)
+            jac -= q @ (q.T @ jac)
+        return jac
 
 
 def fit(
@@ -435,23 +585,34 @@ def fit(
     magnitude are observable), so an all-parameter fit is rejected as not
     identifiable; pinning one rate or the angle breaks the gauge.
 
-    With the detector parameters fixed (`free_params` empty) the deviance
-    is convex in the Bloch vector and is minimized in one Newton solve over
-    the Bloch ball; components not in `free_bloch` keep `init`'s values
-    (0 without `init`).  `converged` then holds when the KKT conditions of
-    the ball constraint do, and the covariance is the inverse Fisher
-    information.  `seed`, `n_starts`, `init`'s starting point and the
-    Bloch bounds serve only the free-parameter fit below.
+    The deviance is convex in the Bloch vector at fixed detector
+    parameters, and is minimized there in one Newton solve over the Bloch
+    ball; components not in `free_bloch` keep `init`'s values (0 without
+    `init`).  With the detector parameters fixed (`free_params` empty)
+    that is the whole fit: `converged` holds when the KKT conditions of the
+    ball constraint do, and `seed`, `n_starts` and `init`'s starting point
+    go unused.
 
-    With detector parameters free: multi-start damped least squares
-    (n_starts Latin-hypercube starts drawn deterministically from the
-    bounds box, plus the optional `init` seed point); the winner is the
-    lowest deviance with index tie-break.  Covariance is the Gauss-Newton
-    inverse at the optimum.
+    With detector parameters free, the state is profiled out: bounded
+    least squares searches the free parameters alone, on the residuals of
+    the profiled deviance min_b D(params, b), from n_starts Latin-hypercube
+    starts drawn deterministically from the parameters' bounds (plus
+    `init`'s parameters as a first start); the winner is the lowest
+    deviance with index tie-break.  `converged` holds when the profiled
+    gradient is below FIT_GRADIENT_TOL times the histogram total, the
+    parameters lie strictly inside their box, and the inner solve meets
+    its KKT test.  A start that raises is recorded; NoConvergenceError
+    lists the records when every start fails.  The Bloch entries of
+    `bounds` are checked but do not shape the fit: the ball does.
+
+    The covariance is the inverse Fisher information at the optimum, over
+    the free names in `free_names` order, with exact Bloch columns and
+    central differences in the detector parameters.
     """
     if h.total < 1000:
         raise InsufficientDataError(f"histogram total {h.total} below 1000")
     free, free_param_names, lo, hi = search_box(fixed, bounds, free_bloch, free_params, n_starts)
+    free_bloch = free[: len(free) - len(free_param_names)]
 
     base_bloch = {"x": 0.0, "y": 0.0, "z": 0.0}
     if init is not None:
@@ -469,55 +630,32 @@ def fit(
         b_fit, covariance, converged, deviance = _fit_state(h, fixed, free, base_bloch)
         return TomographyResult(b_fit, fixed, covariance, converged, deviance, dof, free)
 
-    observed = np.append(h.counts, h.no_switch_count).astype(float)
-    base_params = {
-        "gamma_L": fixed.gamma_L if fixed else 0.0,
-        "gamma_R": fixed.gamma_R if fixed else 0.0,
-        "beta": fixed.beta if fixed else 0.0,
-        "E": fixed.E if fixed else 0.0,
-    }
+    base_params = {name: getattr(fixed, name) if fixed else 0.0 for name in PARAM_NAMES}
 
-    def unpack(vec: np.ndarray) -> tuple[BlochComponents, DetectorParams]:
-        vals = dict(zip(free, vec))
-        b = _clamp_bloch(
-            vals.get("x", base_bloch["x"]),
-            vals.get("y", base_bloch["y"]),
-            vals.get("z", base_bloch["z"]),
-        )
-        params = DetectorParams(
-            vals.get("gamma_L", base_params["gamma_L"]),
-            vals.get("gamma_R", base_params["gamma_R"]),
-            vals.get("beta", base_params["beta"]),
-            vals.get("E", base_params["E"]),
-        )
-        return b, params
+    def params_at(theta: np.ndarray) -> DetectorParams:
+        return DetectorParams(**{**base_params, **dict(zip(free_param_names, map(float, theta)))})
 
-    def residuals(vec: np.ndarray) -> np.ndarray:
-        b, params = unpack(vec)
-        probs = expected_cell_probabilities(h, params, b.to_density())
-        return _deviance_residuals(observed, probs * h.total)
-
+    solver = _StateSolver(h, free_bloch, base_bloch)
+    lo, hi = lo[len(free_bloch):], hi[len(free_bloch):]
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
     starts = list(_latin_hypercube(rng, n_starts, lo, hi))
     if init is not None:
-        vals = {
-            "x": init.bloch.x, "y": init.bloch.y, "z": init.bloch.z,
-            "gamma_L": init.params.gamma_L, "gamma_R": init.params.gamma_R,
-            "beta": init.params.beta, "E": init.params.E,
-        }
-        starts.insert(0, np.array([vals[name] for name in free]))
+        starts.insert(0, np.array([getattr(init.params, name) for name in free_param_names]))
 
-    best = None
+    best, failures = None, []
     for idx, x0 in enumerate(starts):
-        x0 = np.clip(x0, lo, hi)
+        profile = _Profile(h, solver, params_at, lo, hi)
         try:
             res = least_squares(
-                residuals, x0, bounds=(lo, hi), method="trf",
+                profile.residuals, np.clip(x0, lo, hi), jac=profile.jacobian,
+                bounds=(lo, hi), method="trf",
                 xtol=1e-14, ftol=1e-14, gtol=1e-12, max_nfev=2000,
             )
-        except Exception:
-            continue
-        if not np.all(np.isfinite(res.x)):
+            if not np.all(np.isfinite(res.x)):
+                raise FloatingPointError(f"non-finite parameters {res.x.tolist()}")
+            inner_converged = profile.at(res.x).converged()
+        except (SwitchSimError, ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
+            failures.append(f"start {idx}: {type(exc).__name__}: {exc}")
             continue
         deviance = float(np.sum(res.fun**2))
         grad_norm = float(np.max(np.abs(res.jac.T @ res.fun)))
@@ -527,19 +665,17 @@ def fit(
         # the deviance is measured in counts, so its gradient scale is the
         # histogram total; a stalled or boundary-pinned start sits orders of
         # magnitude above this threshold
-        converged = bool(res.success and grad_norm < FIT_GRADIENT_TOL * h.total and interior)
-        cand = (deviance, idx, res, converged)
-        if best is None or cand[0] < best[0] - 1e-12:
-            best = cand
+        converged = bool(
+            res.success and grad_norm < FIT_GRADIENT_TOL * h.total and interior
+            and inner_converged
+        )
+        if best is None or deviance < best[0] - 1e-12:
+            best = (deviance, res.x, profile, converged)
     if best is None:
-        raise NoConvergenceError("all fit starts failed")
+        raise NoConvergenceError(f"all {len(starts)} fit starts failed: " + "; ".join(failures))
 
-    deviance, _, res, converged = best
-    b_fit, p_fit = unpack(res.x)
-    jtj = res.jac.T @ res.jac
-    covariance = np.linalg.pinv(jtj, hermitian=True)
-    covariance = 0.5 * (covariance + covariance.T)
-
+    deviance, theta, profile, converged = best
+    p_fit, b_fit = params_at(theta), solver.state(profile.b)
     # with parameters free, rank deficiency (such as the gauge null
     # direction of the all-parameter model) is only visible at the fitted
     # point
@@ -551,10 +687,11 @@ def fit(
             f"degenerate directions {report.degenerate_directions} at the "
             "fitted parameters"
         )
+    columns = np.hstack([profile.design, _difference_columns(profile.probs_at, theta, lo, hi)])
     return TomographyResult(
         bloch=b_fit,
         params=p_fit,
-        covariance=covariance,
+        covariance=_covariance(h.total, profile.probs, columns),
         converged=converged,
         chi2=deviance,
         dof=dof,

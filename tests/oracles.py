@@ -206,6 +206,54 @@ def multistart_state_fit(h, p: DetectorParams, n_starts: int = 8, seed: int = 0)
     return clamp(best.x), 0.5 * (covariance + covariance.T)
 
 
+def joint_free_fit(h, fixed: DetectorParams, free_params, bounds, n_starts: int = 8, seed: int = 0):
+    """Joint fit of the Bloch vector and the free detector parameters by
+    multi-start least squares: (Bloch vector, free parameter values,
+    covariance, deviance).
+
+    Deviance residuals of the clipped model cell probabilities, minimized
+    by bounded least squares over the whole box of `bounds` (Bloch
+    components included) from n_starts Latin-hypercube starts, the Bloch
+    vector clamped radially into the unit ball; the lowest deviance wins
+    (index tie-break), and the covariance is the Gauss-Newton
+    pseudo-inverse there.  The reference for the profiled free fit.
+    """
+    free, names, lo, hi = tomo.search_box(fixed, bounds, tomo.BLOCH_NAMES, free_params, n_starts)
+    observed = np.append(h.counts, h.no_switch_count).astype(float)
+    base = {"gamma_L": fixed.gamma_L, "gamma_R": fixed.gamma_R, "beta": fixed.beta, "E": fixed.E}
+
+    def clamp(v):
+        r = np.linalg.norm(v)
+        return v * (1.0 - 1e-12) / r if r > 1.0 else v
+
+    def unpack(vec):
+        params = DetectorParams(**{**base, **dict(zip(names, vec[3:]))})
+        return clamp(vec[:3]), params
+
+    def residuals(vec):
+        b, params = unpack(vec)
+        probs = traj.expected_cell_probabilities(h, params, tomo.BlochComponents(*b).to_density())
+        return tomo._deviance_residuals(observed, probs * h.total)
+
+    rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
+    starts = np.empty((n_starts, len(free)))
+    for j in range(len(free)):
+        strata = (rng.permutation(n_starts) + rng.random(n_starts)) / n_starts
+        starts[:, j] = lo[j] + strata * (hi[j] - lo[j])
+    best, best_dev = None, math.inf
+    for x0 in starts:
+        res = least_squares(
+            residuals, x0, bounds=(lo, hi), method="trf",
+            xtol=1e-14, ftol=1e-14, gtol=1e-12, max_nfev=2000,
+        )
+        deviance = float(np.sum(res.fun**2))
+        if deviance < best_dev - 1e-12:
+            best, best_dev = res, deviance
+    covariance = np.linalg.pinv(best.jac.T @ best.jac, hermitian=True)
+    b, _ = unpack(best.x)
+    return b, best.x[3:], 0.5 * (covariance + covariance.T), best_dev
+
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 

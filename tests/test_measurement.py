@@ -197,6 +197,20 @@ class TestOverallFidelityNumeric:
                 overall_fidelity_products(p, math.inf, resolved), abs=QUADRATURE_TOL
             )
 
+    def test_unbounded_pulse_aligned_probe(self):
+        # beta = 0 splits the quadrature at case1_tau0, which must work on
+        # [0, inf) too, where the pulse keeps its optimal fidelity
+        p = det.DetectorParams(1.0, 10.0, 0.0, 30.0)
+        assert meas.overall_fidelity_numeric(p, math.inf) == pytest.approx(
+            meas.case1_overall_fidelity(p), abs=1e-8
+        )
+
+    def test_detector_that_never_switches(self):
+        p = det.DetectorParams(0.0, 0.0, 0.3, 1.0)
+        for resolved in (True, False):
+            for tau in (1.0, math.inf):
+                assert meas.overall_fidelity_numeric(p, tau, resolved) == 0.0
+
     @pytest.mark.parametrize(
         "params, tau",
         [

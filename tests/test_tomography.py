@@ -8,12 +8,13 @@ from switchsim import tomography as tomo
 from switchsim import trajectory as traj
 from switchsim.errors import (
     InsufficientDataError,
+    NoConvergenceError,
     NotIdentifiableError,
     UnphysicalBlochError,
 )
 from switchsim.tolerances import FIT_GRADIENT_TOL
 
-from oracles import model_density_slow_form, multistart_state_fit
+from oracles import joint_free_fit, model_density_slow_form, multistart_state_fit
 
 IDENTIFIABLE = det.DetectorParams(1.0, 5.0, math.pi / 4, 60.0)  # E = 20 gamma_plus
 
@@ -24,11 +25,23 @@ CONFIGS = (
     (2.0, 8.0, 1.0, 20.0),
     (1.0, 4.0, 0.6, 120.0),
 )
+# a state per configuration, inside the ball
+CONFIG_STATES = ((0.3, -0.4, 0.5), (-0.5, 0.2, 0.4), (0.1, 0.6, -0.3), (-0.2, -0.5, -0.5))
 
 
 def synthesize(p, bloch, n_traj, seed, tau=1.2, n_bins=150):
     cfg = traj.SimConfig(n_traj=n_traj, tau=tau, seed=seed, n_bins=n_bins)
     return traj.run_ensemble(p, bloch.to_density(), cfg)
+
+
+def multinomial_histogram(p, bloch, seed):
+    """1e6 counts drawn from the model's cell probabilities over 150 bins
+    up to 3.6 / gamma_plus, as the benchmark's tomography batch draws them."""
+    edges = np.linspace(0.0, 3.6 / p.gamma_plus, 151)
+    empty = traj.Histogram(edges, np.zeros(150, dtype=np.int64), 0, 0)
+    probs = traj.expected_cell_probabilities(empty, p, bloch.to_density())
+    cells = np.random.default_rng(seed).multinomial(1_000_000, probs / probs.sum())
+    return traj.Histogram(edges, cells[:-1], int(cells[-1]), 1_000_000)
 
 
 class TestBlochComponents:
@@ -268,16 +281,22 @@ class TestFit:
 
 
 class TestStateFit:
+    @pytest.mark.parametrize(
+        "params",
+        CONFIGS + ((0.0, 4.0, math.pi / 2, 2.0), (0.0, 0.0, 0.3, 1.0)),  # exceptional point, no switching
+    )
+    def test_cell_rows_match_survival_function(self, params):
+        p = det.DetectorParams(*params)
+        edges = np.linspace(0.0, 3.0, 41)
+        rows = tomo._cell_rows(p, edges)
+        for row, rho in zip(rows, (tomo._MIXED, *tomo._BLOCH_BASIS.values())):
+            surv = det.survival_function(p, rho)(edges)
+            np.testing.assert_allclose(row, np.append(-np.diff(surv), surv[-1]), rtol=0, atol=1e-14)
+
     @pytest.mark.parametrize("k", range(len(CONFIGS)))
     def test_matches_multistart_reference(self, k):
         p = det.DetectorParams(*CONFIGS[k])
-        truth = tomo.BlochComponents(*[(0.3, -0.4, 0.5), (-0.5, 0.2, 0.4),
-                                       (0.1, 0.6, -0.3), (-0.2, -0.5, -0.5)][k])
-        edges = np.linspace(0.0, 3.6 / p.gamma_plus, 151)
-        empty = traj.Histogram(edges, np.zeros(150, dtype=np.int64), 0, 0)
-        probs = traj.expected_cell_probabilities(empty, p, truth.to_density())
-        cells = np.random.default_rng(k).multinomial(1_000_000, probs / probs.sum())
-        h = traj.Histogram(edges, cells[:-1], int(cells[-1]), 1_000_000)
+        h = multinomial_histogram(p, tomo.BlochComponents(*CONFIG_STATES[k]), seed=k)
         result = tomo.fit(h, fixed=p)
         b_ref, cov_ref = multistart_state_fit(h, p)
         b = np.array([result.bloch.x, result.bloch.y, result.bloch.z])
@@ -318,3 +337,63 @@ class TestStateFit:
             assert result.converged == kkt, i
             assert kkt, i
         assert on_sphere >= 1
+
+
+class TestFreeFit:
+    @pytest.mark.parametrize("k", range(len(CONFIGS)))
+    def test_matches_joint_reference(self, k):
+        """The profiled search over (gamma_R, beta, E) reaches the optimum
+        of the joint fit over state and parameters, and its Fisher
+        covariance matches the joint fit's Gauss-Newton one."""
+        p = det.DetectorParams(*CONFIGS[k])
+        h = multinomial_histogram(p, tomo.BlochComponents(*CONFIG_STATES[k]), seed=10 + k)
+        free_params = ("gamma_R", "beta", "E")
+        # the benchmark's box: scaled like the README's all-in-one example
+        bounds = {
+            "gamma_R": (0.6 * p.gamma_R, 1.6 * p.gamma_R),
+            "beta": (max(p.beta - 0.385, 0.0), min(p.beta + 0.515, math.pi)),
+            "E": (p.E * 11.0 / 12.0, p.E * 13.0 / 12.0),
+        }
+        result = tomo.fit(h, fixed=p, free_params=free_params, bounds=bounds, n_starts=4)
+        b_ref, theta_ref, cov_ref, dev_ref = joint_free_fit(h, p, free_params, bounds, n_starts=4)
+        b = np.array([result.bloch.x, result.bloch.y, result.bloch.z])
+        theta = np.array([getattr(result.params, name) for name in free_params])
+        assert result.converged
+        assert result.free_names == tomo.BLOCH_NAMES + free_params
+        assert abs(result.chi2 - dev_ref) <= 1e-8 * dev_ref
+        assert np.max(np.abs(b - b_ref)) <= 1e-6
+        np.testing.assert_allclose(theta, theta_ref, rtol=1e-5)
+        np.testing.assert_allclose(
+            np.sqrt(np.diag(result.covariance)), np.sqrt(np.diag(cov_ref)), rtol=0.02
+        )
+
+    def test_failed_starts_recorded(self, monkeypatch):
+        h = synthesize(IDENTIFIABLE, tomo.BlochComponents(0.3, -0.4, 0.5), 20000, seed=13)
+        options = dict(fixed=IDENTIFIABLE, free_params=("E",), bounds={"E": (55.0, 65.0)}, n_starts=3)
+        real, calls = tomo.least_squares, []
+
+        def second_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ValueError("residuals are not finite")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tomo, "least_squares", second_fails)
+        assert tomo.fit(h, **options).converged
+        assert len(calls) == 3
+
+        def all_fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(tomo, "least_squares", all_fail)
+        with pytest.raises(NoConvergenceError) as err:
+            tomo.fit(h, **options)
+        for idx in range(3):
+            assert f"start {idx}: LinAlgError: SVD did not converge" in str(err.value)
+
+        def bug(*args, **kwargs):
+            raise TypeError("not a fit failure")
+
+        monkeypatch.setattr(tomo, "least_squares", bug)
+        with pytest.raises(TypeError):
+            tomo.fit(h, **options)
