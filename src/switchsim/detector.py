@@ -167,6 +167,12 @@ class _Propagator:
     Re(m +- r) <= 0, or Taylor series where |r t| < _SERIES_RADIUS.  A
     float t is evaluated with cmath; anything else as a numpy array, giving
     shape (..., 2, 2), with the series only when it covers every time.
+
+    t = inf (a float) gives the limit.  Both modes decay, or, where the
+    probe leaves a state dark, the slow one keeps modulus 1 (m + Re r = 0
+    to rounding): then C -> e^{(m+r)t} / 2 and S -> e^{(m+r)t} / 2r, whose
+    phase has no limit and is dropped.  No trace form Tr{U^dag op U rho0},
+    and no state conditioned on survival, depends on it.
     """
 
     def __init__(self, g: np.ndarray):
@@ -183,6 +189,12 @@ class _Propagator:
             if abs(z) < _SERIES_RADIUS:
                 e, (ch, sc) = math.exp(m * t), _series(z * z)
                 return e * ch, e * t * sc
+            if t == math.inf:
+                if m == 0.0:
+                    raise ValueError("no limit at t = inf: neither mode decays")
+                if m + r.real < 1e-12 * m:  # both modes decay
+                    return 0j, 0j
+                return 0.5 + 0j, 0.5 / r
             e_hi, e_lo = cmath.exp((m + r) * t), cmath.exp((m - r) * t)
             return 0.5 * (e_hi + e_lo), 0.5 * (e_hi - e_lo) / r
         t = np.asarray(t, dtype=float)

@@ -113,38 +113,99 @@ def _checked_state(rho0: np.ndarray) -> np.ndarray:
     return np.asarray(rho0, dtype=complex)
 
 
+def _bracket_finder(table: np.ndarray):
+    """u -> k with table[k - 1] >= u > table[k], k clipped to [1, len - 1]:
+    np.searchsorted(-table, -u, side="right") for a non-increasing table,
+    found in O(1) per u.
+
+    A guide table (Chen & Asau 1974) splits [table[-1], table[0]] into
+    4 (len - 1) equal u-cells; each stores the bracket of its top edge, a
+    lower bound on that of any u inside.  Two compare-and-increment steps
+    from it and an exact check settle almost every u; the rest (rounding at
+    a cell edge, or more than two table values in one u-cell) fall back to
+    the binary search.
+    """
+    n = table.size
+    rising = -table
+    cells = 4 * (n - 1)
+    lo, span = table[-1], table[0] - table[-1]
+    scale = cells / span if span > 0.0 else 0.0
+    tops = lo + span * (np.arange(1, cells + 1) / cells)
+    guide = np.clip(np.searchsorted(rising, -tops, side="right"), 1, n - 3)
+
+    def bracket(u: np.ndarray) -> np.ndarray:
+        cell = (u - lo) * scale
+        k = guide[np.clip(cell, 0, cells - 1, out=cell).astype(np.intp)]
+        k += table[k] >= u
+        k += table[k] >= u
+        bad = (table[k - 1] < u) | (u <= table[k])
+        if bad.any():
+            k[bad] = np.clip(np.searchsorted(rising, -u[bad], side="right"), 1, n - 1)
+        return k
+
+    return bracket
+
+
 def _survival_inverter(p: DetectorParams, rho0: np.ndarray, tau: float):
     """(S(tau), u -> t): the pulse's survival and a solver of S(t) = u on
     [0, tau] for an array of u with S(tau) < u <= 1.
 
-    S is tabulated once on _TABLE_POINTS grid times and made monotone; each
-    u takes its bracket and a linear-interpolation seed from the table.
-    Safeguarded Newton steps t += (S(t) - u) / rho(t), rho = -dS/dt, follow
-    (Numerical Recipes' rtsafe): each shrinks the bracket, and a step that
-    would leave it, or not halve the previous step, or meets rho = 0, is a
-    bisection instead.  A solve ends once its step is below
-    INVERSION_STEP_REL_TOL * tau, which takes two Newton steps almost
-    everywhere; S flat or staircase-like on the grid's scale (a long pulse
-    with many precession periods, or rho near zero) falls back towards
-    bisection.  A residual above INVERSION_RESIDUAL_TOL raises, since it
-    would indicate a broken survival function rather than bad data.
+    S is tabulated once on _TABLE_POINTS grid times and made monotone, and
+    rho = -dS/dt is evaluated at the same times.  Each u takes its grid cell
+    from a guide table (_bracket_finder) and its seed from the cubic Hermite
+    interpolant of the inverse on that cell (Hoermann & Leydold 2003): with
+    w the fraction of the cell's drop in S that lies above u, the fraction
+    of its width h is w + w (1 - w) ((1 - w) c0 - w c1), where
+    c = drop / (rho h) - 1 at either end.  A cell whose end slope
+    drop / (rho h) is not finite, not positive or not below 3 (the
+    Fritsch-Carlson monotone bound) takes the linear seed w instead.
+    Safeguarded Newton steps t += (S(t) - u) / rho(t) follow (Numerical
+    Recipes' rtsafe): each shrinks the bracket, and a step that would leave
+    it, or not halve the previous step, or meets rho = 0, is a bisection
+    instead.  A solve ends once its step is below
+    INVERSION_STEP_REL_TOL * tau, which the Hermite seed makes the first
+    step almost everywhere; S flat or staircase-like on the grid's scale (a
+    long pulse with many precession periods, or rho near zero) falls back
+    towards bisection.  A residual above INVERSION_RESIDUAL_TOL raises,
+    since it would indicate a broken survival function rather than bad data.
     """
     surv = survival_function(p, rho0)
     paired = _survival_and_density(p, rho0)
     grid = np.linspace(0.0, tau, _TABLE_POINTS)
     table = np.minimum.accumulate(surv(grid))
-    rising = -table  # searchsorted needs ascending values
+    bracket = _bracket_finder(table)
     step_tol = INVERSION_STEP_REL_TOL * tau
 
+    # cell j = [grid[j], grid[j + 1]]: the seed grid[j] + w (b1 + w (b2 + w b3))
+    # is the Hermite form above expanded in w and scaled by the width h
+    h = tau / (_TABLE_POINTS - 1)
+    drop = table[:-1] - table[1:]
+    inv_drop = np.divide(1.0, drop, out=np.zeros_like(drop), where=drop > 0.0)
+    rho = paired(grid)[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m0, m1 = drop / (rho[:-1] * h), drop / (rho[1:] * h)
+    hermite = (0.0 < m0) & (m0 < 3.0) & (0.0 < m1) & (m1 < 3.0)
+    c0, c1 = np.where(hermite, m0 - 1.0, 0.0), np.where(hermite, m1 - 1.0, 0.0)
+    b1, b2, b3 = h * (1.0 + c0), -h * (2.0 * c0 + c1), h * (c0 + c1)
+
     def invert(u: np.ndarray) -> np.ndarray:
-        # bracket: table[k - 1] >= u > table[k]
-        k = np.clip(np.searchsorted(rising, -u, side="right"), 1, _TABLE_POINTS - 1)
-        lo, hi = grid[k - 1], grid[k]
-        drop = table[k - 1] - table[k]
-        frac = np.divide(table[k - 1] - u, drop, out=np.zeros_like(u), where=drop > 0.0)
-        t = np.clip(lo + frac * (hi - lo), lo, hi)
-        times = np.empty_like(u)
-        todo, target, last = np.arange(u.size), u, hi - lo
+        k = bracket(u)
+        j = k - 1
+        lo, hi = grid[j], grid[k]
+        # gathers are copies, so the seed is formed in place
+        w = table[j]
+        w -= u
+        w *= inv_drop[j]
+        t = b3[j]
+        t *= w
+        t += b2[j]
+        t *= w
+        t += b1[j]
+        t *= w
+        t += lo
+        np.clip(t, lo, hi, out=t)
+        times = todo = None
+        target, last = u, hi - lo
         for _ in range(_MAX_STEPS):
             s, rate = paired(t)
             above = s >= target
@@ -155,14 +216,20 @@ def _survival_inverter(p: DetectorParams, rho0: np.ndarray, tau: float):
             nxt = np.where(newton, nxt, 0.5 * (lo + hi))
             last = np.abs(nxt - t)
             done = last <= step_tol
+            if done.all():
+                t = nxt
+                break
+            if times is None:
+                times, todo = np.empty_like(u), np.arange(u.size)
             times[todo[done]] = nxt[done]
             keep = ~done
             todo, target, t, lo, hi, last = (
                 a[keep] for a in (todo, target, nxt, lo, hi, last)
             )
-            if not todo.size:
-                break
-        times[todo] = t
+        if times is None:
+            times = t
+        else:
+            times[todo] = t
         if times.size and np.max(np.abs(surv(times) - u)) > INVERSION_RESIDUAL_TOL:
             raise BisectionFailureError(
                 "survival inversion residual too large; S(t) appears non-monotone"
@@ -209,9 +276,19 @@ def sample_switch_times(
     p: DetectorParams, rho0: np.ndarray, cfg: SimConfig
 ) -> tuple[np.ndarray, int]:
     """Switching times of the trajectories that switched (in trajectory
-    order), and the count of those that survived the pulse."""
-    chunks = list(_chunked_switch_times(p, rho0, cfg))
-    return np.concatenate([t for t, _ in chunks]), sum(n for _, n in chunks)
+    order), and the count of those that survived the pulse.
+
+    Each chunk's times are copied into one n_traj buffer as they are solved,
+    so no chunk's array outlives its chunk; the result is a view of that
+    buffer.
+    """
+    times = np.empty(cfg.n_traj)
+    switched = no_switch = 0
+    for chunk, n in _chunked_switch_times(p, rho0, cfg):
+        times[switched : switched + chunk.size] = chunk
+        switched += chunk.size
+        no_switch += n
+    return times[:switched], no_switch
 
 
 def bin_switch_times(times: np.ndarray, no_switch: int, cfg: SimConfig) -> Histogram:

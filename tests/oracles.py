@@ -15,6 +15,8 @@ from switchsim import scurves as sc
 from switchsim import tomography as tomo
 from switchsim import trajectory as traj
 from switchsim.detector import DetectorParams
+from switchsim.errors import BisectionFailureError
+from switchsim.tolerances import INVERSION_RESIDUAL_TOL, INVERSION_STEP_REL_TOL
 
 
 def u_ns_half_angle_form(p: DetectorParams, t: float) -> np.ndarray:
@@ -167,6 +169,48 @@ def bisect_survival(surv, u: np.ndarray, tau: float) -> np.ndarray:
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def table_newton_inverter(p: DetectorParams, rho0: np.ndarray, tau: float):
+    """(S(tau), u -> t) with the same safeguarded Newton loop as the
+    sampler's inverter, but each bracket found by binary search in the
+    4097-point table and each solve seeded by linear interpolation in it: a
+    second route to the same roots, two Newton steps per solve."""
+    surv = det.survival_function(p, rho0)
+    paired = det._survival_and_density(p, rho0)
+    grid = np.linspace(0.0, tau, traj._TABLE_POINTS)
+    table = np.minimum.accumulate(surv(grid))
+    step_tol = INVERSION_STEP_REL_TOL * tau
+
+    def invert(u: np.ndarray) -> np.ndarray:
+        k = np.clip(np.searchsorted(-table, -u, side="right"), 1, grid.size - 1)
+        lo, hi = grid[k - 1], grid[k]
+        drop = table[k - 1] - table[k]
+        frac = np.divide(table[k - 1] - u, drop, out=np.zeros_like(u), where=drop > 0.0)
+        t = np.clip(lo + frac * (hi - lo), lo, hi)
+        times = np.empty_like(u)
+        todo, target, last = np.arange(u.size), u, hi - lo
+        for _ in range(traj._MAX_STEPS):
+            s, rate = paired(t)
+            above = s >= target
+            lo, hi = np.where(above, t, lo), np.where(above, hi, t)
+            step = np.divide(s - target, rate, out=np.full_like(t, np.inf), where=rate > 0.0)
+            nxt = t + step
+            newton = (lo <= nxt) & (nxt <= hi) & (2.0 * np.abs(step) <= last)
+            nxt = np.where(newton, nxt, 0.5 * (lo + hi))
+            last = np.abs(nxt - t)
+            done = last <= step_tol
+            times[todo[done]] = nxt[done]
+            keep = ~done
+            todo, target, t, lo, hi, last = (a[keep] for a in (todo, target, nxt, lo, hi, last))
+            if not todo.size:
+                break
+        times[todo] = t
+        if times.size and np.max(np.abs(surv(times) - u)) > INVERSION_RESIDUAL_TOL:
+            raise BisectionFailureError("survival inversion residual too large")
+        return times
+
+    return float(surv(tau)), invert
 
 
 def multistart_state_fit(h, p: DetectorParams, n_starts: int = 8, seed: int = 0):

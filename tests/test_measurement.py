@@ -205,6 +205,21 @@ class TestOverallFidelityNumeric:
             meas.case1_overall_fidelity(p), abs=1e-8
         )
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            (0.0, 10.0, 0.0, 30.0),  # |0> is dark: one mode never decays
+            (0.0, 10.0, math.pi / 2, 5.0),  # exceptional point, r = 0
+        ],
+    )
+    def test_unbounded_pulse_limit(self, params):
+        # at tau = 12 the decaying modes are below e^{-50}: the limit
+        p = det.DetectorParams(*params)
+        for resolved in (True, False):
+            f = meas.overall_fidelity_numeric(p, math.inf, resolved)
+            assert 0.0 <= f <= 1.0
+            assert f == pytest.approx(meas.overall_fidelity_numeric(p, 12.0, resolved), abs=1e-8)
+
     def test_detector_that_never_switches(self):
         p = det.DetectorParams(0.0, 0.0, 0.3, 1.0)
         for resolved in (True, False):

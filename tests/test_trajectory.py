@@ -15,9 +15,17 @@ from switchsim import trajectory as traj
 from switchsim.errors import BisectionFailureError, InsufficientCountsError
 from switchsim.tolerances import INVERSION_RESIDUAL_TOL
 
-from oracles import bisect_survival, stepped_switch_times
+from oracles import bisect_survival, stepped_switch_times, table_newton_inverter
 
 MIXED = 0.5 * np.eye(2, dtype=complex)
+# (gamma_L, gamma_R, beta, E) of the benchmark configurations C1-C4, each
+# simulated over tau = 3.6 / gamma_plus
+CONFIGS = (
+    (1.0, 5.0, math.pi / 4, 60.0),
+    (0.0, 10.0, math.pi / 3, 200.0),
+    (2.0, 8.0, 1.0, 20.0),
+    (1.0, 4.0, 0.6, 120.0),
+)
 
 
 def two_sample_chi2(h1: traj.Histogram, h2: traj.Histogram):
@@ -299,6 +307,105 @@ class TestInversion:
         finally:
             tracemalloc.stop()
         assert peak < 40 * traj.CHUNK * 8, f"peak {peak / 1e6:.1f} MB"
+
+
+def benchmark_pulse(config):
+    p = det.DetectorParams(*config)
+    return p, 3.6 / p.gamma_plus
+
+
+def switched_uniforms(s_tau, n, seed=0):
+    """n targets drawn uniformly from the switched range (S(tau), 1]."""
+    return s_tau + (1.0 - s_tau) * (1.0 - np.random.default_rng(seed).random(n))
+
+
+class TestInversionRoute:
+    """The guide-table bracket and Hermite seed against the route they
+    replace (binary-search bracket, linear seed)."""
+
+    @pytest.mark.parametrize(
+        "params, rho, tau",
+        [(p, MIXED, tau) for p, tau in map(benchmark_pulse, CONFIGS)]
+        + [
+            # the exceptional point and the near-dark state of TestInversion
+            (det.DetectorParams(0.0, 4.0, math.pi / 2, 2.0),
+             m2.projector(m2.pure_state(1.0, 0.6 + 0.3j)), 1.5),
+            (det.DetectorParams(0.0, 3.0, 0.0, 2.0),
+             m2.projector(m2.pure_state(math.cos(0.01), math.sin(0.01))), 5.0),
+        ],
+    )
+    def test_matches_table_newton_oracle(self, params, rho, tau):
+        s_tau, invert = traj._survival_inverter(params, rho, tau)
+        ref_s_tau, ref_invert = table_newton_inverter(params, rho, tau)
+        assert s_tau == ref_s_tau
+        u = switched_uniforms(s_tau, 1 << 14)
+        times, ref = invert(u), ref_invert(u)
+        # a root is fixed only to the rounding of S over the density, so
+        # where S is flat to rounding (late times of the near-dark state)
+        # each solve may stop anywhere in that window; elsewhere it is
+        # far below 1e-12 tau
+        window = 4.0 * np.finfo(float).eps / det.switch_density_function(params, rho)(ref)
+        err = np.max(np.abs(times - ref) - window)
+        assert err <= 1e-12 * tau, f"times differ by {err / tau:.2e} tau beyond rounding"
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_histogram_matches_oracle(self, config):
+        p, tau = benchmark_pulse(config)
+        cfg = traj.SimConfig(n_traj=200_000, tau=tau, seed=17, n_bins=150)
+        h = traj.run_ensemble(p, MIXED, cfg)
+        s_tau, ref_invert = table_newton_inverter(p, MIXED, tau)
+        u = traj._uniforms(cfg.seed, 0, cfg.n_traj)
+        ref_times = ref_invert(u[u > s_tau])
+        np.testing.assert_array_equal(h.counts, np.histogram(ref_times, bins=h.bin_edges)[0])
+        assert h.no_switch_count == cfg.n_traj - ref_times.size
+
+    def test_bracket_matches_searchsorted(self):
+        rng = np.random.default_rng(3)
+        p, tau = benchmark_pulse(CONFIGS[1])
+        surv = det.survival_function(p, MIXED)
+        # staircases: monotone tables with flat runs of 1 to 40 points
+        steps = np.sort(rng.random(300))[::-1]
+        stairs = np.repeat(steps, rng.integers(1, 41, steps.size))
+        tables = [
+            np.minimum.accumulate(surv(np.linspace(0.0, tau, traj._TABLE_POINTS))),
+            stairs,
+            np.concatenate([np.ones(100), stairs, np.full(100, stairs[-1])]),
+            np.ones(50),
+        ]
+        for table in tables:
+            lo, hi = table[-1], table[0]
+            u = np.concatenate([
+                lo + (hi - lo) * rng.random(20_000),
+                table,
+                np.nextafter(table, 2.0),
+                np.nextafter(table, -1.0),
+                [hi + 0.1, lo - 0.1],
+            ])
+            ref = np.clip(np.searchsorted(-table, -u, side="right"), 1, table.size - 1)
+            np.testing.assert_array_equal(traj._bracket_finder(table)(u), ref)
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_one_evaluation_per_solve(self, config, monkeypatch):
+        points = []
+        paired = det._survival_and_density
+
+        def counted(p, rho0):
+            f = paired(p, rho0)
+
+            def g(t):
+                points.append(np.size(t))
+                return f(t)
+
+            return g
+
+        monkeypatch.setattr(traj, "_survival_and_density", counted)
+        p, tau = benchmark_pulse(config)
+        s_tau, invert = traj._survival_inverter(p, MIXED, tau)
+        points.clear()  # the setup's grid call
+        n = 1 << 16
+        invert(switched_uniforms(s_tau, n))
+        per_solve = sum(points) / n
+        assert per_solve <= 1.05, f"{per_solve:.3f} survival points per solve"
 
 
 class TestPurity:
