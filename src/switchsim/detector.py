@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import StepTooLargeError
-from .mat2 import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, normalize_phase, trace
+from .mat2 import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, normalize_phase
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def rate_matrix(p: DetectorParams) -> np.ndarray:
 
 
 def _check_step(p: DetectorParams, dt: float) -> None:
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if max(p.gamma_L, p.gamma_R) * dt > 1.0:
         raise StepTooLargeError(
@@ -105,28 +105,6 @@ def p_switch(p: DetectorParams, dt: float) -> np.ndarray:
     """Switching operator sqrt(gL dt)|L><L| + sqrt(gR dt)|R><R|."""
     _check_step(p, dt)
     return math.sqrt(dt) * sqrt_rate_matrix(p)
-
-
-def p_no_switch(p: DetectorParams, dt: float) -> np.ndarray:
-    """No-switch operator sqrt(1-gL dt)|L><L| + sqrt(1-gR dt)|R><R|.
-
-    The exact square-root form is used rather than its first-order
-    expansion: it satisfies p_switch^2 + p_no_switch^2 = identity at any
-    admissible step size, not just asymptotically.
-    """
-    _check_step(p, dt)
-    basis = probe_basis(p)
-    return math.sqrt(1.0 - p.gamma_L * dt) * np.outer(basis.L, basis.L.conj()) + math.sqrt(
-        1.0 - p.gamma_R * dt
-    ) * np.outer(basis.R, basis.R.conj())
-
-
-def u_ham(p: DetectorParams, dt: float) -> np.ndarray:
-    """Free-evolution unitary diag(e^{iE dt/2}, e^{-iE dt/2})."""
-    phase = 0.5 * p.E * dt
-    return np.array(
-        [[np.exp(1j * phase), 0.0], [0.0, np.exp(-1j * phase)]], dtype=complex
-    )
 
 
 def generator(p: DetectorParams) -> np.ndarray:
@@ -168,11 +146,12 @@ class _Propagator:
     float t is evaluated with cmath; anything else as a numpy array, giving
     shape (..., 2, 2), with the series only when it covers every time.
 
-    t = inf (a float) gives the limit.  Both modes decay, or, where the
-    probe leaves a state dark, the slow one keeps modulus 1 (m + Re r = 0
-    to rounding): then C -> e^{(m+r)t} / 2 and S -> e^{(m+r)t} / 2r, whose
-    phase has no limit and is dropped.  No trace form Tr{U^dag op U rho0},
-    and no state conditioned on survival, depends on it.
+    t = inf, a float or an array element, gives the limit.  Both modes
+    decay, or, where the probe leaves a state dark, the slow one keeps
+    modulus 1 (m + Re r = 0 to rounding): then C -> e^{(m+r)t} / 2 and
+    S -> e^{(m+r)t} / 2r, whose phase has no limit and is dropped.  No
+    trace form Tr{U^dag op U rho0}, and no state conditioned on survival,
+    depends on it.
     """
 
     def __init__(self, g: np.ndarray):
@@ -198,6 +177,11 @@ class _Propagator:
             e_hi, e_lo = cmath.exp((m + r) * t), cmath.exp((m - r) * t)
             return 0.5 * (e_hi + e_lo), 0.5 * (e_hi - e_lo) / r
         t = np.asarray(t, dtype=float)
+        infinite = t == math.inf
+        if infinite.any():
+            c, s = self.coefficients(np.where(infinite, 0.0, t))
+            c_inf, s_inf = self.coefficients(math.inf)
+            return np.where(infinite, c_inf, c), np.where(infinite, s_inf, s)
         if (abs(r) * np.abs(t) < _SERIES_RADIUS).all():
             e, (ch, sc) = np.exp(m * t), _series((r * t) ** 2)
             return e * ch, e * t * sc
@@ -227,7 +211,7 @@ def propagator(p: DetectorParams) -> _Propagator:
 
 def u_ns(p: DetectorParams, t: float) -> np.ndarray:
     """No-switch propagator U_ns(t) = exp(G t) for a single time t >= 0."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     return propagator(p)(float(t))
 
@@ -237,68 +221,70 @@ def u_s(p: DetectorParams, t: float, dt: float) -> np.ndarray:
     return p_switch(p, dt) @ u_ns(p, t)
 
 
-def _traces(n: np.ndarray, rho0: np.ndarray, op: np.ndarray):
-    """Tr(op rho0), Tr(op N rho0) and Tr(N^dag op N rho0): the fixed part
-    of the trace form."""
-    return trace(op @ rho0).real, trace(op @ n @ rho0), trace(dag(n) @ op @ n @ rho0).real
-
-
-def _trace_form(
-    p: DetectorParams, rho0: np.ndarray, op: np.ndarray
+def _trace_forms(
+    p: DetectorParams, rhos: np.ndarray, ops: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """t -> Tr{U_ns(t)^dag op U_ns(t) rho0} for Hermitian op and rho0.
+    """t -> Tr{U_ns(t)^dag op U_ns(t) rho} for each Hermitian rho in rhos and
+    op in ops, one row per pair (rho-major), over a float t or an array.
 
-    With U_ns = C I + S N this is |C|^2 Tr(op rho0) + 2 Re(conj(C) S
-    Tr(op N rho0)) + |S|^2 Tr(N^dag op N rho0): three traces fixed here and
-    two coefficients per time, for a float t or an array of times.
+    With U_ns = C I + S N the rows are W @ [|C|^2, Re conj(C) S,
+    Im conj(C) S, |S|^2], where one product of the ravelled states against
+    the ravelled op, op N and N^dag op N fixes W's rows [Tr(op rho),
+    2 Re Tr(op N rho), -2 Im Tr(op N rho), Tr(N^dag op N rho)].  The
+    evaluator carries W's columns as `weights` and the coefficient function
+    as `coefficients`, for a caller that unrolls the product.
     """
     prop = propagator(p)
-    a, b, d = _traces(prop.n, np.asarray(rho0, dtype=complex), op)
-    coefficients = prop.coefficients
+    n = prop.n
+    ops = np.asarray(ops, dtype=complex)
+    op_n = ops @ n
+    fixed = np.concatenate((ops, op_n, dag(n) @ op_n)).reshape(-1, 4)
+    # Tr(A rho) = A.ravel() @ rho.T.ravel(); rows rho-major for each kind
+    states = np.asarray(rhos, dtype=complex).transpose(0, 2, 1).reshape(-1, 4)
+    tr = (states @ fixed.T).reshape(len(states), 3, -1).transpose(1, 0, 2).reshape(3, -1)
+    weights = w_cc, w_re, w_im, w_ss = tr[0].real, 2.0 * tr[1].real, -2.0 * tr[1].imag, tr[2].real
+    coefficients, outer = prop.coefficients, np.multiply.outer
 
-    def f(t):
+    def forms(t):
         c, s = coefficients(t)
         c_bar = c.conjugate()
-        return (c * c_bar).real * a + 2.0 * (c_bar * s * b).real + (s * s.conjugate()).real * d
+        cs = c_bar * s
+        # term by term, as a matrix product's summation order may depend on
+        # the number of times
+        out = outer(w_cc, (c * c_bar).real)
+        out += outer(w_re, cs.real)
+        out += outer(w_im, cs.imag)
+        out += outer(w_ss, (s * s.conjugate()).real)
+        return out
 
-    return f
+    forms.weights, forms.coefficients = weights, coefficients
+    return forms
 
 
 def _survival_and_density(
     p: DetectorParams, rho0: np.ndarray
-) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Array of times -> (S, -dS/dt): both trace forms on one evaluation of
-    the coefficients, for solvers that need the value and slope together."""
-    prop = propagator(p)
-    rho0 = np.asarray(rho0, dtype=complex)
-    forms = (_traces(prop.n, rho0, IDENTITY), _traces(prop.n, rho0, rate_matrix(p)))
-    coefficients = prop.coefficients
-
-    def f(t):
-        c, s = coefficients(t)
-        c_bar = c.conjugate()
-        cc, cs, ss = (c * c_bar).real, c_bar * s, (s * s.conjugate()).real
-        surv, rate = (cc * a + 2.0 * (cs * b).real + ss * d for a, b, d in forms)
-        return surv, rate
-
-    return f
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Array of times -> rows (S, -dS/dt): both trace forms on one evaluation
+    of the coefficients, for solvers that need the value and slope together."""
+    return _trace_forms(p, [rho0], [IDENTITY, rate_matrix(p)])
 
 
 def _half_gap(p: DetectorParams, op: np.ndarray) -> Callable[[float], float]:
     """Float t -> half the eigenvalue gap of U_ns(t)^dag op U_ns(t), op Hermitian.
 
     That is the length of the matrix's traceless part, whose Pauli
-    components are the trace forms with rho0 = sigma_k / 2: nine fixed
-    traces and one evaluation of the coefficients per time.  The sum of
+    components are the trace forms with rho = sigma_k / 2: the product with
+    their weights is unrolled, as quad calls this once per node.  The sum of
     squares keeps a closing gap exact to rounding, where
     sqrt((tr/2)^2 - det) would lose half the digits.
     """
-    prop = propagator(p)
-    (ax, bx, dx), (ay, by, dy), (az, bz, dz) = (
-        (float(a), 2.0 * complex(b), float(d))
-        for a, b, d in (_traces(prop.n, 0.5 * sigma, op) for sigma in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+    forms = _trace_forms(p, 0.5 * np.array([SIGMA_X, SIGMA_Y, SIGMA_Z]), [op])
+    w_cc, w_re, w_im, w_ss = forms.weights
+    # b = w_re - i w_im = 2 Tr(op N rho): one complex product gives both middle terms
+    (ax, bx, dx), (ay, by, dy), (az, bz, dz) = zip(
+        w_cc.tolist(), (w_re - 1j * w_im).tolist(), w_ss.tolist()
     )
-    coefficients = prop.coefficients
+    coefficients = forms.coefficients
 
     def f(t: float) -> float:
         c, s = coefficients(t)
@@ -316,12 +302,13 @@ def survival_function(
     p: DetectorParams, rho0: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
     """S(t) = Tr{U_ns(t) rho0 U_ns(t)^dag}, the trace form with op = I."""
-    return _trace_form(p, rho0, IDENTITY)
+    forms = _trace_forms(p, [rho0], [IDENTITY])
+    return lambda t: forms(t)[0]
 
 
 def survival_probability(p: DetectorParams, rho0: np.ndarray, t: float) -> float:
     """Probability that the detector has not switched by time t."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     val = float(survival_function(p, rho0)(float(t)))
     return min(max(val, 0.0), 1.0)
@@ -329,7 +316,7 @@ def survival_probability(p: DetectorParams, rho0: np.ndarray, t: float) -> float
 
 def switch_density(p: DetectorParams, rho0: np.ndarray, t: float) -> float:
     """Switching-time probability density -dS/dt at time t (units 1/time)."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     return float(switch_density_function(p, rho0)(float(t)))
 
@@ -339,5 +326,5 @@ def switch_density_function(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """-dS/dt = Tr{U_ns(t)^dag Gamma U_ns(t) rho0}, the trace form with the
     rate matrix Gamma, clipped at zero against rounding."""
-    form = _trace_form(p, rho0, rate_matrix(p))
-    return lambda t: np.maximum(form(t), 0.0)
+    forms = _trace_forms(p, [rho0], [rate_matrix(p)])
+    return lambda t: np.maximum(forms(t)[0], 0.0)

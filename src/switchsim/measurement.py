@@ -136,14 +136,6 @@ def outcome_fidelity(d: MeasurementDecomposition) -> float:
     return (d.p1 - d.p2) / total
 
 
-def purity_equals_fidelity_check(u: np.ndarray) -> tuple[float, float]:
-    """Fidelity of the outcome and purity of the post-outcome state for a
-    maximally mixed input; the two must agree."""
-    fid = outcome_fidelity(decompose(u))
-    rho = u @ (0.5 * m2.IDENTITY) @ m2.dag(u)
-    return fid, m2.purity(rho)
-
-
 def overall_fidelity_numeric(
     p: DetectorParams, tau: float, resolve_switch_time: bool = True
 ) -> float:
@@ -203,13 +195,6 @@ def two_rate_overall_fidelity(rate_a: float, rate_b: float) -> float:
     return ratio ** (-lo / (hi - lo)) - ratio ** (-hi / (hi - lo))
 
 
-def case1_overall_fidelity(p: DetectorParams) -> float:
-    """Closed-form overall fidelity for an aligned probe (beta = 0)."""
-    if p.beta != 0.0:
-        raise WrongRegimeError("closed form requires beta = 0")
-    return two_rate_overall_fidelity(p.gamma_L, p.gamma_R)
-
-
 def case1_tau0(p: DetectorParams) -> float:
     """Switching time at which the aligned-probe fidelity vanishes:
     (log gR - log gL)/(gR - gL).  Also the optimal pulse duration."""
@@ -225,7 +210,7 @@ def case1_switch_fidelity(p: DetectorParams, t: float) -> float:
     |gL e^{-gL t} - gR e^{-gR t}| / (gL e^{-gL t} + gR e^{-gR t})."""
     if p.beta != 0.0:
         raise WrongRegimeError("closed form requires beta = 0")
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     a = p.gamma_L * math.exp(-p.gamma_L * t)
     b = p.gamma_R * math.exp(-p.gamma_R * t)
@@ -239,7 +224,7 @@ def case1_pulse_fidelity(p: DetectorParams, tau: float) -> float:
     |e^{-gL tau} - e^{-gR tau}|; maximal at tau0."""
     if p.beta != 0.0:
         raise WrongRegimeError("closed form requires beta = 0")
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     return abs(math.exp(-p.gamma_L * tau) - math.exp(-p.gamma_R * tau))
 
@@ -291,7 +276,7 @@ def case3_basis(
 ) -> Case3Basis:
     """Slow-measurement (E >> gamma) closed form for the outcome at time t."""
     _check_slow_regime(p, override_regime)
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
     g = p.gamma_minus * math.cos(p.beta)
     c2 = math.cos(0.5 * p.beta) ** 2
@@ -314,7 +299,7 @@ def case3_pulse_fidelity(
     """Energy-eigenbasis fidelity of an unresolved pulse in the slow regime:
     |e^{-(g+ - g- cos b) tau} - e^{-(g+ + g- cos b) tau}|."""
     _check_slow_regime(p, override_regime)
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     g = p.gamma_minus * math.cos(p.beta)
     return abs(

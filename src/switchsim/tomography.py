@@ -12,21 +12,14 @@ which directions the data cannot see.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from . import mat2 as m2
-from .detector import (
-    DetectorParams,
-    _survival_and_density,
-    propagator,
-    survival_function,
-    switch_density,
-    switch_density_function,
-)
+from .detector import DetectorParams, _trace_forms, rate_matrix, switch_density
 from .errors import (
     InsufficientDataError,
     NoConvergenceError,
@@ -142,16 +135,7 @@ _BLOCH_BASIS = {
     name: BlochComponents(*np.eye(3)[k]).to_density() - _MIXED
     for k, name in enumerate(BLOCH_NAMES)
 }
-# Tr(A rho) = _BASIS_TRACES[j] @ A.ravel() for rho = I/2 (j = 0) and the basis
-_BASIS_TRACES = np.array([rho.T.ravel() for rho in (_MIXED, *_BLOCH_BASIS.values())])
-
-
-def _density_rows(
-    p: DetectorParams, b: BlochComponents, grid: np.ndarray, tau: float
-) -> tuple[np.ndarray, float]:
-    dens = switch_density_function(p, b.to_density())
-    surv = survival_function(p, b.to_density())
-    return dens(grid), float(surv(tau))
+_CELL_STATES = np.array([_MIXED, *_BLOCH_BASIS.values()])
 
 
 def identifiability(
@@ -189,44 +173,38 @@ def identifiability(
     grid = np.linspace(0.0, t_max, n)
     weight = t_max / n
 
-    theta0 = {"x": b0.x, "y": b0.y, "z": b0.z,
-              "gamma_L": p.gamma_L, "gamma_R": p.gamma_R, "beta": p.beta, "E": p.E}
+    values = {"x": b0.x, "y": b0.y, "z": b0.z, **{name: getattr(p, name) for name in PARAM_NAMES}}
+    rho0 = b0.to_density()
 
-    def rows_at(theta: dict) -> tuple[np.ndarray, float]:
-        params = DetectorParams(
-            theta["gamma_L"], theta["gamma_R"], theta["beta"], theta["E"]
-        )
-        b = BlochComponents(theta["x"], theta["y"], theta["z"])
-        return _density_rows(params, b, grid, t_max)
+    def rows_at(params: DetectorParams, rhos) -> np.ndarray:
+        """Survival and density of each state on the grid, shape
+        (len(rhos), 2, n); the grid ends at t_max, so the last survival
+        value is S(t_max)."""
+        forms = _trace_forms(params, rhos, [m2.IDENTITY, rate_matrix(params)])
+        return forms(grid).reshape(len(rhos), 2, n)
 
-    d0, s0 = rows_at(theta0)
-    d0 = np.maximum(d0, 1e-12)
-    s0 = max(s0, 1e-12)
+    base = rows_at(p, [rho0, *_BLOCH_BASIS.values()])
+    d0 = np.maximum(base[0, 1], 1e-12)
+    s0 = max(base[0, 0, -1], 1e-12)
 
     jac_d = np.empty((len(free), n))
     jac_s = np.empty(len(free))
     for i, name in enumerate(free):
-        scale = max(abs(theta0[name]), 0.1)
+        scale = max(abs(values[name]), 0.1)
         if name in BLOCH_NAMES:
-            # the grid ends at t_max, so the last survival value is S(t_max)
-            surv, dens = _survival_and_density(p, _BLOCH_BASIS[name])(grid)
-            jac_d[i] = dens * scale
-            jac_s[i] = surv[-1] * scale
-            continue
-        h = 1e-5 * scale
-        hi = dict(theta0)
-        lo = dict(theta0)
-        hi[name] = theta0[name] + h
-        lo[name] = theta0[name] - h
-        # keep rates/energies non-negative and beta inside [0, pi]
-        lo[name] = max(lo[name], 0.0)
-        if name == "beta":
-            hi[name] = min(hi[name], math.pi)
-        step = hi[name] - lo[name]
-        d_hi, s_hi = rows_at(hi)
-        d_lo, s_lo = rows_at(lo)
-        jac_d[i] = (d_hi - d_lo) / step * scale
-        jac_s[i] = (s_hi - s_lo) / step * scale
+            surv, dens = base[1 + BLOCH_NAMES.index(name)]
+        else:
+            # keep rates/energies non-negative and beta inside [0, pi]
+            h = 1e-5 * scale
+            hi, lo = values[name] + h, max(values[name] - h, 0.0)
+            if name == "beta":
+                hi = min(hi, math.pi)
+            (s_hi, d_hi), (s_lo, d_lo) = (
+                rows_at(replace(p, **{name: v}), [rho0])[0] for v in (hi, lo)
+            )
+            surv, dens = (s_hi - s_lo) / (hi - lo), (d_hi - d_lo) / (hi - lo)
+        jac_d[i] = dens * scale
+        jac_s[i] = surv[-1] * scale
 
     info = (jac_d / d0) @ jac_d.T * weight + np.outer(jac_s, jac_s) / s0
     svals, vecs = np.linalg.eigh(info)
@@ -341,22 +319,9 @@ def _ball_step(hess: np.ndarray, c: np.ndarray, radius: float) -> tuple[np.ndarr
 def _cell_rows(p: DetectorParams, edges: np.ndarray) -> np.ndarray:
     """Cell probabilities of rho = I/2 and of the three traceless Bloch
     basis matrices at one parameter point, shape (4, len(edges)): the bins
-    between the edges, then the no-switch cell.
-
-    Every survival function is the trace form |C|^2 Tr(rho) + 2 Re(conj(C)
-    S Tr(N rho)) + |S|^2 Tr(N^dag N rho) (detector._trace_form with op = I),
-    so one evaluation of the propagator coefficients serves all four rows,
-    and their fixed traces are one product of _BASIS_TRACES with I, N and
-    N^dag N.
-    """
-    prop = propagator(p)
-    n = prop.n
-    ops = np.array([m2.IDENTITY, n, m2.dag(n) @ n]).reshape(3, 4)
-    tr_one, tr_n, tr_nn = (_BASIS_TRACES @ ops.T).T
-    weights = np.array([tr_one.real, 2.0 * tr_n.real, -2.0 * tr_n.imag, tr_nn.real]).T
-    c, s = prop.coefficients(edges)
-    cs = c.conjugate() * s
-    surv = weights @ np.array([c.real**2 + c.imag**2, cs.real, cs.imag, s.real**2 + s.imag**2])
+    between the edges, then the no-switch cell.  The survival functions of
+    all four are trace forms with op = I, evaluated together."""
+    surv = _trace_forms(p, _CELL_STATES, [m2.IDENTITY])(edges)
     cells = np.empty_like(surv)
     np.subtract(surv[:, :-1], surv[:, 1:], out=cells[:, :-1])
     cells[:, -1] = surv[:, -1]

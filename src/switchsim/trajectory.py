@@ -302,9 +302,9 @@ def run_ensemble(p: DetectorParams, rho0: np.ndarray, cfg: SimConfig) -> Histogr
 
     Deterministic: identical (params, rho0, config) give identical
     histograms, and per-trajectory records are independent of ensemble
-    size ordering, so partial histograms from parallel workers merge to
-    the same result.  Times are binned chunk by chunk, so memory stays
-    O(CHUNK) for any n_traj.
+    size ordering, so the counts of partial histograms over disjoint index
+    ranges sum to the same result.  Times are binned chunk by chunk, so
+    memory stays O(CHUNK) for any n_traj.
     """
     edges = np.linspace(0.0, cfg.tau, cfg.n_bins + 1)
     counts = np.zeros(cfg.n_bins, dtype=np.int64)
@@ -313,22 +313,6 @@ def run_ensemble(p: DetectorParams, rho0: np.ndarray, cfg: SimConfig) -> Histogr
         counts += np.histogram(times, bins=edges)[0]
         no_switch += n
     return Histogram(edges, counts, no_switch, cfg.n_traj)
-
-
-def merge_histograms(parts: list[Histogram]) -> Histogram:
-    """Combine per-worker partial histograms over identical bin edges."""
-    if not parts:
-        raise ValueError("nothing to merge")
-    edges = parts[0].bin_edges
-    for h in parts[1:]:
-        if not np.array_equal(h.bin_edges, edges):
-            raise ValueError("histograms have different bin edges")
-    return Histogram(
-        edges,
-        np.sum([h.counts for h in parts], axis=0).astype(np.int64),
-        int(sum(h.no_switch_count for h in parts)),
-        int(sum(h.total for h in parts)),
-    )
 
 
 def expected_cell_probabilities(

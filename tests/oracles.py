@@ -51,11 +51,33 @@ def u_ns_half_angle_form(p: DetectorParams, t: float) -> np.ndarray:
     )
 
 
+def p_no_switch(p: DetectorParams, dt: float) -> np.ndarray:
+    """No-switch operator sqrt(1-gL dt)|L><L| + sqrt(1-gR dt)|R><R|.
+
+    The exact square-root form is used rather than its first-order
+    expansion: it satisfies p_switch^2 + p_no_switch^2 = identity at any
+    admissible step size, not just asymptotically.
+    """
+    det._check_step(p, dt)
+    basis = det.probe_basis(p)
+    return math.sqrt(1.0 - p.gamma_L * dt) * np.outer(basis.L, basis.L.conj()) + math.sqrt(
+        1.0 - p.gamma_R * dt
+    ) * np.outer(basis.R, basis.R.conj())
+
+
+def u_ham(p: DetectorParams, dt: float) -> np.ndarray:
+    """Free-evolution unitary diag(e^{iE dt/2}, e^{-iE dt/2})."""
+    phase = 0.5 * p.E * dt
+    return np.array(
+        [[np.exp(1j * phase), 0.0], [0.0, np.exp(-1j * phase)]], dtype=complex
+    )
+
+
 def u_ns_stepped(p: DetectorParams, t: float, n_steps: int) -> np.ndarray:
     """Discretized no-switch propagator: n alternating free/no-switch steps,
     first-order accurate in t/n."""
     step = t / n_steps
-    return np.linalg.matrix_power(det.u_ham(p, step) @ det.p_no_switch(p, step), n_steps)
+    return np.linalg.matrix_power(u_ham(p, step) @ p_no_switch(p, step), n_steps)
 
 
 def stepped_switch_times(p: DetectorParams, rho0: np.ndarray, cfg, dt: float):
@@ -71,7 +93,7 @@ def stepped_switch_times(p: DetectorParams, rho0: np.ndarray, cfg, dt: float):
     n_steps = max(int(math.ceil(cfg.tau / dt)), 1)
     dt = cfg.tau / n_steps
     gam = det.rate_matrix(p)
-    step_op = det.u_ham(p, dt) @ det.p_no_switch(p, dt)
+    step_op = u_ham(p, dt) @ p_no_switch(p, dt)
     rho = np.asarray(rho0, dtype=complex)
     probs = np.empty(n_steps)
     for k in range(n_steps):
@@ -104,6 +126,14 @@ def model_density_slow_form(p: DetectorParams, b, t: float) -> float:
         * (b.x * math.cos(e_eff * t) + b.y * math.sin(e_eff * t))
     )
     return math.exp(-gp * t) * max(val, 0.0)
+
+
+def purity_equals_fidelity_check(u: np.ndarray) -> tuple[float, float]:
+    """Fidelity of the outcome and purity of the post-outcome state for a
+    maximally mixed input; the two must agree."""
+    fid = meas.outcome_fidelity(meas.decompose(u))
+    rho = u @ (0.5 * m2.IDENTITY) @ m2.dag(u)
+    return fid, m2.purity(rho)
 
 
 def basis_azimuth(p: DetectorParams, ts: np.ndarray) -> np.ndarray:

@@ -20,7 +20,12 @@ from switchsim import scurves as sc
 from switchsim import tomography as tomo
 from switchsim import trajectory as traj
 
-from oracles import azimuth_displacement, basis_azimuth, integrate_matrix
+from oracles import (
+    azimuth_displacement,
+    basis_azimuth,
+    integrate_matrix,
+    purity_equals_fidelity_check,
+)
 
 MIXED = 0.5 * np.eye(2, dtype=complex)
 
@@ -250,7 +255,7 @@ def test_criterion_11_purity_fidelity_and_pure_states():
         u = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         if m2.norm2(u) < 1e-3:
             continue
-        fid, pur = meas.purity_equals_fidelity_check(u)
+        fid, pur = purity_equals_fidelity_check(u)
         if abs(fid - pur) > 1e-8:
             failures += 1
     assert failures == 0

@@ -11,7 +11,7 @@ from switchsim import detector as det
 from switchsim import mat2 as m2
 from switchsim.errors import StepTooLargeError
 
-from oracles import integrate_matrix, u_ns_half_angle_form, u_ns_stepped
+from oracles import integrate_matrix, p_no_switch, u_ham, u_ns_half_angle_form, u_ns_stepped
 
 
 def random_params(rng, beta_range=(0.0, math.pi)):
@@ -76,7 +76,7 @@ class TestSwitchOperators:
             det.p_switch(p, 0.01), np.diag([0.1, 0.2]), atol=1e-14
         )
         np.testing.assert_allclose(
-            det.p_no_switch(p, 0.01),
+            p_no_switch(p, 0.01),
             np.diag([math.sqrt(0.99), math.sqrt(0.96)]),
             atol=1e-14,
         )
@@ -91,7 +91,7 @@ class TestSwitchOperators:
 
     def test_no_measurement_identity(self):
         p = det.DetectorParams(0.0, 0.0, 0.7, 2.0)
-        np.testing.assert_allclose(det.p_no_switch(p, 0.5), np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(p_no_switch(p, 0.5), np.eye(2), atol=1e-14)
 
     def test_completeness_exact(self):
         rng = np.random.default_rng(1)
@@ -99,7 +99,7 @@ class TestSwitchOperators:
             p = random_params(rng)
             dt = float(rng.uniform(1e-4, 1.0 / max(p.gamma_R, p.gamma_L, 1e-9)))
             ps = det.p_switch(p, dt)
-            pns = det.p_no_switch(p, dt)
+            pns = p_no_switch(p, dt)
             np.testing.assert_allclose(ps @ ps + pns @ pns, np.eye(2), atol=1e-12)
 
     def test_step_too_large(self):
@@ -107,27 +107,27 @@ class TestSwitchOperators:
         with pytest.raises(StepTooLargeError):
             det.p_switch(p, 0.3)
         with pytest.raises(ValueError):
-            det.p_no_switch(p, 0.0)
+            p_no_switch(p, 0.0)
 
 
 class TestUHam:
     def test_zero_energy(self):
         p = det.DetectorParams(1.0, 2.0, 0.1, 0.0)
-        np.testing.assert_allclose(det.u_ham(p, 5.0), np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(u_ham(p, 5.0), np.eye(2), atol=1e-15)
 
     def test_half_period(self):
         p = det.DetectorParams(1.0, 2.0, 0.1, 1.0)
-        np.testing.assert_allclose(det.u_ham(p, 2 * math.pi), -np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(u_ham(p, 2 * math.pi), -np.eye(2), atol=1e-12)
 
     def test_quarter_rotation(self):
         p = det.DetectorParams(1.0, 2.0, 0.1, 1.0)
-        np.testing.assert_allclose(det.u_ham(p, math.pi), np.diag([1j, -1j]), atol=1e-12)
+        np.testing.assert_allclose(u_ham(p, math.pi), np.diag([1j, -1j]), atol=1e-12)
 
     def test_unitary(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             p = random_params(rng)
-            u = det.u_ham(p, float(rng.uniform(0, 10)))
+            u = u_ham(p, float(rng.uniform(0, 10)))
             np.testing.assert_allclose(u @ m2.dag(u), np.eye(2), atol=1e-12)
 
 
@@ -174,7 +174,7 @@ class TestUNoSwitch:
     def test_free_evolution(self):
         p = det.DetectorParams(0.0, 0.0, 0.9, 2.0)
         for t in (0.3, 1.7):
-            np.testing.assert_allclose(det.u_ns(p, t), det.u_ham(p, t), atol=1e-12)
+            np.testing.assert_allclose(det.u_ns(p, t), u_ham(p, t), atol=1e-12)
 
     def test_matches_expm(self):
         rng = np.random.default_rng(4)
@@ -322,6 +322,20 @@ class TestSurvival:
             direct = m2.trace(u @ rho @ m2.dag(u)).real
             assert float(s(t)) == pytest.approx(direct, abs=1e-13)
 
+    @pytest.mark.parametrize(
+        "params", [(1.0, 10.0, 0.3, 30.0), (0.0, 10.0, 0.0, 30.0), (0.0, 4.0, math.pi / 2, 2.0)]
+    )
+    def test_infinite_time_in_array_matches_float(self, params):
+        # (0, 10, 0, 30) leaves |0> dark, (0, 4, pi/2, 2) is the exceptional
+        # point; an infinite array element takes the float limit, without
+        # a RuntimeWarning
+        p = det.DetectorParams(*params)
+        rho = 0.5 * np.eye(2, dtype=complex)
+        for f in (det.survival_function(p, rho), det.switch_density_function(p, rho)):
+            np.testing.assert_allclose(
+                f(np.array([1.0, np.inf])), [f(1.0), f(math.inf)], rtol=0.0, atol=1e-14
+            )
+
 
 class TestSwitchDensity:
     def test_maximally_mixed_at_zero(self):
@@ -424,17 +438,32 @@ def test_propagator_and_survival_over_parameter_box(gamma_l, gamma_r, beta, e, f
     t = frac * horizon
     g = det.generator(p)
     g_norm = np.linalg.norm(g, 2)
-    u_err = np.max(np.abs(det.u_ns(p, t) - expm(g * t)))
-    assert u_err <= 1e-12 * max(1.0, g_norm * t / 1e3)
+    u = expm(g * t)
+    bound = 1e-12 * max(1.0, g_norm * t / 1e3)
+    assert np.max(np.abs(det.u_ns(p, t) - u)) <= bound
 
     rho = m2.projector(m2.pure_state(amps[0] + 1j * amps[1], amps[2] + 1j * amps[3]))
+    # the trace forms and the half gap weigh U by Gamma, so their bound
+    # carries its norm
+    gam = det.rate_matrix(p)
+    moved = m2.dag(u) @ gam @ u
+    rows = det._survival_and_density(p, rho)(np.array([t]))[:, 0]
+    expected = [m2.trace(m2.dag(u) @ u @ rho).real, m2.trace(moved @ rho).real]
+    gam_bound = bound * max(1.0, gamma_l, gamma_r)
+    np.testing.assert_allclose(rows, expected, rtol=0.0, atol=gam_bound)
+    low, high = np.linalg.eigvalsh(moved)
+    assert det._half_gap(p, gam)(t) == pytest.approx(0.5 * (high - low), abs=gam_bound)
     s = det.survival_function(p, rho)
     assert float(s(0.0)) == pytest.approx(1.0, abs=1e-12)
     vals = s(np.linspace(0.0, horizon, 400))
     assert np.all(vals >= -1e-12) and np.all(vals <= 1.0 + 1e-12)
     assert np.all(np.diff(vals) <= 1e-12)
 
-    tau = min(t, 100.0 / g_norm) if g_norm > 0.0 else t
+    # written so that a subnormal g_norm does not overflow 100 / g_norm
+    tau = t if g_norm * t <= 100.0 else 100.0 / g_norm
     dens = det.switch_density_function(p, rho)
-    integral, _ = quad(lambda u: float(dens(u)), 0.0, tau, limit=200)
+    # quad's default tolerance, 1.5e-8, is coarser than the 1e-8 checked
+    integral, _ = quad(
+        lambda u: float(dens(u)), 0.0, tau, limit=200, epsabs=1e-10, epsrel=1e-10
+    )
     assert float(s(tau)) + integral == pytest.approx(1.0, abs=1e-8)

@@ -17,7 +17,12 @@ from switchsim.errors import (
 )
 from switchsim.tolerances import QUADRATURE_TOL
 
-from oracles import basis_azimuth, grid_then_golden_max, overall_fidelity_products
+from oracles import (
+    basis_azimuth,
+    grid_then_golden_max,
+    overall_fidelity_products,
+    purity_equals_fidelity_check,
+)
 
 
 def random_operator(rng, scale=1.0):
@@ -33,6 +38,34 @@ def random_unitary(rng):
 def state_angle(a, b):
     """Bloch-axis angle between two pure states (0 for parallel/antipodal phases)."""
     return math.acos(min(abs(np.vdot(a, b)), 1.0))
+
+
+MIXED = 0.5 * np.eye(2, dtype=complex)
+SLOW = det.DetectorParams(1.0, 2.0, 0.7, 30.0)
+ALIGNED = det.DetectorParams(1.0, 2.0, 0.0, 3.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: det.u_ns(SLOW, math.nan),
+        lambda: det.u_s(SLOW, math.nan, 1e-3),
+        lambda: det.u_s(SLOW, 0.1, math.nan),
+        lambda: det.survival_probability(SLOW, MIXED, math.nan),
+        lambda: det.switch_density(SLOW, MIXED, math.nan),
+        lambda: meas.case1_switch_fidelity(ALIGNED, math.nan),
+        lambda: meas.case1_pulse_fidelity(ALIGNED, math.nan),
+        lambda: meas.case3_basis(SLOW, math.nan, override_regime=True),
+        lambda: meas.case3_pulse_fidelity(SLOW, math.nan, override_regime=True),
+    ],
+    ids=[
+        "u_ns", "u_s-t", "u_s-dt", "survival_probability", "switch_density",
+        "case1_switch_fidelity", "case1_pulse_fidelity", "case3_basis", "case3_pulse_fidelity",
+    ],
+)
+def test_nan_time_raises(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 class TestDecompose:
@@ -134,12 +167,12 @@ class TestOutcomeFidelity:
 
 class TestPurityFidelityEquivalence:
     def test_identity(self):
-        fid, pur = meas.purity_equals_fidelity_check(m2.IDENTITY)
+        fid, pur = purity_equals_fidelity_check(m2.IDENTITY)
         assert fid == pytest.approx(0.0, abs=1e-12)
         assert pur == pytest.approx(0.0, abs=1e-12)
 
     def test_projective(self):
-        fid, pur = meas.purity_equals_fidelity_check(m2.projector(m2.KET_0))
+        fid, pur = purity_equals_fidelity_check(m2.projector(m2.KET_0))
         assert fid == pytest.approx(1.0, abs=1e-12)
         assert pur == pytest.approx(1.0, abs=1e-12)
 
@@ -149,7 +182,7 @@ class TestPurityFidelityEquivalence:
             u = random_operator(rng)
             if m2.norm2(u) < 1e-3:
                 continue
-            fid, pur = meas.purity_equals_fidelity_check(u)
+            fid, pur = purity_equals_fidelity_check(u)
             assert fid == pytest.approx(pur, abs=1e-10)
 
 
@@ -202,7 +235,7 @@ class TestOverallFidelityNumeric:
         # [0, inf) too, where the pulse keeps its optimal fidelity
         p = det.DetectorParams(1.0, 10.0, 0.0, 30.0)
         assert meas.overall_fidelity_numeric(p, math.inf) == pytest.approx(
-            meas.case1_overall_fidelity(p), abs=1e-8
+            meas.two_rate_overall_fidelity(p.gamma_L, p.gamma_R), abs=1e-8
         )
 
     @pytest.mark.parametrize(
