@@ -38,12 +38,12 @@ class CoherentDetectorParams:
     def __post_init__(self):
         if not 0.0 <= self.beta <= math.pi:
             raise ValueError(f"beta must lie in [0, pi], got {self.beta}")
-        if self.rate_scale <= 0.0:
-            raise ValueError("rate_scale must be positive")
+        if not (math.isfinite(self.rate_scale) and self.rate_scale > 0.0):
+            raise ValueError(f"rate_scale must be finite and positive, got {self.rate_scale}")
         if self.gamma1_cap == 0.0:
             object.__setattr__(self, "gamma1_cap", 100.0 * self.rate_scale)
-        if self.gamma1_cap <= 0.0:
-            raise ValueError("gamma1_cap must be positive")
+        if not (math.isfinite(self.gamma1_cap) and self.gamma1_cap > 0.0):
+            raise ValueError(f"gamma1_cap must be finite and positive, got {self.gamma1_cap}")
 
 
 class EffectiveRates(NamedTuple):

@@ -122,6 +122,19 @@ def generator(p: DetectorParams) -> np.ndarray:
     )
 
 
+def _generator_slopes(p: DetectorParams, names) -> np.ndarray:
+    """dG/dtheta for each named detector parameter, shape (len(names), 2, 2);
+    Gamma = -(G + G^dag) has slopes -(G' + G'^dag)."""
+    c, s, gm = 0.25 * math.cos(p.beta), 0.25 * math.sin(p.beta), p.gamma_minus
+    table = {
+        "gamma_L": ((-0.25 - c, -s), (-s, c - 0.25)),
+        "gamma_R": ((c - 0.25, s), (s, -0.25 - c)),
+        "beta": ((-2.0 * gm * s, 2.0 * gm * c), (2.0 * gm * c, 2.0 * gm * s)),
+        "E": ((0.5j, 0.0), (0.0, -0.5j)),
+    }
+    return np.array([table[name] for name in names], dtype=complex).reshape(-1, 2, 2)
+
+
 _SERIES_RADIUS = 1e-2
 
 
@@ -221,32 +234,41 @@ def u_s(p: DetectorParams, t: float, dt: float) -> np.ndarray:
     return p_switch(p, dt) @ u_ns(p, t)
 
 
-def _trace_forms(
-    p: DetectorParams, rhos: np.ndarray, ops: np.ndarray
-) -> Callable[[np.ndarray], np.ndarray]:
+def _weights(rhos: np.ndarray, a: np.ndarray, b: np.ndarray, d: np.ndarray) -> tuple:
+    """[Tr(a rho), 2 Re Tr(b rho), -2 Im Tr(b rho), Re Tr(d rho)] for each rho
+    and each matrix of the equal-length stacks a (Hermitian), b, d, rho-major."""
+    fixed = np.concatenate((a, b, d)).reshape(-1, 4)
+    # Tr(A rho) = A.ravel() @ rho.T.ravel(); rows rho-major for each kind
+    states = rhos.transpose(0, 2, 1).reshape(-1, 4)
+    tr = (states @ fixed.T).reshape(len(states), 3, len(a)).transpose(1, 0, 2).reshape(3, -1)
+    return tr[0].real, 2.0 * tr[1].real, -2.0 * tr[1].imag, tr[2].real
+
+
+class _TraceForms:
     """t -> Tr{U_ns(t)^dag op U_ns(t) rho} for each Hermitian rho in rhos and
-    op in ops, one row per pair (rho-major), over a float t or an array.
+    op in ops, one row per pair (rho-major), over a float t or an array;
+    `slopes` gives the rows' derivatives in the detector parameters.
 
     With U_ns = C I + S N the rows are W @ [|C|^2, Re conj(C) S,
-    Im conj(C) S, |S|^2], where one product of the ravelled states against
-    the ravelled op, op N and N^dag op N fixes W's rows [Tr(op rho),
-    2 Re Tr(op N rho), -2 Im Tr(op N rho), Tr(N^dag op N rho)].  The
-    evaluator carries W's columns as `weights` and the coefficient function
-    as `coefficients`, for a caller that unrolls the product.
+    Im conj(C) S, |S|^2], W's rows [Tr(op rho), 2 Re Tr(op N rho),
+    -2 Im Tr(op N rho), Tr(N^dag op N rho)] fixed once (`weights`, its
+    columns); `combine(c, s)` gives the rows at coefficients the caller has
+    evaluated with `propagator.coefficients`.
     """
-    prop = propagator(p)
-    n = prop.n
-    ops = np.asarray(ops, dtype=complex)
-    op_n = ops @ n
-    fixed = np.concatenate((ops, op_n, dag(n) @ op_n)).reshape(-1, 4)
-    # Tr(A rho) = A.ravel() @ rho.T.ravel(); rows rho-major for each kind
-    states = np.asarray(rhos, dtype=complex).transpose(0, 2, 1).reshape(-1, 4)
-    tr = (states @ fixed.T).reshape(len(states), 3, -1).transpose(1, 0, 2).reshape(3, -1)
-    weights = w_cc, w_re, w_im, w_ss = tr[0].real, 2.0 * tr[1].real, -2.0 * tr[1].imag, tr[2].real
-    coefficients, outer = prop.coefficients, np.multiply.outer
 
-    def forms(t):
-        c, s = coefficients(t)
+    def __init__(self, p: DetectorParams, rhos: np.ndarray, ops: np.ndarray):
+        self.p, self.propagator = p, propagator(p)
+        self.rhos, self.ops = np.asarray(rhos, dtype=complex), np.asarray(ops, dtype=complex)
+        n = self.propagator.n
+        op_n = self.ops @ n
+        self.weights = _weights(self.rhos, self.ops, op_n, dag(n) @ op_n)
+
+    def __call__(self, t):
+        return self.combine(*self.propagator.coefficients(t))
+
+    def combine(self, c, s):
+        w_cc, w_re, w_im, w_ss = self.weights
+        outer = np.multiply.outer
         c_bar = c.conjugate()
         cs = c_bar * s
         # term by term, as a matrix product's summation order may depend on
@@ -257,8 +279,57 @@ def _trace_forms(
         out += outer(w_ss, (s * s.conjugate()).real)
         return out
 
-    forms.weights, forms.coefficients = weights, coefficients
-    return forms
+    def slopes(self, names, t: np.ndarray, coefficients, op_slopes=None) -> np.ndarray:
+        """Derivatives of the rows in the named detector parameters over an
+        array of finite times t, shape (len(names), rows, len(t)), from the
+        coefficients (C, S) at t; op_slopes, shape (len(names), len(ops),
+        2, 2), are the ops' own (zero when None).
+
+        dU = m' t U + (r^2)' (C' I + S' N) + S N', with G' = dG/dtheta,
+        m' = Re tr G'/2, N' = G' - m' I, (r^2)' = tr(N N'), and C' = t S/2
+        and S' the slopes of C and S in r^2.  With a, b, d the row's traces
+        of op, op N and N^dag op N, and A, B, D those of op', op N' + op' N
+        and N^dag (2 op N' + op' N), d Tr{U^dag op U rho} =
+        2 Re Tr(rho U^dag op dU) + Tr{U^dag op' U rho} is the real part of v
+        (below) against [cs, q, t cs, t q, conj(C) S', conj(S) S'],
+        cs = conj(C) S and q = |C|^2 + i|S|^2: one complex product.
+        """
+        n = self.propagator.n
+        g_dot = _generator_slopes(self.p, names)
+        m_dot = 0.5 * (g_dot[:, 0, 0] + g_dot[:, 1, 1]).real[:, None]
+        r2_dot = np.einsum("ij,kji->k", n, g_dot)[:, None]  # tr(N N'), as tr N = 0
+        op_n_dot = (self.ops @ (g_dot - m_dot[:, :, None] * IDENTITY)[:, None]).reshape(-1, 2, 2)
+        op_dot = np.zeros_like(op_n_dot) if op_slopes is None else op_slopes.reshape(-1, 2, 2)
+        big_b = op_n_dot + op_dot @ n
+        own = _weights(self.rhos, op_dot, big_b, dag(n) @ (big_b + op_n_dot))
+        # (kind, rho, name, op) -> (kind, name, rho-major rows)
+        k = (len(self.rhos), len(names), len(self.ops))
+        w_a, w_re, w_im, w_d = np.reshape(own, (4, *k)).transpose(0, 2, 1, 3).reshape(4, k[1], -1)
+        a, two_b, d = self.weights[0], self.weights[1] - 1j * self.weights[2], self.weights[3]
+        # 2B, A - iD, 4m'b + (r^2)'a, 2m'(a - id) - i Re[(r^2)' conj(b)], 2(r^2)'b, 2(r^2)'d
+        v = np.stack((
+            w_re - 1j * w_im,
+            w_a - 1j * w_d,
+            2.0 * m_dot * two_b + r2_dot * a,
+            2.0 * m_dot * (a - 1j * d) - 0.5j * (r2_dot * two_b.conjugate()).real,
+            r2_dot * two_b,
+            2.0 * r2_dot * d,
+        ), axis=-1)
+
+        c, s = coefficients
+        # S' = (t C - S) / 2r^2, or where |r t| < 0.1, where that cancels,
+        # its even series e^{mt} t^3 sum_k (rt)^{2k-2} k / (2k+1)!
+        r, m = self.propagator.r, self.propagator.m
+        small = abs(r) * t < 0.1
+        s_dot = np.empty_like(c) if small.all() else (t * c - s) * (0.5 / r**2)
+        ts = t[small]
+        z2 = r**2 * ts * ts
+        s_dot[small] = np.exp(m * ts) * ts**3 * (
+            1 / 6 + z2 * (1 / 60 + z2 * (1 / 1680 + z2 * (1 / 90720 + z2 / 7983360)))
+        )
+        c_bar, s_bar = c.conjugate(), s.conjugate()
+        cs, q = c_bar * s, (c * c_bar).real + 1j * (s * s_bar).real
+        return (v @ np.stack((cs, q, t * cs, t * q, c_bar * s_dot, s_bar * s_dot))).real
 
 
 def _survival_and_density(
@@ -266,7 +337,7 @@ def _survival_and_density(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Array of times -> rows (S, -dS/dt): both trace forms on one evaluation
     of the coefficients, for solvers that need the value and slope together."""
-    return _trace_forms(p, [rho0], [IDENTITY, rate_matrix(p)])
+    return _TraceForms(p, [rho0], [IDENTITY, rate_matrix(p)])
 
 
 def _half_gap(p: DetectorParams, op: np.ndarray) -> Callable[[float], float]:
@@ -275,16 +346,16 @@ def _half_gap(p: DetectorParams, op: np.ndarray) -> Callable[[float], float]:
     That is the length of the matrix's traceless part, whose Pauli
     components are the trace forms with rho = sigma_k / 2: the product with
     their weights is unrolled, as quad calls this once per node.  The sum of
-    squares keeps a closing gap exact to rounding, where
-    sqrt((tr/2)^2 - det) would lose half the digits.
+    squares keeps a closing gap exact to rounding, where sqrt((tr/2)^2 - det)
+    would lose half the digits.  The function carries its `propagator`.
     """
-    forms = _trace_forms(p, 0.5 * np.array([SIGMA_X, SIGMA_Y, SIGMA_Z]), [op])
+    forms = _TraceForms(p, 0.5 * np.array([SIGMA_X, SIGMA_Y, SIGMA_Z]), [op])
     w_cc, w_re, w_im, w_ss = forms.weights
     # b = w_re - i w_im = 2 Tr(op N rho): one complex product gives both middle terms
     (ax, bx, dx), (ay, by, dy), (az, bz, dz) = zip(
         w_cc.tolist(), (w_re - 1j * w_im).tolist(), w_ss.tolist()
     )
-    coefficients = forms.coefficients
+    coefficients = forms.propagator.coefficients
 
     def f(t: float) -> float:
         c, s = coefficients(t)
@@ -295,6 +366,7 @@ def _half_gap(p: DetectorParams, op: np.ndarray) -> Callable[[float], float]:
         wz = cc * az + (cs * bz).real + ss * dz
         return math.sqrt(wx * wx + wy * wy + wz * wz)
 
+    f.propagator = forms.propagator
     return f
 
 
@@ -302,7 +374,7 @@ def survival_function(
     p: DetectorParams, rho0: np.ndarray
 ) -> Callable[[np.ndarray], np.ndarray]:
     """S(t) = Tr{U_ns(t) rho0 U_ns(t)^dag}, the trace form with op = I."""
-    forms = _trace_forms(p, [rho0], [IDENTITY])
+    forms = _TraceForms(p, [rho0], [IDENTITY])
     return lambda t: forms(t)[0]
 
 
@@ -326,5 +398,5 @@ def switch_density_function(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """-dS/dt = Tr{U_ns(t)^dag Gamma U_ns(t) rho0}, the trace form with the
     rate matrix Gamma, clipped at zero against rounding."""
-    forms = _trace_forms(p, [rho0], [rate_matrix(p)])
+    forms = _TraceForms(p, [rho0], [rate_matrix(p)])
     return lambda t: np.maximum(forms(t)[0], 0.0)

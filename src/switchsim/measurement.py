@@ -157,14 +157,19 @@ def overall_fidelity_numeric(
     if not resolve_switch_time:
         return min(2.0 * no_switch, 1.0)
 
-    pieces = [0.0, tau]
+    integrand = _half_gap(p, rate_matrix(p))
+    # the integrand oscillates with period pi/|Im r| under e^{2mt}, and quad
+    # loses its accuracy over many periods: up to 40/|m| it runs in pieces
+    # of at most 10 (and at most 1000 pieces), then once over the tail
+    horizon = min(tau, 40.0 / -integrand.propagator.m)
+    n = min(max(math.ceil(horizon * abs(integrand.propagator.r.imag) / (10 * math.pi)), 1), 1000)
+    pieces = [horizon * k / n for k in range(n)] + [horizon] + ([tau] if tau > horizon else [])
     if p.beta == 0.0 and p.gamma_L > 0.0 and p.gamma_R > 0.0 and p.gamma_L != p.gamma_R:
         t0 = case1_tau0(p)
         if t0 < tau:
             # fidelity kink: split the quadrature there, by hand, as quad
             # takes no break points on an infinite range
-            pieces.insert(1, t0)
-    integrand = _half_gap(p, rate_matrix(p))
+            pieces = sorted({*pieces, t0})
     integral = err = 0.0
     for lo, hi in zip(pieces, pieces[1:]):
         part, part_err = quad(integrand, lo, hi, limit=300, epsabs=1e-12, epsrel=1e-12)

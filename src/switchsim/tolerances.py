@@ -16,9 +16,6 @@ HERMITIAN_TOL = 1e-10
 # square of the reconstruction tolerance.
 EIG_DEGENERATE_TOL = 1e-20
 
-# Eigen-equation and reconstruction residuals.
-EIG_RESIDUAL_TOL = 1e-10
-
 # Trace below which a density matrix cannot be normalized.
 ZERO_TRACE_TOL = 1e-15
 

@@ -12,14 +12,14 @@ which directions the data cannot see.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from . import mat2 as m2
-from .detector import DetectorParams, _trace_forms, rate_matrix, switch_density
+from .detector import DetectorParams, _generator_slopes, _TraceForms, rate_matrix, switch_density
 from .errors import (
     InsufficientDataError,
     NoConvergenceError,
@@ -39,9 +39,6 @@ BLOCH_NAMES = ("x", "y", "z")
 PARAM_NAMES = ("gamma_L", "gamma_R", "beta", "E")
 
 DEFAULT_BOUNDS = {
-    "x": (-1.0, 1.0),
-    "y": (-1.0, 1.0),
-    "z": (-1.0, 1.0),
     "gamma_L": (0.0, 100.0),
     "gamma_R": (1e-6, 100.0),
     "beta": (0.0, math.pi),
@@ -149,13 +146,13 @@ def identifiability(
     Builds the Poisson information matrix of the density (plus the
     no-switch weight) on a canonical time grid, then flags singular
     directions whose singular value falls below rel_threshold times the
-    largest.  The Bloch columns are exact, as the density is affine in the
-    Bloch vector: the density and survival of its traceless part; detector
-    parameter columns are central differences.  Sensitivities are taken
-    per relative parameter change (each direction scaled by its magnitude),
-    so directions with different units compare meaningfully.  Direction
-    names list the parameters with non-negligible weight in the flagged
-    singular vectors.
+    largest.  The columns are exact: the density and survival of the
+    state's traceless parts for the Bloch vector, on which they are affine,
+    and their trace-form slopes for the detector parameters.  Sensitivities
+    are taken per relative parameter change (each direction scaled by its
+    magnitude), so directions with different units compare meaningfully.
+    Direction names list the parameters with non-negligible weight in the
+    flagged singular vectors.
     """
     free = tuple(free)
     for name in free:
@@ -173,38 +170,24 @@ def identifiability(
     grid = np.linspace(0.0, t_max, n)
     weight = t_max / n
 
-    values = {"x": b0.x, "y": b0.y, "z": b0.z, **{name: getattr(p, name) for name in PARAM_NAMES}}
-    rho0 = b0.to_density()
+    # survival and density of each state on the grid, shape (4, 2, n), and
+    # rho0's slopes; the grid ends at t_max, so the last survival value is S(t_max)
+    forms = _TraceForms(p, [b0.to_density(), *_BLOCH_BASIS.values()], [m2.IDENTITY, rate_matrix(p)])
+    coefficients = forms.propagator.coefficients(grid)
+    rows = forms.combine(*coefficients).reshape(4, 2, n)
+    columns = dict(zip(BLOCH_NAMES, rows[1:]))
+    param_names = [name for name in free if name in PARAM_NAMES]
+    if param_names:
+        g_dot = _generator_slopes(p, param_names)
+        gam_dot = -(g_dot + g_dot.conj().transpose(0, 2, 1))
+        slopes = forms.slopes(param_names, grid, coefficients, np.stack((0 * gam_dot, gam_dot), 1))
+        columns.update(zip(param_names, slopes[:, :2]))
+    d0, s0 = np.maximum(rows[0, 1], 1e-12), max(rows[0, 0, -1], 1e-12)
 
-    def rows_at(params: DetectorParams, rhos) -> np.ndarray:
-        """Survival and density of each state on the grid, shape
-        (len(rhos), 2, n); the grid ends at t_max, so the last survival
-        value is S(t_max)."""
-        forms = _trace_forms(params, rhos, [m2.IDENTITY, rate_matrix(params)])
-        return forms(grid).reshape(len(rhos), 2, n)
-
-    base = rows_at(p, [rho0, *_BLOCH_BASIS.values()])
-    d0 = np.maximum(base[0, 1], 1e-12)
-    s0 = max(base[0, 0, -1], 1e-12)
-
-    jac_d = np.empty((len(free), n))
-    jac_s = np.empty(len(free))
-    for i, name in enumerate(free):
-        scale = max(abs(values[name]), 0.1)
-        if name in BLOCH_NAMES:
-            surv, dens = base[1 + BLOCH_NAMES.index(name)]
-        else:
-            # keep rates/energies non-negative and beta inside [0, pi]
-            h = 1e-5 * scale
-            hi, lo = values[name] + h, max(values[name] - h, 0.0)
-            if name == "beta":
-                hi = min(hi, math.pi)
-            (s_hi, d_hi), (s_lo, d_lo) = (
-                rows_at(replace(p, **{name: v}), [rho0])[0] for v in (hi, lo)
-            )
-            surv, dens = (s_hi - s_lo) / (hi - lo), (d_hi - d_lo) / (hi - lo)
-        jac_d[i] = dens * scale
-        jac_s[i] = surv[-1] * scale
+    values = {**vars(b0), **vars(p)}
+    scales = np.array([max(abs(values[name]), 0.1) for name in free])
+    jac_d = np.array([columns[name][1] for name in free]) * scales[:, None]
+    jac_s = np.array([columns[name][0, -1] for name in free]) * scales
 
     info = (jac_d / d0) @ jac_d.T * weight + np.outer(jac_s, jac_s) / s0
     svals, vecs = np.linalg.eigh(info)
@@ -255,7 +238,7 @@ def search_box(
     n_starts: int = 8,
 ) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray, np.ndarray]:
     """Check fit's options without fitting: (free names, free detector
-    parameter names, lower and upper corners of the search box).
+    parameter names, lower and upper corners of their search box).
 
     Raises ValueError on an unknown name, nothing to fit, an empty box or
     n_starts < 1.
@@ -277,54 +260,45 @@ def search_box(
     if not free:
         raise ValueError("nothing to fit")
 
-    box = dict(DEFAULT_BOUNDS)
-    if bounds:
-        unknown = set(bounds) - set(box)
-        if unknown:
-            raise ValueError(f"unknown bound names {sorted(unknown)}")
-        box.update(bounds)
-    lo = np.array([box[name][0] for name in free])
-    hi = np.array([box[name][1] for name in free])
+    box = {**DEFAULT_BOUNDS, **(bounds or {})}
+    if len(box) > len(DEFAULT_BOUNDS):
+        raise ValueError(f"unknown bound names {sorted(set(box) - set(DEFAULT_BOUNDS))}")
+    lo = np.array([box[name][0] for name in free_param_names])
+    hi = np.array([box[name][1] for name in free_param_names])
     if np.any(hi <= lo):
         raise ValueError("bounds box is empty")
     return free, free_param_names, lo, hi
 
 
-def _ball_step(hess: np.ndarray, c: np.ndarray, radius: float) -> tuple[np.ndarray, float]:
-    """Minimizer x of x.hess.x/2 + c.x over |x| <= radius, hess positive
+def _ball_step(hess: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
+    """Minimizer x of x.hess.x/2 + c.x over |x| <= 1, hess positive
     definite, and its multiplier lam >= 0: (hess + lam I) x = -c.
 
-    On the sphere lam solves the secular equation 1/|x(lam)| = 1/radius.
+    On the sphere lam solves the secular equation 1/|x(lam)| = 1.
     1/|x(lam)| is increasing and concave, so Newton's method from lam = 0
     climbs to the root without overshooting (Moré & Sorensen, "Computing a
     trust region step", SIAM J. Sci. Stat. Comput. 4, 1983).
     """
-    if radius == 0.0:
-        return np.zeros_like(c), 0.0
     evals, vecs = np.linalg.eigh(hess)
     w = vecs.T @ c
     lam = 0.0
     for _ in range(100):
         x = w / (evals + lam)
         norm = math.sqrt(x @ x)
-        if norm <= radius:
+        if norm <= 1.0:
             break
-        step = (norm - radius) / radius * norm**2 / (x @ (x / (evals + lam)))
+        step = (norm - 1.0) * norm**2 / (x @ (x / (evals + lam)))
         if step <= 1e-15 * lam:
             break
         lam += step
     return -(vecs @ x), lam
 
 
-def _cell_rows(p: DetectorParams, edges: np.ndarray) -> np.ndarray:
-    """Cell probabilities of rho = I/2 and of the three traceless Bloch
-    basis matrices at one parameter point, shape (4, len(edges)): the bins
-    between the edges, then the no-switch cell.  The survival functions of
-    all four are trace forms with op = I, evaluated together."""
-    surv = _trace_forms(p, _CELL_STATES, [m2.IDENTITY])(edges)
+def _cells(surv: np.ndarray) -> np.ndarray:
+    """Cell probabilities from survival at the edges (last axis), no-switch last."""
     cells = np.empty_like(surv)
-    np.subtract(surv[:, :-1], surv[:, 1:], out=cells[:, :-1])
-    cells[:, -1] = surv[:, -1]
+    np.subtract(surv[..., :-1], surv[..., 1:], out=cells[..., :-1])
+    cells[..., -1] = surv[..., -1]
     return cells
 
 
@@ -341,13 +315,13 @@ class _StateSolver:
 
     Each cell probability is affine in the Bloch vector, probs = a0 + A b,
     with a0 and the columns of A the cell rows of rho = I/2 and of the
-    traceless basis (components not in free_bloch held at base_bloch), so
-    the Poisson deviance is convex in b.  It is minimized by damped Newton
-    over the ball left by the fixed components, each step the
-    ball-constrained minimizer of the local quadratic model.
+    traceless basis (components not in free_bloch held at 0), so the
+    Poisson deviance is convex in b.  It is minimized by damped Newton over
+    the unit ball, each step the ball-constrained minimizer of the local
+    quadratic model.
     """
 
-    def __init__(self, h: Histogram, free_bloch: tuple[str, ...], base_bloch: dict):
+    def __init__(self, h: Histogram, free_bloch: tuple[str, ...]):
         self.total = h.total
         self.observed = np.append(h.counts, h.no_switch_count).astype(float)
         # only cells with counts enter the likelihood (a slice, a view, when
@@ -355,14 +329,6 @@ class _StateSolver:
         seen = self.observed > 0.0
         self.seen = slice(None) if seen.all() else seen
         self.free_idx = [BLOCH_NAMES.index(name) for name in free_bloch]
-        self.fixed = np.array(
-            [0.0 if name in free_bloch else base_bloch[name] for name in BLOCH_NAMES]
-        )
-        self.radius = math.sqrt(max(1.0 - self.fixed @ self.fixed, 0.0))
-
-    def affine(self, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(a0, A) from the cell rows of one parameter point."""
-        return cells[0] + self.fixed @ cells[1:], cells[1:][self.free_idx].T
 
     def solve(self, a0: np.ndarray, design: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
         """(minimizer, ball multiplier), starting from b, or from the mixed
@@ -386,7 +352,7 @@ class _StateSolver:
             ratio = counts / probs
             grad = -(ratio @ design_seen)
             hess = (design_seen.T * (ratio / probs)) @ design_seen
-            x, lam = _ball_step(hess, grad - hess @ b, self.radius)
+            x, lam = _ball_step(hess, grad - hess @ b)
             step = x - b
             # the step's length in standard deviations (the Newton decrement);
             # -n log p is self-concordant, so a step under 1/4 keeps every cell
@@ -413,23 +379,9 @@ class _StateSolver:
         return bool(np.max(np.abs(grad + lam * b), initial=0.0) < FIT_GRADIENT_TOL * self.total)
 
     def state(self, b: np.ndarray) -> BlochComponents:
-        bloch = self.fixed.copy()
+        bloch = np.zeros(3)
         bloch[self.free_idx] = b
         return BlochComponents(*(float(v) for v in bloch))
-
-
-def _fit_state(
-    h: Histogram, p: DetectorParams, free_bloch: tuple[str, ...], base_bloch: dict
-) -> tuple[BlochComponents, np.ndarray, bool, float]:
-    """Maximum-likelihood Bloch components at fixed detector parameters:
-    (state, covariance, converged, deviance)."""
-    solver = _StateSolver(h, free_bloch, base_bloch)
-    a0, design = solver.affine(_cell_rows(p, h.bin_edges))
-    b, lam = solver.solve(a0, design, np.zeros(len(free_bloch)))
-    probs = a0 + design @ b
-    deviance = float(np.sum(_deviance_residuals(solver.observed, probs * h.total) ** 2))
-    converged = solver.converged(a0, design, b, lam)
-    return solver.state(b), _covariance(h.total, probs, design), converged, deviance
 
 
 def _residual_slopes(observed: np.ndarray, expected: np.ndarray, res: np.ndarray) -> np.ndarray:
@@ -449,43 +401,22 @@ def _residual_slopes(observed: np.ndarray, expected: np.ndarray, res: np.ndarray
         )
 
 
-def _difference_columns(
-    probs_at, theta: np.ndarray, lo: np.ndarray, hi: np.ndarray, base=None
-) -> np.ndarray:
-    """Derivatives of probs_at in each component of theta by differences
-    inside the box [lo, hi]: forward from base, the probabilities at theta,
-    when given, else central."""
-    eps = np.finfo(float).eps
-    cols = []
-    for j, value in enumerate(theta):
-        up, down = theta.copy(), theta.copy()
-        if base is None:
-            h = eps ** (1.0 / 3.0) * max(1.0, abs(value))
-            up[j], down[j] = min(value + h, hi[j]), max(value - h, lo[j])
-            cols.append((probs_at(up) - probs_at(down)) / (up[j] - down[j]))
-        else:
-            h = math.sqrt(eps) * max(1.0, abs(value))
-            up[j] = value + h if value + h <= hi[j] else value - h
-            cols.append((probs_at(up) - base) / (up[j] - value))
-    return np.stack(cols, axis=1)
-
-
 class _Profile:
     """Profiled deviance residuals r(theta) = r(theta, b*(theta)) over the
     free detector parameters theta, and their Jacobian, along one start.
 
     Residuals and Jacobian share one evaluation per theta, and each inner
-    solve starts from the previous b*.  The Jacobian is Kaufman's: forward
-    differences of the cell rows in theta at fixed b*, projected off the
-    exact residual columns of the directions in which b* can move (Kaufman,
+    solve starts from the previous b*.  The Jacobian is Kaufman's: the
+    exact slopes of the cell probabilities in theta at fixed b*, from the
+    coefficients the rows were evaluated with, projected off the exact
+    residual columns of the directions in which b* can move (Kaufman,
     BIT 15, 1975; O'Leary & Rust, Comput. Optim. Appl. 54, 2013).  At b*
     the residuals are orthogonal to those columns, so its gradient J^T r is
     the profiled deviance's.
     """
 
-    def __init__(self, h: Histogram, solver: _StateSolver, params_at, lo, hi):
-        self.edges, self.solver, self.params_at = h.bin_edges, solver, params_at
-        self.lo, self.hi = lo, hi
+    def __init__(self, h: Histogram, solver: _StateSolver, params_at, names: tuple[str, ...]):
+        self.edges, self.solver, self.params_at, self.names = h.bin_edges, solver, params_at, names
         self.key = None
         self.b = np.zeros(len(solver.free_idx))
 
@@ -493,7 +424,10 @@ class _Profile:
         """Solve for b* at theta unless theta was the last point solved."""
         key = theta.tobytes()
         if key != self.key:
-            self.a0, self.design = self.solver.affine(_cell_rows(self.params_at(theta), self.edges))
+            self.forms = _TraceForms(self.params_at(theta), _CELL_STATES, [m2.IDENTITY])
+            self.coefficients = self.forms.propagator.coefficients(self.edges)
+            cells = _cells(self.forms.combine(*self.coefficients))
+            self.a0, self.design = cells[0], cells[1:][self.solver.free_idx].T
             self.b, self.lam = self.solver.solve(self.a0, self.design, self.b)
             self.probs = self.a0 + self.design @ self.b
             self.res = _deviance_residuals(self.solver.observed, self.probs * self.solver.total)
@@ -507,19 +441,17 @@ class _Profile:
         """The inner solve's KKT test at the last point solved."""
         return self.solver.converged(self.a0, self.design, self.b, self.lam)
 
-    def probs_at(self, theta: np.ndarray) -> np.ndarray:
-        """Cell probabilities at theta with the state held at the last b*."""
-        a0, design = self.solver.affine(_cell_rows(self.params_at(theta), self.edges))
-        return a0 + design @ self.b
+    def columns(self) -> np.ndarray:
+        """Cell-probability slopes in theta at the last point solved and b*."""
+        slopes = _cells(self.forms.slopes(self.names, self.edges, self.coefficients))
+        return (slopes[:, 0] + self.b @ slopes[:, 1:][:, self.solver.free_idx]).T
 
     def jacobian(self, theta: np.ndarray) -> np.ndarray:
         self.at(theta)
         total = self.solver.total
         slopes = total * _residual_slopes(self.solver.observed, self.probs * total, self.res)
-        jac = slopes[:, None] * _difference_columns(
-            self.probs_at, theta, self.lo, self.hi, self.probs
-        )
-        moves = self.design if self.solver.radius > 0.0 else self.design[:, :0]
+        jac = slopes[:, None] * self.columns()
+        moves = self.design
         if self.lam > 0.0:
             # on the sphere b* moves only along it
             moves = moves @ np.linalg.svd(self.b[None, :])[2][1:].T
@@ -532,7 +464,6 @@ class _Profile:
 def fit(
     h: Histogram,
     fixed: Optional[DetectorParams] = None,
-    init: Optional[TomographyResult] = None,
     bounds: Optional[dict] = None,
     free_bloch: Sequence[str] = BLOCH_NAMES,
     free_params: Optional[Sequence[str]] = None,
@@ -552,36 +483,30 @@ def fit(
 
     The deviance is convex in the Bloch vector at fixed detector
     parameters, and is minimized there in one Newton solve over the Bloch
-    ball; components not in `free_bloch` keep `init`'s values (0 without
-    `init`).  With the detector parameters fixed (`free_params` empty)
-    that is the whole fit: `converged` holds when the KKT conditions of the
-    ball constraint do, and `seed`, `n_starts` and `init`'s starting point
-    go unused.
+    ball; components not in `free_bloch` are held at 0.  With the detector
+    parameters fixed (`free_params` empty) that is the whole fit:
+    `converged` holds when the KKT conditions of the ball constraint do,
+    and `seed` and `n_starts` go unused.
 
     With detector parameters free, the state is profiled out: bounded
     least squares searches the free parameters alone, on the residuals of
     the profiled deviance min_b D(params, b), from n_starts Latin-hypercube
-    starts drawn deterministically from the parameters' bounds (plus
-    `init`'s parameters as a first start); the winner is the lowest
+    starts drawn deterministically from the parameters' `bounds` (names in
+    PARAM_NAMES; DEFAULT_BOUNDS for the others); the winner is the lowest
     deviance with index tie-break.  `converged` holds when the profiled
     gradient is below FIT_GRADIENT_TOL times the histogram total, the
     parameters lie strictly inside their box, and the inner solve meets
     its KKT test.  A start that raises is recorded; NoConvergenceError
-    lists the records when every start fails.  The Bloch entries of
-    `bounds` are checked but do not shape the fit: the ball does.
+    lists the records when every start fails.
 
     The covariance is the inverse Fisher information at the optimum, over
-    the free names in `free_names` order, with exact Bloch columns and
-    central differences in the detector parameters.
+    the free names in `free_names` order; its columns are exact, the
+    detector parameters' from the trace-form slopes.
     """
     if h.total < 1000:
         raise InsufficientDataError(f"histogram total {h.total} below 1000")
     free, free_param_names, lo, hi = search_box(fixed, bounds, free_bloch, free_params, n_starts)
     free_bloch = free[: len(free) - len(free_param_names)]
-
-    base_bloch = {"x": 0.0, "y": 0.0, "z": 0.0}
-    if init is not None:
-        base_bloch = {"x": init.bloch.x, "y": init.bloch.y, "z": init.bloch.z}
 
     dof = max(len(h.counts) - len(free), 1)  # cells, less the total and the free names
     if not free_param_names:
@@ -592,24 +517,24 @@ def fit(
                 f"degenerate directions {report.degenerate_directions} at the "
                 "fixed detector parameters"
             )
-        b_fit, covariance, converged, deviance = _fit_state(h, fixed, free, base_bloch)
-        return TomographyResult(b_fit, fixed, covariance, converged, deviance, dof, free)
+        # one convex solve: the profile at the fixed parameters
+        profile = _Profile(h, _StateSolver(h, free), lambda theta: fixed, ()).at(np.empty(0))
+        covariance = _covariance(h.total, profile.probs, profile.design)
+        state, deviance = profile.solver.state(profile.b), float(np.sum(profile.res**2))
+        return TomographyResult(state, fixed, covariance, profile.converged(), deviance, dof, free)
 
     base_params = {name: getattr(fixed, name) if fixed else 0.0 for name in PARAM_NAMES}
 
     def params_at(theta: np.ndarray) -> DetectorParams:
         return DetectorParams(**{**base_params, **dict(zip(free_param_names, map(float, theta)))})
 
-    solver = _StateSolver(h, free_bloch, base_bloch)
-    lo, hi = lo[len(free_bloch):], hi[len(free_bloch):]
+    solver = _StateSolver(h, free_bloch)
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
-    starts = list(_latin_hypercube(rng, n_starts, lo, hi))
-    if init is not None:
-        starts.insert(0, np.array([getattr(init.params, name) for name in free_param_names]))
+    starts = _latin_hypercube(rng, n_starts, lo, hi)
 
     best, failures = None, []
     for idx, x0 in enumerate(starts):
-        profile = _Profile(h, solver, params_at, lo, hi)
+        profile = _Profile(h, solver, params_at, free_param_names)
         try:
             res = least_squares(
                 profile.residuals, np.clip(x0, lo, hi), jac=profile.jacobian,
@@ -652,7 +577,7 @@ def fit(
             f"degenerate directions {report.degenerate_directions} at the "
             "fitted parameters"
         )
-    columns = np.hstack([profile.design, _difference_columns(profile.probs_at, theta, lo, hi)])
+    columns = np.hstack([profile.design, profile.columns()])
     return TomographyResult(
         bloch=b_fit,
         params=p_fit,

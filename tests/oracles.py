@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import expm
 from scipy.optimize import least_squares
 
 from switchsim import detector as det
@@ -49,6 +50,32 @@ def u_ns_half_angle_form(p: DetectorParams, t: float) -> np.ndarray:
         ],
         dtype=complex,
     )
+
+
+def van_loan_slopes(p: DetectorParams, rho: np.ndarray, t: float, names) -> np.ndarray:
+    """Derivatives of the survival and density trace forms,
+    (Tr{U^dag U rho}, Tr{U^dag Gamma U rho}), in each named parameter at
+    time t, shape (len(names), 2).
+
+    dU is the upper-right block of the Van Loan exponential
+    expm([[G, G'], [0, G]] t) = [[U, dU], [0, U]] (Van Loan, IEEE TAC 23,
+    1978), and d Tr{U^dag op U rho} = 2 Re Tr(rho U^dag op dU)
+    + Tr{U^dag op' U rho}, with Gamma' = -(G' + G'^dag).
+    """
+    g, gam = det.generator(p), det.rate_matrix(p)
+    out = []
+    for g_dot in det._generator_slopes(p, names):
+        block = np.zeros((4, 4), dtype=complex)
+        block[:2, :2] = block[2:, 2:] = g
+        block[:2, 2:] = g_dot
+        e = expm(block * t)
+        u, du = e[:2, :2], e[:2, 2:]
+        gam_dot = -(g_dot + m2.dag(g_dot))
+        out.append([
+            2.0 * m2.trace(rho @ m2.dag(u) @ du).real,
+            2.0 * m2.trace(rho @ m2.dag(u) @ gam @ du).real + m2.trace(m2.dag(u) @ gam_dot @ u @ rho).real,
+        ])
+    return np.array(out)
 
 
 def p_no_switch(p: DetectorParams, dt: float) -> np.ndarray:
@@ -293,6 +320,8 @@ def joint_free_fit(h, fixed: DetectorParams, free_params, bounds, n_starts: int 
     pseudo-inverse there.  The reference for the profiled free fit.
     """
     free, names, lo, hi = tomo.search_box(fixed, bounds, tomo.BLOCH_NAMES, free_params, n_starts)
+    # the Bloch components' box, [-1, 1] each, ahead of the parameters'
+    lo, hi = np.append(-np.ones(3), lo), np.append(np.ones(3), hi)
     observed = np.append(h.counts, h.no_switch_count).astype(float)
     base = {"gamma_L": fixed.gamma_L, "gamma_R": fixed.gamma_R, "beta": fixed.beta, "E": fixed.E}
 

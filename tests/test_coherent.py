@@ -122,3 +122,9 @@ class TestCoherentFidelity:
             make_params(-0.1)
         with pytest.raises(ValueError):
             coh.CoherentDetectorParams(0, 1, 0, 0, 0.5, rate_scale=-1.0)
+        # NaN fails every comparison, so only "not x > 0" rejects it
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                coh.CoherentDetectorParams(0, 1, 0, 0, 0.5, rate_scale=bad)
+            with pytest.raises(ValueError):
+                coh.CoherentDetectorParams(0, 1, 0, 0, 0.5, rate_scale=1.0, gamma1_cap=bad)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,14 @@ from switchsim import detector as det
 from switchsim import mat2 as m2
 from switchsim.errors import StepTooLargeError
 
-from oracles import integrate_matrix, p_no_switch, u_ham, u_ns_half_angle_form, u_ns_stepped
+from oracles import (
+    integrate_matrix,
+    p_no_switch,
+    u_ham,
+    u_ns_half_angle_form,
+    u_ns_stepped,
+    van_loan_slopes,
+)
 
 
 def random_params(rng, beta_range=(0.0, math.pi)):
@@ -467,3 +475,99 @@ def test_propagator_and_survival_over_parameter_box(gamma_l, gamma_r, beta, e, f
         lambda u: float(dens(u)), 0.0, tau, limit=200, epsabs=1e-10, epsrel=1e-10
     )
     assert float(s(tau)) + integral == pytest.approx(1.0, abs=1e-8)
+
+
+NAMES = ("gamma_L", "gamma_R", "beta", "E")
+SLOPE_CASES = (
+    (1.0, 5.0, math.pi / 4, 60.0),
+    (0.0, 10.0, math.pi / 3, 200.0),
+    (2.0, 8.0, 1.0, 20.0),
+    (1.0, 4.0, 0.6, 120.0),
+    (0.0, 4.0, math.pi / 2, 2.0),  # exceptional point: r = 0
+    (0.0, 4.0, math.pi / 2, 2.0 + 1e-7),  # 1e-7 from it
+    (0.0, 4.0, math.pi / 2, 1.9),  # |r t| = 0.09 at t = 0.3, by the series' edge
+    (0.0, 0.0, 0.3, 1.0),  # a detector that never switches
+)
+
+
+def survival_and_density_slopes(p, rhos, ts):
+    """The package's slopes of the trace forms with op = I and op = Gamma,
+    the latter with Gamma's own slope -(G' + G'^dag); shape
+    (len(NAMES), len(rhos), 2, len(ts))."""
+    g_dot = det._generator_slopes(p, NAMES)
+    gam_dot = -(g_dot + g_dot.conj().transpose(0, 2, 1))
+    forms = det._TraceForms(p, rhos, [np.eye(2), det.rate_matrix(p)])
+    op_slopes = np.stack((np.zeros_like(gam_dot), gam_dot), axis=1)
+    slopes = forms.slopes(NAMES, ts, forms.propagator.coefficients(ts), op_slopes)
+    return slopes.reshape(len(NAMES), len(rhos), 2, len(ts))
+
+
+def slope_bound(p, t, ref):
+    """The bound of test_propagator_and_survival_over_parameter_box,
+    1e-12 max(1, |G| t / 1e3) max(1, gamma_L, gamma_R), relative to the
+    slope where it exceeds 1."""
+    g_norm = np.linalg.norm(det.generator(p), 2)
+    bound = 1e-12 * max(1.0, g_norm * t / 1e3) * max(1.0, p.gamma_L, p.gamma_R)
+    return bound * np.maximum(1.0, np.abs(ref))
+
+
+class TestSlopes:
+    @pytest.mark.parametrize("params", SLOPE_CASES)
+    def test_generator_slopes_match_differences(self, params):
+        # G is linear in the rates and E, so a one-sided difference at a
+        # zero rate is as good as a central one
+        p = det.DetectorParams(*params)
+        g_dot = det._generator_slopes(p, NAMES)
+        for j, name in enumerate(NAMES):
+            v = getattr(p, name)
+            h = 1e-6 * max(1.0, abs(v))
+            hi, lo = (
+                dataclasses.replace(p, **{name: x}) for x in (v + h, max(v - h, 0.0))
+            )
+            step = getattr(hi, name) - getattr(lo, name)
+            tol = 1e-8 * max(1.0, p.gamma_L, p.gamma_R, p.E)
+            np.testing.assert_allclose(
+                g_dot[j], (det.generator(hi) - det.generator(lo)) / step, rtol=0, atol=tol
+            )
+            np.testing.assert_allclose(
+                -(g_dot[j] + m2.dag(g_dot[j])),
+                (det.rate_matrix(hi) - det.rate_matrix(lo)) / step,
+                rtol=0,
+                atol=tol,
+            )
+
+    @pytest.mark.parametrize("params", SLOPE_CASES)
+    def test_match_van_loan_block(self, params):
+        p = det.DetectorParams(*params)
+        rhos = [
+            m2.projector(m2.pure_state(0.6, 0.8j)),
+            0.5 * np.eye(2, dtype=complex),
+            np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, 0.7]]),
+        ]
+        ts = np.array([0.01, 0.3, 1.2])
+        got = survival_and_density_slopes(p, rhos, ts)
+        for i, rho in enumerate(rhos):
+            for k, t in enumerate(ts):
+                ref = van_loan_slopes(p, rho, t, NAMES)
+                assert np.all(np.abs(got[:, i, :, k] - ref) <= slope_bound(p, t, ref))
+
+
+@settings(max_examples=200)
+@given(
+    rates,
+    rates,
+    st.floats(0.0, math.pi),
+    st.floats(0.0, 1000.0),
+    st.floats(0.0, 1.0),
+    st.tuples(unit, unit, unit, unit).filter(lambda v: sum(x * x for x in v) > 1e-6),
+)
+def test_slopes_over_parameter_box(gamma_l, gamma_r, beta, e, frac, amps):
+    """The survival and density slopes match the Van Loan block at any
+    admissible parameters, over 30 decay times as in
+    test_propagator_and_survival_over_parameter_box."""
+    p = det.DetectorParams(gamma_l, gamma_r, beta, e)
+    t = frac * 30.0 / max(p.gamma_plus, 1e-3)
+    rho = m2.projector(m2.pure_state(amps[0] + 1j * amps[1], amps[2] + 1j * amps[3]))
+    got = survival_and_density_slopes(p, [rho], np.array([t]))[:, 0, :, 0]
+    ref = van_loan_slopes(p, rho, t, NAMES)
+    assert np.all(np.abs(got - ref) <= slope_bound(p, t, ref))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from switchsim import detector as det
 from switchsim import mat2 as m2
@@ -252,6 +253,21 @@ class TestOverallFidelityNumeric:
             f = meas.overall_fidelity_numeric(p, math.inf, resolved)
             assert 0.0 <= f <= 1.0
             assert f == pytest.approx(meas.overall_fidelity_numeric(p, 12.0, resolved), abs=1e-8)
+
+    @pytest.mark.parametrize("beta", [math.pi / 4, 0.3])
+    @pytest.mark.parametrize("tau", [1.0, 50.0, math.inf])
+    def test_one_sided_long_pulses(self, beta, tau):
+        # criterion 05's one-sided detector: Gamma has rank one, so the
+        # switching integrand, half the gap of U^dag Gamma U, is half its
+        # trace, -dS/dt of the mixed state, and the fidelity is
+        # 1 - S(tau) + half the gap of U^dag U(tau), one less the smaller
+        # eigenvalue of U^dag U(tau); tau = 50 spans ~800 precession periods
+        p = det.DetectorParams(0.0, 1.0, beta, 100.0)
+        expected = 1.0
+        if tau < math.inf:
+            u = expm(det.generator(p) * tau)
+            expected = 1.0 - np.linalg.eigvalsh(m2.dag(u) @ u)[0]
+        assert meas.overall_fidelity_numeric(p, tau) == pytest.approx(expected, abs=1e-10)
 
     def test_detector_that_never_switches(self):
         p = det.DetectorParams(0.0, 0.0, 0.3, 1.0)

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from switchsim import detector as det
+from switchsim import mat2 as m2
 from switchsim import tomography as tomo
 from switchsim import trajectory as traj
 from switchsim.errors import (
@@ -27,6 +29,12 @@ CONFIGS = (
 )
 # a state per configuration, inside the ball
 CONFIG_STATES = ((0.3, -0.4, 0.5), (-0.5, 0.2, 0.4), (0.1, 0.6, -0.3), (-0.2, -0.5, -0.5))
+
+
+def cell_rows(p, edges):
+    """The free fit's cell rows at one parameter point: the survival
+    differences of rho = I/2 and of the three traceless Bloch directions."""
+    return tomo._cells(det._TraceForms(p, tomo._CELL_STATES, [m2.IDENTITY])(edges))
 
 
 def synthesize(p, bloch, n_traj, seed, tau=1.2, n_bins=150):
@@ -288,10 +296,36 @@ class TestStateFit:
     def test_cell_rows_match_survival_function(self, params):
         p = det.DetectorParams(*params)
         edges = np.linspace(0.0, 3.0, 41)
-        rows = tomo._cell_rows(p, edges)
+        rows = cell_rows(p, edges)
         for row, rho in zip(rows, (tomo._MIXED, *tomo._BLOCH_BASIS.values())):
             surv = det.survival_function(p, rho)(edges)
             np.testing.assert_allclose(row, np.append(-np.diff(surv), surv[-1]), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("k", range(len(CONFIGS)))
+    def test_cell_slopes_match_differences(self, k):
+        """The free fit's parameter columns, the slopes of the cell
+        probabilities at fixed b*, agree with central differences of the
+        cell rows (every parameter not at 0, where a central difference
+        would leave the admissible box)."""
+        p = det.DetectorParams(*CONFIGS[k])
+        h = multinomial_histogram(p, tomo.BlochComponents(*CONFIG_STATES[k]), seed=k)
+        names = tuple(name for name in tomo.PARAM_NAMES if getattr(p, name) > 0.0)
+        theta = np.array([getattr(p, name) for name in names])
+
+        def params_at(theta):
+            return dataclasses.replace(p, **dict(zip(names, map(float, theta))))
+
+        profile = tomo._Profile(h, tomo._StateSolver(h, tomo.BLOCH_NAMES), params_at, names)
+        columns = profile.at(theta).columns()
+        weights = np.append(1.0, profile.b)
+        for j, value in enumerate(theta):
+            step = 1e-6 * max(1.0, abs(value))
+            up, down = theta.copy(), theta.copy()
+            up[j] += step
+            down[j] -= step
+            rows = [cell_rows(params_at(x), h.bin_edges) for x in (up, down)]
+            diff = weights @ (rows[0] - rows[1]) / (2.0 * step)
+            np.testing.assert_allclose(columns[:, j], diff, rtol=0, atol=1e-7 * np.abs(diff).max())
 
     @pytest.mark.parametrize("k", range(len(CONFIGS)))
     def test_matches_multistart_reference(self, k):
