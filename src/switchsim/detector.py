@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import StepTooLargeError
-from .mat2 import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, dag, normalize_phase
+from .mat2 import IDENTITY, dag, normalize_phase
 
 
 @dataclass(frozen=True)
@@ -338,36 +338,6 @@ def _survival_and_density(
     """Array of times -> rows (S, -dS/dt): both trace forms on one evaluation
     of the coefficients, for solvers that need the value and slope together."""
     return _TraceForms(p, [rho0], [IDENTITY, rate_matrix(p)])
-
-
-def _half_gap(p: DetectorParams, op: np.ndarray) -> Callable[[float], float]:
-    """Float t -> half the eigenvalue gap of U_ns(t)^dag op U_ns(t), op Hermitian.
-
-    That is the length of the matrix's traceless part, whose Pauli
-    components are the trace forms with rho = sigma_k / 2: the product with
-    their weights is unrolled, as quad calls this once per node.  The sum of
-    squares keeps a closing gap exact to rounding, where sqrt((tr/2)^2 - det)
-    would lose half the digits.  The function carries its `propagator`.
-    """
-    forms = _TraceForms(p, 0.5 * np.array([SIGMA_X, SIGMA_Y, SIGMA_Z]), [op])
-    w_cc, w_re, w_im, w_ss = forms.weights
-    # b = w_re - i w_im = 2 Tr(op N rho): one complex product gives both middle terms
-    (ax, bx, dx), (ay, by, dy), (az, bz, dz) = zip(
-        w_cc.tolist(), (w_re - 1j * w_im).tolist(), w_ss.tolist()
-    )
-    coefficients = forms.propagator.coefficients
-
-    def f(t: float) -> float:
-        c, s = coefficients(t)
-        c_bar = c.conjugate()
-        cc, cs, ss = (c * c_bar).real, c_bar * s, (s * s.conjugate()).real
-        wx = cc * ax + (cs * bx).real + ss * dx
-        wy = cc * ay + (cs * by).real + ss * dy
-        wz = cc * az + (cs * bz).real + ss * dz
-        return math.sqrt(wx * wx + wy * wy + wz * wz)
-
-    f.propagator = forms.propagator
-    return f
 
 
 def survival_function(

@@ -128,13 +128,14 @@ def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> EigResult:
 
     Returns eigenvalues sorted descending with orthonormal eigenvectors in
     the fixed global-phase convention.  When the spectrum is degenerate
-    (relative discriminant below tolerance) eigenvector selection is
+    (discriminant below tolerance relative to the squared norm, so the
+    test is the same for every multiple of m) eigenvector selection is
     numerically meaningless, so the canonical basis is returned and the
     degeneracy flag is set.
     """
     m = np.asarray(m, dtype=complex)
-    scale = max(norm2(m), 1.0)
-    if np.max(np.abs(m - dag(m))) > tol * scale:
+    nrm = norm2(m)
+    if np.max(np.abs(m - dag(m))) > tol * max(nrm, 1.0):
         raise NonHermitianError("matrix is not Hermitian within tolerance")
 
     a = m[0, 0].real
@@ -143,7 +144,7 @@ def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> EigResult:
     half_diff = 0.5 * (a - d)
     mid = 0.5 * (a + d)
     disc = half_diff * half_diff + (b * b.conjugate()).real
-    if disc < EIG_DEGENERATE_TOL * scale * scale:
+    if disc <= EIG_DEGENERATE_TOL * nrm * nrm:
         return EigResult(mid, mid, KET_0.copy(), KET_1.copy(), True)
 
     root = float(np.sqrt(disc))

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import mat2 as m2
-from .detector import DetectorParams, _half_gap, rate_matrix
+from .detector import DetectorParams, _TraceForms, rate_matrix
 from .errors import (
     DegenerateRatesError,
     FlatObjectiveError,
@@ -136,6 +135,81 @@ def outcome_fidelity(d: MeasurementDecomposition) -> float:
     return (d.p1 - d.p2) / total
 
 
+# QUADPACK's qk21 rule (Piessens et al., QUADPACK, 1983): the Kronrod nodes
+# in (0, 1], descending, and their weights, then the weight of the node 0;
+# the 10-point Gauss rule uses every second node, from the first
+_KRONROD_HALF_NODES = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+)
+_KRONROD_HALF_WEIGHTS = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208048952225, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_GAUSS_HALF_WEIGHTS = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+# the 21 nodes on [-1, 1] in ascending order, and the columns of weights
+# whose sums give K21 and K21 - G10
+_NODES = np.concatenate((np.negative(_KRONROD_HALF_NODES), [0.0], _KRONROD_HALF_NODES[::-1]))
+_WEIGHTS = np.stack((np.concatenate((_KRONROD_HALF_WEIGHTS, _KRONROD_HALF_WEIGHTS[-2::-1])),) * 2, axis=1)
+_WEIGHTS[1::2, 1] -= np.concatenate((_GAUSS_HALF_WEIGHTS, _GAUSS_HALF_WEIGHTS[::-1]))
+
+_PANELS_PER_PIECE = 16
+_PANEL_TOL = 1e-12  # the error allowed to all panels together, shared by width
+_MAX_ROUNDS = 40
+_MAX_PANELS = 1 << 14
+
+
+def _adaptive_kronrod(f, edges: np.ndarray) -> float:
+    """Integral of f over the panels between consecutive edges, by adaptive
+    Gauss-Kronrod quadrature; f maps an array of points to the integrand.
+
+    Each round evaluates the 21 nodes of every open panel in one call of f.
+    A panel whose |K21 - G10| exceeds _PANEL_TOL times its share of the
+    range is halved for the next round; the others are accepted.  After
+    _MAX_ROUNDS rounds, or once halving would open more than _MAX_PANELS
+    panels, every open panel is accepted as it stands.  The summed |K21 - G10|
+    of the accepted panels is the error estimate: above QUADRATURE_TOL it
+    raises QuadratureFailureError, so a capped run fails rather than
+    returning a poor value.
+    """
+    lo, hi = edges[:-1], edges[1:]
+    tol = _PANEL_TOL / (edges[-1] - edges[0])
+    integral = err = 0.0
+    for round_ in range(1, _MAX_ROUNDS + 1):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        vals = f((mid[:, None] + half[:, None] * _NODES).ravel()).reshape(-1, _NODES.size)
+        kronrod, diff = (vals @ _WEIGHTS).T * half
+        diff = np.abs(diff)
+        split = diff > 2.0 * tol * half
+        if round_ == _MAX_ROUNDS or 2 * np.count_nonzero(split) > _MAX_PANELS:
+            split[:] = False  # the cap: every open panel is accepted as it stands
+        done = ~split
+        integral += kronrod[done].sum()
+        err += diff[done].sum()
+        if done.all():
+            break
+        lo, mid, hi = lo[split], mid[split], hi[split]
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+    if err > QUADRATURE_TOL:
+        raise QuadratureFailureError(f"quadrature error estimate {err} above target")
+    return float(integral)
+
+
+# rho = sigma_k / 2 for k = x, y, z, then I / 2
+_HALF_PAULIS = 0.5 * np.array([m2.SIGMA_X, m2.SIGMA_Y, m2.SIGMA_Z, m2.IDENTITY])
+
+
 def overall_fidelity_numeric(
     p: DetectorParams, tau: float, resolve_switch_time: bool = True
 ) -> float:
@@ -147,36 +221,48 @@ def overall_fidelity_numeric(
     of the per-time switching matrix U^dag Gamma U); the no-switch record
     adds half the gap of U^dag U.  Without resolution only "switched during
     the pulse" vs "did not" is known, and the two measurement matrices
-    share one eigenbasis gap.  Valid at any probe angle and energy.
+    share one eigenbasis gap.  Valid at any probe angle and energy, and for
+    an unbounded pulse.  _adaptive_kronrod takes the integral up to 40/|m|,
+    a closed form the rest.
     """
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     if p.gamma_L == 0.0 and p.gamma_R == 0.0:
         return 0.0  # a detector that never switches gives no information
-    no_switch = _half_gap(p, m2.IDENTITY)(float(tau))
+    # half the gap of a Hermitian U^dag op U is the length of its traceless
+    # part, whose Pauli components are the trace forms with rho = sigma_k / 2.
+    # The sum of squares keeps a closing gap exact to rounding, where
+    # sqrt((tr/2)^2 - det) would lose half the digits.  Rows: (rho, op) for
+    # op = Gamma, I; the last is S(t), the survival of the mixed state.
+    forms = _TraceForms(p, _HALF_PAULIS, [rate_matrix(p), m2.IDENTITY])
+
+    def half_gap(rows, op):
+        x, y, z = rows[op:6:2]
+        return np.sqrt(x * x + y * y + z * z)
+
+    at_tau = forms(float(tau))
+    no_switch = float(half_gap(at_tau, 1))
     if not resolve_switch_time:
         return min(2.0 * no_switch, 1.0)
 
-    integrand = _half_gap(p, rate_matrix(p))
-    # the integrand oscillates with period pi/|Im r| under e^{2mt}, and quad
-    # loses its accuracy over many periods: up to 40/|m| it runs in pieces
-    # of at most 10 (and at most 1000 pieces), then once over the tail
-    horizon = min(tau, 40.0 / -integrand.propagator.m)
-    n = min(max(math.ceil(horizon * abs(integrand.propagator.r.imag) / (10 * math.pi)), 1), 1000)
-    pieces = [horizon * k / n for k in range(n)] + [horizon] + ([tau] if tau > horizon else [])
+    # the integrand oscillates with period pi/|Im r| under e^{2mt}: up to
+    # 40/|m| the range starts as pieces of at most 10 periods (and at most
+    # 1000 pieces), each cut into equal panels
+    prop = forms.propagator
+    horizon = min(tau, 40.0 / -prop.m)
+    pieces = min(max(math.ceil(horizon * abs(prop.r.imag) / (10 * math.pi)), 1), 1000)
+    edges = np.linspace(0.0, horizon, _PANELS_PER_PIECE * pieces + 1)
     if p.beta == 0.0 and p.gamma_L > 0.0 and p.gamma_R > 0.0 and p.gamma_L != p.gamma_R:
         t0 = case1_tau0(p)
-        if t0 < tau:
-            # fidelity kink: split the quadrature there, by hand, as quad
-            # takes no break points on an infinite range
-            pieces = sorted({*pieces, t0})
-    integral = err = 0.0
-    for lo, hi in zip(pieces, pieces[1:]):
-        part, part_err = quad(integrand, lo, hi, limit=300, epsabs=1e-12, epsrel=1e-12)
-        integral += part
-        err += part_err
-    if err > QUADRATURE_TOL:
-        raise QuadratureFailureError(f"quadrature error estimate {err} above target")
+        if t0 < horizon:
+            edges = np.union1d(edges, t0)  # the fidelity's kink is a panel edge
+    integral = _adaptive_kronrod(lambda t: half_gap(forms(t), 0), edges)
+    if tau > horizon:
+        # beyond 40/|m| the smaller eigenvalue of U^dag Gamma U is at most
+        # ||Gamma|| sigma_min(U)^2 <= ||Gamma|| |det U| = ||Gamma|| e^{2mt},
+        # below e^{-80} ||Gamma||: half the gap is half the trace, -dS/dt,
+        # so the tail is S(horizon) - S(tau) to within 1e-34
+        integral += forms(horizon)[-1] - at_tau[-1]
     return min(integral + no_switch, 1.0)
 
 

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import switchsim
 from switchsim import cli
 from switchsim import detector as det
 from switchsim import tomography as tomo
@@ -287,3 +291,15 @@ class TestParser:
         cli._apply_set(cfg, 'c=["x"]')
         cli._apply_set(cfg, "d=text")
         assert cfg == {"a": {"b": 3}, "c": ["x"], "d": "text"}
+
+
+def test_import_leaves_out_scipy_integrate():
+    # the package integrates with its own Gauss-Kronrod rule; importing
+    # scipy.integrate would only lengthen every start-up
+    src = os.path.dirname(os.path.dirname(switchsim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, switchsim, switchsim.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    assert out.stdout.strip() == "False"

@@ -43,6 +43,25 @@ class TestHermitianEig:
         with pytest.raises(NonHermitianError):
             m2.hermitian_eig(m2.mat2(0, 1, 0, 0))
 
+    @pytest.mark.parametrize("c", [1e-12, 1e-6, 1.0, 1e6])
+    def test_scale_invariant(self, c):
+        # the degeneracy test is relative to the norm, so a plainly split
+        # matrix stays split, with the same eigenvectors, at any scale, and a
+        # multiple of the identity stays degenerate
+        h = np.array([[2.0, 0.5 - 0.3j], [0.5 + 0.3j, 1.0]])
+        ref = m2.hermitian_eig(h)
+        r = m2.hermitian_eig(c * h)
+        assert not r.degenerate
+        assert r.eval_hi == pytest.approx(c * ref.eval_hi, rel=1e-12)
+        assert r.eval_lo == pytest.approx(c * ref.eval_lo, rel=1e-12)
+        np.testing.assert_allclose(r.evec_hi, ref.evec_hi, atol=1e-12)
+        np.testing.assert_allclose(r.evec_lo, ref.evec_lo, atol=1e-12)
+        assert m2.hermitian_eig(c * m2.IDENTITY).degenerate
+
+    def test_zero_matrix_degenerate(self):
+        r = m2.hermitian_eig(np.zeros((2, 2), dtype=complex))
+        assert r.degenerate and r.eval_hi == r.eval_lo == 0.0
+
     def test_reconstruction_random(self):
         rng = np.random.default_rng(7)
         for _ in range(500):

@@ -12,6 +12,7 @@ from switchsim import measurement as meas
 from switchsim.errors import (
     DegenerateRatesError,
     FlatObjectiveError,
+    QuadratureFailureError,
     WrongRegimeError,
     ZeroOutcomeProbabilityError,
     ZeroRateError,
@@ -22,6 +23,7 @@ from oracles import (
     basis_azimuth,
     grid_then_golden_max,
     overall_fidelity_products,
+    overall_fidelity_quad,
     purity_equals_fidelity_check,
 )
 
@@ -115,6 +117,29 @@ class TestDecompose:
                     d.rotation @ m2.dag(d.rotation), np.eye(2), atol=1e-8
                 )
 
+    def test_decayed_propagator(self):
+        # |U^dag U| ~ 2e-10: the degeneracy test is relative to its norm,
+        # where a floor at 1 once declared it degenerate, with fidelity 0
+        p = det.DetectorParams(9.933512897570578, 8.306646083373286, 3.035131733943077, 93.03816119609711)
+        u = det.u_ns(p, 2.686857100327199)
+        low, high = np.linalg.eigvalsh(m2.dag(u) @ u)
+        d = meas.decompose(u)
+        assert not d.degenerate
+        assert d.p1 == pytest.approx(high, rel=1e-10)
+        assert d.p2 == pytest.approx(low, rel=1e-8)
+        assert meas.outcome_fidelity(d) == pytest.approx((high - low) / (high + low), abs=1e-10)
+        assert np.max(np.abs(meas.reconstruct(d) - u)) <= 1e-10 * m2.norm2(u)
+
+    def test_round_trip_propagators(self):
+        # no-switch propagators decay to any scale; the round trip holds at each
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            rates = rng.uniform(0.0, 10.0, 2)
+            p = det.DetectorParams(*rates, rng.uniform(0.0, math.pi), rng.uniform(0.0, 100.0))
+            u = det.u_ns(p, float(rng.uniform(0.0, 3.0)))
+            err = np.max(np.abs(meas.reconstruct(meas.decompose(u)) - u))
+            assert err <= 1e-10 * m2.norm2(u)
+
     def test_rank_one_operator(self):
         p = det.DetectorParams(0.0, 2.0, 0.9, 50.0)
         d = meas.decompose(det.u_s(p, 0.7, 0.01))
@@ -185,6 +210,55 @@ class TestPurityFidelityEquivalence:
                 continue
             fid, pur = purity_equals_fidelity_check(u)
             assert fid == pytest.approx(pur, abs=1e-10)
+
+
+SPECIAL_POINTS = [
+    ((0.0, 4.0, math.pi / 2, 2.0), 0.3),  # exceptional point: G defective
+    ((0.0, 4.0, math.pi / 2, 2.0), 2.5),
+    ((1.0, 10.0, 0.0, 2.0), 1.0),  # beta = 0: a panel edge at case1_tau0
+    ((1.0, 10.0, 0.0, 2.0), 0.1),  # beta = 0 with tau below case1_tau0
+]
+
+
+class TestAdaptiveKronrod:
+    def test_rule(self):
+        # K21 is exact for polynomials to degree 31; G10 uses every second
+        # node with the Gauss-Legendre weights
+        x = meas._NODES
+        kronrod, error = meas._WEIGHTS.T
+        for degree in range(32):
+            exact = (1.0 - (-1.0) ** (degree + 1)) / (degree + 1)
+            assert np.sum(kronrod * x**degree) == pytest.approx(exact, abs=1e-15)
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        np.testing.assert_allclose(x[1::2], nodes, rtol=0, atol=1e-15)
+        np.testing.assert_allclose((kronrod - error)[1::2], weights, rtol=0, atol=1e-15)
+        assert np.all(kronrod[0::2] == error[0::2])
+
+    def test_round_cap_raises(self):
+        # the panel at the 1/sqrt(t) singularity never meets its share of
+        # the tolerance, so the rounds run out with its estimate too large
+        sizes = []
+
+        def f(t):
+            sizes.append(t.size)
+            return 1.0 / np.sqrt(t)
+
+        with pytest.raises(QuadratureFailureError):
+            meas._adaptive_kronrod(f, np.array([0.0, 1.0]))
+        assert len(sizes) == meas._MAX_ROUNDS
+
+    def test_panel_cap_raises(self):
+        # noise splits every panel in every round, until the panel cap
+        rng = np.random.default_rng(0)
+        sizes = []
+
+        def f(t):
+            sizes.append(t.size // meas._NODES.size)
+            return rng.random(t.size)
+
+        with pytest.raises(QuadratureFailureError):
+            meas._adaptive_kronrod(f, np.array([0.0, 1.0]))
+        assert sizes[-1] == meas._MAX_PANELS and len(sizes) < meas._MAX_ROUNDS
 
 
 class TestOverallFidelityNumeric:
@@ -275,21 +349,54 @@ class TestOverallFidelityNumeric:
             for tau in (1.0, math.inf):
                 assert meas.overall_fidelity_numeric(p, tau, resolved) == 0.0
 
-    @pytest.mark.parametrize(
-        "params, tau",
-        [
-            ((0.0, 4.0, math.pi / 2, 2.0), 0.3),  # exceptional point: G defective
-            ((0.0, 4.0, math.pi / 2, 2.0), 2.5),
-            ((1.0, 10.0, 0.0, 2.0), 1.0),  # beta = 0: quadrature split at case1_tau0
-            ((1.0, 10.0, 0.0, 2.0), 0.1),  # beta = 0 with tau below case1_tau0
-        ],
-    )
+    @pytest.mark.parametrize("params, tau", SPECIAL_POINTS)
     def test_matches_products_at_special_points(self, params, tau):
         p = det.DetectorParams(*params)
         for resolved in (True, False):
             assert meas.overall_fidelity_numeric(p, tau, resolved) == pytest.approx(
                 overall_fidelity_products(p, tau, resolved), abs=QUADRATURE_TOL
             )
+
+    @pytest.mark.parametrize("params, tau", SPECIAL_POINTS)
+    def test_matches_quad_at_special_points(self, params, tau):
+        p = det.DetectorParams(*params)
+        for resolved in (True, False):
+            assert meas.overall_fidelity_numeric(p, tau, resolved) == pytest.approx(
+                overall_fidelity_quad(p, tau, resolved), abs=1e-12
+            )
+
+    def test_matches_quad_on_curves_grid(self):
+        # the curves workload's sweep: (gamma_L, gamma_R, E, tau) = (1, 10, 30, 1)
+        for beta in np.linspace(0.0, math.pi / 2, 101):
+            p = det.DetectorParams(1.0, 10.0, float(beta), 30.0)
+            assert meas.overall_fidelity_numeric(p, 1.0) == pytest.approx(
+                overall_fidelity_quad(p, 1.0), abs=1e-12
+            )
+
+    @pytest.mark.parametrize("beta", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+    def test_matches_quad_as_gap_closes(self, beta):
+        # at beta = 0 the gap of U^dag Gamma U closes at case1_tau0; near it,
+        # it nearly closes, and the panels there are halved many times
+        p = det.DetectorParams(1.0, 10.0, beta, 30.0)
+        assert meas.overall_fidelity_numeric(p, 1.0) == pytest.approx(
+            overall_fidelity_quad(p, 1.0), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("gamma_l", [1e-9, 1e-5])
+    @pytest.mark.parametrize("tau", [1e6, math.inf])
+    def test_nearly_dark_long_pulses(self, gamma_l, tau):
+        # |0> switches only after ~1/gamma_L, far beyond 40/|m| = 8: the tail
+        # carries that switch.  Past case1_tau0 the resolved fidelity of an
+        # aligned probe stays at its maximum
+        p = det.DetectorParams(gamma_l, 10.0, 0.0, 30.0)
+        assert meas.overall_fidelity_numeric(p, tau) == pytest.approx(
+            meas.two_rate_overall_fidelity(gamma_l, 10.0), abs=1e-10
+        )
+
+    def test_repeats_exactly(self):
+        p = det.DetectorParams(1.0, 10.0, 0.3, 30.0)
+        first = meas.overall_fidelity_numeric(p, 1.0)
+        assert all(meas.overall_fidelity_numeric(p, 1.0) == first for _ in range(5))
 
     @settings(max_examples=200)
     @given(
