@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import dataclasses
 import json
 import math
 import sys
@@ -386,7 +387,8 @@ def main(argv=None) -> int:
         print(f"not identifiable: {exc}", file=sys.stderr)
         return EXIT_NOT_IDENTIFIABLE
     except NoConvergenceError as exc:
-        _write_json(out / "tomography.json", {"converged": False, "error": str(exc)})
+        starts = [dataclasses.asdict(start) for start in exc.starts]
+        _write_json(out / "tomography.json", {"converged": False, "error": str(exc), "starts": starts})
         print(f"fit failed: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except (SwitchSimError, ValueError) as exc:

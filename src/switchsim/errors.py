@@ -63,7 +63,11 @@ class NotIdentifiableError(SwitchSimError):
 
 
 class NoConvergenceError(SwitchSimError):
-    """All fit starts failed to converge."""
+    """All fit starts failed to converge; `starts` holds each start's record."""
+
+    def __init__(self, message: str, starts=()):
+        super().__init__(message)
+        self.starts = tuple(starts)
 
 
 class UnphysicalBlochError(SwitchSimError):

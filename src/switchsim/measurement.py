@@ -167,40 +167,43 @@ _WEIGHTS[1::2, 1] -= np.concatenate((_GAUSS_HALF_WEIGHTS, _GAUSS_HALF_WEIGHTS[::
 _PANELS_PER_PIECE = 16
 _PANEL_TOL = 1e-12  # the error allowed to all panels together, shared by width
 _MAX_ROUNDS = 40
-_MAX_PANELS = 1 << 14
+_MAX_PANELS = 1 << 12  # open panels per round: ~20 MB of trace-form temporaries
 
 
 def _adaptive_kronrod(f, edges: np.ndarray) -> float:
     """Integral of f over the panels between consecutive edges, by adaptive
     Gauss-Kronrod quadrature; f maps an array of points to the integrand.
 
-    Each round evaluates the 21 nodes of every open panel in one call of f.
-    A panel whose |K21 - G10| exceeds _PANEL_TOL times its share of the
-    range is halved for the next round; the others are accepted.  After
-    _MAX_ROUNDS rounds, or once halving would open more than _MAX_PANELS
-    panels, every open panel is accepted as it stands.  The summed |K21 - G10|
-    of the accepted panels is the error estimate: above QUADRATURE_TOL it
-    raises QuadratureFailureError, so a capped run fails rather than
-    returning a poor value.
+    The panels are taken in batches of at most _MAX_PANELS, which bounds
+    the memory of a long range.  Each round evaluates the 21 nodes of every
+    open panel of a batch in one call of f.  A panel whose |K21 - G10|
+    exceeds _PANEL_TOL times its share of the whole range is halved for the
+    next round; the others are accepted.  After _MAX_ROUNDS rounds, or once
+    halving would open more than _MAX_PANELS panels, every open panel is
+    accepted as it stands.  The summed |K21 - G10| of the accepted panels
+    of all batches is the error estimate: above QUADRATURE_TOL it raises
+    QuadratureFailureError, so a capped run fails rather than returning a
+    poor value.
     """
-    lo, hi = edges[:-1], edges[1:]
     tol = _PANEL_TOL / (edges[-1] - edges[0])
     integral = err = 0.0
-    for round_ in range(1, _MAX_ROUNDS + 1):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        vals = f((mid[:, None] + half[:, None] * _NODES).ravel()).reshape(-1, _NODES.size)
-        kronrod, diff = (vals @ _WEIGHTS).T * half
-        diff = np.abs(diff)
-        split = diff > 2.0 * tol * half
-        if round_ == _MAX_ROUNDS or 2 * np.count_nonzero(split) > _MAX_PANELS:
-            split[:] = False  # the cap: every open panel is accepted as it stands
-        done = ~split
-        integral += kronrod[done].sum()
-        err += diff[done].sum()
-        if done.all():
-            break
-        lo, mid, hi = lo[split], mid[split], hi[split]
-        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+    for first in range(0, edges.size - 1, _MAX_PANELS):
+        lo, hi = edges[:-1][first : first + _MAX_PANELS], edges[1:][first : first + _MAX_PANELS]
+        for round_ in range(1, _MAX_ROUNDS + 1):
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            vals = f((mid[:, None] + half[:, None] * _NODES).ravel()).reshape(-1, _NODES.size)
+            kronrod, diff = (vals @ _WEIGHTS).T * half
+            diff = np.abs(diff)
+            split = diff > 2.0 * tol * half
+            if round_ == _MAX_ROUNDS or 2 * np.count_nonzero(split) > _MAX_PANELS:
+                split[:] = False  # the cap: every open panel is accepted as it stands
+            done = ~split
+            integral += kronrod[done].sum()
+            err += diff[done].sum()
+            if done.all():
+                break
+            lo, mid, hi = lo[split], mid[split], hi[split]
+            lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
     if err > QUADRATURE_TOL:
         raise QuadratureFailureError(f"quadrature error estimate {err} above target")
     return float(integral)
@@ -246,11 +249,11 @@ def overall_fidelity_numeric(
         return min(2.0 * no_switch, 1.0)
 
     # the integrand oscillates with period pi/|Im r| under e^{2mt}: up to
-    # 40/|m| the range starts as pieces of at most 10 periods (and at most
-    # 1000 pieces), each cut into equal panels
+    # 40/|m| the range starts as pieces of at most 10 periods, each cut into
+    # equal panels
     prop = forms.propagator
     horizon = min(tau, 40.0 / -prop.m)
-    pieces = min(max(math.ceil(horizon * abs(prop.r.imag) / (10 * math.pi)), 1), 1000)
+    pieces = max(math.ceil(horizon * abs(prop.r.imag) / (10 * math.pi)), 1)
     edges = np.linspace(0.0, horizon, _PANELS_PER_PIECE * pieces + 1)
     if p.beta == 0.0 and p.gamma_L > 0.0 and p.gamma_R > 0.0 and p.gamma_L != p.gamma_R:
         t0 = case1_tau0(p)

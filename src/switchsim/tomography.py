@@ -12,7 +12,7 @@ which directions the data cannot see.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -80,6 +80,22 @@ class BlochComponents:
 
 
 @dataclass(frozen=True)
+class FitStart:
+    """How one free-parameter start ended: its starting point and what
+    least_squares returned (status, nfev, njev, the deviance and
+    max|J^T r| at its end), or the text of the exception it raised."""
+
+    x0: tuple[float, ...]
+    status: Optional[int] = None
+    nfev: Optional[int] = None
+    njev: Optional[int] = None
+    deviance: Optional[float] = None
+    grad_max: Optional[float] = None
+    converged: bool = False
+    error: Optional[str] = None
+
+
+@dataclass(frozen=True)
 class TomographyResult:
     bloch: BlochComponents
     params: DetectorParams
@@ -88,6 +104,9 @@ class TomographyResult:
     chi2: float
     dof: int
     free_names: tuple[str, ...]
+    # free-parameter fits only: one record per start, and the winner's index
+    starts: tuple[FitStart, ...] = ()
+    best_start: Optional[int] = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -103,6 +122,8 @@ class TomographyResult:
             "dof": int(self.dof),
             "converged": bool(self.converged),
             "free_names": list(self.free_names),
+            "starts": [asdict(start) for start in self.starts],
+            "best_start": self.best_start,
         }
 
 
@@ -496,8 +517,12 @@ def fit(
     deviance with index tie-break.  `converged` holds when the profiled
     gradient is below FIT_GRADIENT_TOL times the histogram total, the
     parameters lie strictly inside their box, and the inner solve meets
-    its KKT test.  A start that raises is recorded; NoConvergenceError
-    lists the records when every start fails.
+    its KKT test.  Each start stops once its (bound-scaled) profiled
+    gradient is a tenth of that threshold, before the deviance flattens to
+    its rounding floor.  Every start leaves a FitStart record in `starts`,
+    the winner's index in `best_start`; a start that raises records the
+    exception, and NoConvergenceError carries the records when every
+    start fails.
 
     The covariance is the inverse Fisher information at the optimum, over
     the free names in `free_names` order; its columns are exact, the
@@ -532,20 +557,23 @@ def fit(
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
     starts = _latin_hypercube(rng, n_starts, lo, hi)
 
-    best, failures = None, []
+    best, records = None, []
     for idx, x0 in enumerate(starts):
+        x0 = tuple(map(float, np.clip(x0, lo, hi)))
         profile = _Profile(h, solver, params_at, free_param_names)
         try:
+            # stop on the profiled gradient, at a tenth of `converged`'s bound
+            # below, before the deviance flattens to its rounding floor
             res = least_squares(
-                profile.residuals, np.clip(x0, lo, hi), jac=profile.jacobian,
+                profile.residuals, x0, jac=profile.jacobian,
                 bounds=(lo, hi), method="trf",
-                xtol=1e-14, ftol=1e-14, gtol=1e-12, max_nfev=2000,
+                xtol=1e-14, ftol=1e-14, gtol=0.1 * FIT_GRADIENT_TOL * h.total, max_nfev=2000,
             )
             if not np.all(np.isfinite(res.x)):
                 raise FloatingPointError(f"non-finite parameters {res.x.tolist()}")
             inner_converged = profile.at(res.x).converged()
         except (SwitchSimError, ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
-            failures.append(f"start {idx}: {type(exc).__name__}: {exc}")
+            records.append(FitStart(x0, error=f"{type(exc).__name__}: {exc}"))
             continue
         deviance = float(np.sum(res.fun**2))
         grad_norm = float(np.max(np.abs(res.jac.T @ res.fun)))
@@ -559,12 +587,19 @@ def fit(
             res.success and grad_norm < FIT_GRADIENT_TOL * h.total and interior
             and inner_converged
         )
+        records.append(FitStart(
+            x0, int(res.status), int(res.nfev), int(res.njev), deviance, grad_norm, converged
+        ))
         if best is None or deviance < best[0] - 1e-12:
-            best = (deviance, res.x, profile, converged)
+            best = (deviance, res.x, profile, converged, idx)
     if best is None:
-        raise NoConvergenceError(f"all {len(starts)} fit starts failed: " + "; ".join(failures))
+        raise NoConvergenceError(
+            f"all {len(starts)} fit starts failed: "
+            + "; ".join(f"start {idx}: {record.error}" for idx, record in enumerate(records)),
+            starts=records,
+        )
 
-    deviance, theta, profile, converged = best
+    deviance, theta, profile, converged, best_idx = best
     p_fit, b_fit = params_at(theta), solver.state(profile.b)
     # with parameters free, rank deficiency (such as the gauge null
     # direction of the all-parameter model) is only visible at the fitted
@@ -586,4 +621,6 @@ def fit(
         chi2=deviance,
         dof=dof,
         free_names=free,
+        starts=tuple(records),
+        best_start=best_idx,
     )

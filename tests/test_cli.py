@@ -152,6 +152,48 @@ class TestSimulateCommand:
         assert run_cli(["simulate", "--out", tmp_path, "--set", "method=euler"]) == 2
 
 
+START_KEYS = {"x0", "status", "nfev", "njev", "deviance", "grad_max", "converged", "error"}
+
+
+def check_start_record(start, n_params):
+    """Hand-written schema of one per-start record (jsonschema is not a
+    test dependency): a start either ran to a status or raised."""
+    assert set(start) == START_KEYS
+    assert len(start["x0"]) == n_params and all(isinstance(v, float) for v in start["x0"])
+    assert isinstance(start["converged"], bool)
+    if start["error"] is None:
+        assert all(isinstance(start[k], int) for k in ("status", "nfev", "njev"))
+        assert all(isinstance(start[k], float) for k in ("deviance", "grad_max"))
+    else:
+        assert isinstance(start["error"], str) and start["converged"] is False
+        assert all(start[k] is None for k in ("status", "nfev", "njev", "deviance", "grad_max"))
+
+
+def check_tomography_json(record, n_params):
+    """Hand-written schema of a fitted tomography.json."""
+    assert set(record) == {
+        "bloch", "params", "covariance", "chi2", "dof", "converged", "free_names",
+        "starts", "best_start",
+    }
+    assert set(record["bloch"]) == {"x", "y", "z"}
+    assert set(record["params"]) == {"gamma_L", "gamma_R", "beta", "E"}
+    for value in [*record["bloch"].values(), *record["params"].values(), record["chi2"]]:
+        assert isinstance(value, float)
+    n = len(record["free_names"])
+    assert all(isinstance(name, str) for name in record["free_names"])
+    assert len(record["covariance"]) == n * n
+    assert isinstance(record["dof"], int) and isinstance(record["converged"], bool)
+    if n_params == 0:
+        assert record["starts"] == []  # a state-only fit runs no start
+    for start in record["starts"]:
+        check_start_record(start, n_params)
+    if record["starts"]:
+        assert isinstance(record["best_start"], int)
+        assert record["starts"][record["best_start"]]["deviance"] == record["chi2"]
+    else:
+        assert record["best_start"] is None
+
+
 class TestTomographyCommand:
     def make_histogram(self, tmp_path, p, bloch, n=40000):
         cfg = traj.SimConfig(n_traj=n, tau=1.2, seed=77, n_bins=120)
@@ -178,6 +220,45 @@ class TestTomographyCommand:
         assert result["converged"]
         assert abs(result["bloch"]["x"] - truth.x) < 0.05
         assert abs(result["bloch"]["z"] - truth.z) < 0.05
+
+    FREE_E = ["--set", 'free_params=["E"]', "--set", 'bounds={"E": [55, 65]}', "--set", "n_starts=3"]
+
+    def fit_args(self, tmp_path, hist):
+        return [
+            "tomography", "--out", tmp_path, "--seed", 4, "--set", f"histogram={hist}",
+            "--set", "params.gamma_L=1", "--set", "params.gamma_R=5",
+            "--set", f"params.beta={math.pi / 4}", "--set", "params.E=60",
+        ]
+
+    def test_tomography_json_schema(self, tmp_path):
+        p = det.DetectorParams(1.0, 5.0, math.pi / 4, 60.0)
+        hist = self.make_histogram(tmp_path, p, tomo.BlochComponents(0.3, -0.4, 0.5))
+        assert run_cli(self.fit_args(tmp_path / "state", hist)) == 0
+        with open(tmp_path / "state" / "tomography.json") as fh:
+            check_tomography_json(json.load(fh), 0)
+        assert run_cli(self.fit_args(tmp_path / "free", hist) + self.FREE_E) == 0
+        with open(tmp_path / "free" / "tomography.json") as fh:
+            record = json.load(fh)
+        check_tomography_json(record, 1)
+        assert len(record["starts"]) == 3 and record["converged"]
+
+    def test_failed_fit_writes_start_table(self, tmp_path, monkeypatch):
+        p = det.DetectorParams(1.0, 5.0, math.pi / 4, 60.0)
+        hist = self.make_histogram(tmp_path, p, tomo.BlochComponents(0.3, -0.4, 0.5), n=5000)
+
+        def diverges(*args, **kwargs):
+            raise FloatingPointError("residuals are not finite")
+
+        monkeypatch.setattr(tomo, "least_squares", diverges)
+        assert run_cli(self.fit_args(tmp_path, hist) + self.FREE_E) == 4
+        with open(tmp_path / "tomography.json") as fh:
+            record = json.load(fh)
+        assert set(record) == {"converged", "error", "starts"} and record["converged"] is False
+        assert len(record["starts"]) == 3
+        for start in record["starts"]:
+            check_start_record(start, 1)
+            assert start["error"] == "FloatingPointError: residuals are not finite"
+            assert 55.0 <= start["x0"][0] <= 65.0
 
     def test_not_identifiable_exit(self, tmp_path):
         p = det.DetectorParams(1.0, 5.0, 0.0, 60.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,6 +343,20 @@ class TestOverallFidelityNumeric:
             u = expm(det.generator(p) * tau)
             expected = 1.0 - np.linalg.eigvalsh(m2.dag(u) @ u)[0]
         assert meas.overall_fidelity_numeric(p, tau) == pytest.approx(expected, abs=1e-10)
+
+    def test_long_fast_precessing_pulse(self):
+        # (0, 0.01, 0.5, 100) at tau = 1e4 spans ~1.6e5 precession periods,
+        # about 2.5e5 panels: the quadrature takes them in batches of
+        # _MAX_PANELS, so its memory stays bounded, and it reaches criterion
+        # 05's one-sided limit, 1 (the survival at tau is about e^{-50})
+        tracemalloc.start()
+        try:
+            f = meas.overall_fidelity_numeric(det.DetectorParams(0.0, 0.01, 0.5, 100.0), 1e4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f == pytest.approx(1.0, abs=1e-8)
+        assert peak <= 32e6
 
     def test_detector_that_never_switches(self):
         p = det.DetectorParams(0.0, 0.0, 0.3, 1.0)

@@ -373,22 +373,32 @@ class TestStateFit:
         assert on_sphere >= 1
 
 
+FREE_PARAMS = ("gamma_R", "beta", "E")
+
+
+def free_fit_problem(k):
+    """Configuration k's parameters, histogram and fit options with gamma_R,
+    beta and E free in the benchmark's box (scaled like the README's
+    all-in-one example)."""
+    p = det.DetectorParams(*CONFIGS[k])
+    h = multinomial_histogram(p, tomo.BlochComponents(*CONFIG_STATES[k]), seed=10 + k)
+    bounds = {
+        "gamma_R": (0.6 * p.gamma_R, 1.6 * p.gamma_R),
+        "beta": (max(p.beta - 0.385, 0.0), min(p.beta + 0.515, math.pi)),
+        "E": (p.E * 11.0 / 12.0, p.E * 13.0 / 12.0),
+    }
+    return p, h, dict(fixed=p, free_params=FREE_PARAMS, bounds=bounds, n_starts=4)
+
+
 class TestFreeFit:
     @pytest.mark.parametrize("k", range(len(CONFIGS)))
     def test_matches_joint_reference(self, k):
         """The profiled search over (gamma_R, beta, E) reaches the optimum
         of the joint fit over state and parameters, and its Fisher
         covariance matches the joint fit's Gauss-Newton one."""
-        p = det.DetectorParams(*CONFIGS[k])
-        h = multinomial_histogram(p, tomo.BlochComponents(*CONFIG_STATES[k]), seed=10 + k)
-        free_params = ("gamma_R", "beta", "E")
-        # the benchmark's box: scaled like the README's all-in-one example
-        bounds = {
-            "gamma_R": (0.6 * p.gamma_R, 1.6 * p.gamma_R),
-            "beta": (max(p.beta - 0.385, 0.0), min(p.beta + 0.515, math.pi)),
-            "E": (p.E * 11.0 / 12.0, p.E * 13.0 / 12.0),
-        }
-        result = tomo.fit(h, fixed=p, free_params=free_params, bounds=bounds, n_starts=4)
+        p, h, options = free_fit_problem(k)
+        free_params, bounds = FREE_PARAMS, options["bounds"]
+        result = tomo.fit(h, **options)
         b_ref, theta_ref, cov_ref, dev_ref = joint_free_fit(h, p, free_params, bounds, n_starts=4)
         b = np.array([result.bloch.x, result.bloch.y, result.bloch.z])
         theta = np.array([getattr(result.params, name) for name in free_params])
@@ -413,8 +423,12 @@ class TestFreeFit:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(tomo, "least_squares", second_fails)
-        assert tomo.fit(h, **options).converged
+        result = tomo.fit(h, **options)
+        assert result.converged
         assert len(calls) == 3
+        assert result.starts[1].error == "ValueError: residuals are not finite"
+        assert result.starts[1].nfev is None and result.best_start != 1
+        assert [start.error for k, start in enumerate(result.starts) if k != 1] == [None, None]
 
         def all_fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
@@ -424,6 +438,8 @@ class TestFreeFit:
             tomo.fit(h, **options)
         for idx in range(3):
             assert f"start {idx}: LinAlgError: SVD did not converge" in str(err.value)
+        assert [start.error for start in err.value.starts] == ["LinAlgError: SVD did not converge"] * 3
+        assert all(55.0 <= start.x0[0] <= 65.0 for start in err.value.starts)
 
         def bug(*args, **kwargs):
             raise TypeError("not a fit failure")
@@ -431,3 +447,55 @@ class TestFreeFit:
         monkeypatch.setattr(tomo, "least_squares", bug)
         with pytest.raises(TypeError):
             tomo.fit(h, **options)
+
+    def test_start_records(self):
+        p, h, options = free_fit_problem(0)
+        result = tomo.fit(h, **options)
+        assert len(result.starts) == 4
+        for start in result.starts:
+            assert start.error is None and start.status > 0 and start.nfev >= start.njev > 0
+            assert all(lo <= x <= hi for x, (lo, hi) in zip(start.x0, options["bounds"].values()))
+        best = result.starts[result.best_start]
+        assert best.deviance == result.chi2 == min(start.deviance for start in result.starts)
+        assert best.converged and best.grad_max < FIT_GRADIENT_TOL * h.total
+        record = result.to_json_dict()
+        assert record["best_start"] == result.best_start
+        assert record["starts"][result.best_start]["deviance"] == result.chi2
+        # a state-only fit runs no start
+        assert tomo.fit(h, fixed=p).to_json_dict()["starts"] == []
+
+    def test_stop_rule_evaluation_count(self, monkeypatch):
+        """Each start stops on the profiled gradient: the C1-C4 fits above
+        take at most 75% of the residual and Jacobian evaluations that
+        stopping at the deviance's rounding floor (trf's xtol) took, 413
+        nfev + njev over the four fits (95, 101, 109 and 108)."""
+        real, counts = tomo.least_squares, []
+
+        def counting(*args, **kwargs):
+            res = real(*args, **kwargs)
+            counts.append(res.nfev + res.njev)
+            return res
+
+        monkeypatch.setattr(tomo, "least_squares", counting)
+        for k in range(len(CONFIGS)):
+            _, h, options = free_fit_problem(k)
+            assert tomo.fit(h, **options).converged
+        assert len(counts) == 16
+        assert sum(counts) <= 0.75 * 413
+
+    @pytest.mark.parametrize("k", range(len(CONFIGS)))
+    def test_one_ulp_reproducible(self, k, monkeypatch):
+        """Moving every cell row and slope by one ulp moves the optimum by
+        far less than its standard error: the stop is a property of the
+        fit, not of the rows' rounding."""
+        _, h, options = free_fit_problem(k)
+        base = tomo.fit(h, **options)
+        cells = tomo._cells
+        for direction in (math.inf, -math.inf):
+            monkeypatch.setattr(tomo, "_cells", lambda surv, d=direction: np.nextafter(cells(surv), d))
+            moved = tomo.fit(h, **options)
+            assert moved.converged
+            for name in tomo.BLOCH_NAMES:
+                assert abs(getattr(moved.bloch, name) - getattr(base.bloch, name)) <= 1e-6, name
+            for name in FREE_PARAMS:
+                assert getattr(moved.params, name) == pytest.approx(getattr(base.params, name), rel=1e-5)
