@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import copy
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -344,7 +345,11 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged (each call gets a fresh namespace, and `append` copies its
+    list), so repeated `main` calls share it."""
     parser = argparse.ArgumentParser(
         prog="switchsim",
         description="Switching-detector qubit readout: curves, ensembles, tomography.",

@@ -55,6 +55,11 @@ RANK_DEFICIENCY_TOL = 1e-8
 # deviance scale).
 FIT_GRADIENT_TOL = 1e-8
 
+# Free-parameter fit starts whose deviances differ by less than this
+# fraction of the lowest (at least 1 count) reached one optimum: the summed
+# deviance rounds at ~1e-10, so among them the lowest start index wins.
+FIT_START_TIE_TOL = 1e-9
+
 # The state-only fit's Newton iteration stops once a step is this many
 # standard deviations long (its length in the Fisher metric).
 FIT_NEWTON_STEP_TOL = 1e-9

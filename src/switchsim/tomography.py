@@ -11,6 +11,7 @@ which directions the data cannot see.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
@@ -30,6 +31,7 @@ from .errors import (
 from .tolerances import (
     FIT_GRADIENT_TOL,
     FIT_NEWTON_STEP_TOL,
+    FIT_START_TIE_TOL,
     IDENTIFIABILITY_REL_TOL,
     RANK_DEFICIENCY_TOL,
 )
@@ -231,6 +233,13 @@ def identifiability(
         degenerate_directions=tuple(degenerate),
         flagged=bool(degenerate),
     )
+
+
+@functools.lru_cache(maxsize=128)
+def _fixed_point_degeneracy(p: DetectorParams, free: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
+    """The degenerate directions that refuse a state-only fit at p, the
+    same for every histogram, so kept per (p, free) for the process."""
+    return identifiability(p, free=free, rel_threshold=RANK_DEFICIENCY_TOL).degenerate_directions
 
 
 def _deviance_residuals(observed: np.ndarray, expected: np.ndarray) -> np.ndarray:
@@ -507,14 +516,18 @@ def fit(
     ball; components not in `free_bloch` are held at 0.  With the detector
     parameters fixed (`free_params` empty) that is the whole fit:
     `converged` holds when the KKT conditions of the ball constraint do,
-    and `seed` and `n_starts` go unused.
+    and `seed` and `n_starts` go unused.  Such a fit first refuses a
+    configuration rank-deficient at the fixed parameters; that verdict
+    depends on the parameters and the free names alone, so it is taken
+    once per process for each pair (the last 128 pairs are kept).
 
     With detector parameters free, the state is profiled out: bounded
     least squares searches the free parameters alone, on the residuals of
     the profiled deviance min_b D(params, b), from n_starts Latin-hypercube
     starts drawn deterministically from the parameters' `bounds` (names in
     PARAM_NAMES; DEFAULT_BOUNDS for the others); the winner is the lowest
-    deviance with index tie-break.  `converged` holds when the profiled
+    start index whose deviance lies within FIT_START_TIE_TOL (relative,
+    at least 1 count) of the lowest.  `converged` holds when the profiled
     gradient is below FIT_GRADIENT_TOL times the histogram total, the
     parameters lie strictly inside their box, and the inner solve meets
     its KKT test.  Each start stops once its (bound-scaled) profiled
@@ -536,11 +549,10 @@ def fit(
     dof = max(len(h.counts) - len(free), 1)  # cells, less the total and the free names
     if not free_param_names:
         # pure state fit: the information structure is known up front
-        report = identifiability(fixed, free=free, rel_threshold=RANK_DEFICIENCY_TOL)
-        if report.flagged:
+        degenerate = _fixed_point_degeneracy(fixed, free)
+        if degenerate:
             raise NotIdentifiableError(
-                f"degenerate directions {report.degenerate_directions} at the "
-                "fixed detector parameters"
+                f"degenerate directions {degenerate} at the fixed detector parameters"
             )
         # one convex solve: the profile at the fixed parameters
         profile = _Profile(h, _StateSolver(h, free), lambda theta: fixed, ()).at(np.empty(0))
@@ -557,7 +569,7 @@ def fit(
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
     starts = _latin_hypercube(rng, n_starts, lo, hi)
 
-    best, records = None, []
+    ended, records = [], []
     for idx, x0 in enumerate(starts):
         x0 = tuple(map(float, np.clip(x0, lo, hi)))
         profile = _Profile(h, solver, params_at, free_param_names)
@@ -590,16 +602,19 @@ def fit(
         records.append(FitStart(
             x0, int(res.status), int(res.nfev), int(res.njev), deviance, grad_norm, converged
         ))
-        if best is None or deviance < best[0] - 1e-12:
-            best = (deviance, res.x, profile, converged, idx)
-    if best is None:
+        ended.append((idx, res.x, profile))
+    if not ended:
         raise NoConvergenceError(
             f"all {len(starts)} fit starts failed: "
             + "; ".join(f"start {idx}: {record.error}" for idx, record in enumerate(records)),
             starts=records,
         )
 
-    deviance, theta, profile, converged, best_idx = best
+    # the first start tied with the lowest deviance wins (FIT_START_TIE_TOL)
+    lowest = min(records[idx].deviance for idx, _, _ in ended)
+    tie = lowest + FIT_START_TIE_TOL * max(1.0, lowest)
+    best_idx, theta, profile = next(end for end in ended if records[end[0]].deviance <= tie)
+    deviance, converged = records[best_idx].deviance, records[best_idx].converged
     p_fit, b_fit = params_at(theta), solver.state(profile.b)
     # with parameters free, rank deficiency (such as the gauge null
     # direction of the all-parameter model) is only visible at the fitted

@@ -34,7 +34,7 @@ from .tolerances import INVERSION_RESIDUAL_TOL, INVERSION_STEP_REL_TOL
 
 # Trajectories per Philox draw.  A multiple of 4, so every chunk starts on
 # a whole counter step of the stream.
-CHUNK = 1 << 16
+CHUNK = 1 << 14
 _TABLE_POINTS = 4097
 # Bisection alone narrows a grid bracket to the step tolerance in ~22 steps.
 _MAX_STEPS = 100

@@ -24,6 +24,15 @@ def read_summary(out_dir):
         return json.load(fh)
 
 
+def fresh_process(*args):
+    """Run `python *args` in a new interpreter that imports this switchsim."""
+    src = os.path.dirname(os.path.dirname(switchsim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run(
+        [sys.executable, *map(str, args)], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+
+
 def strip_elapsed(summary):
     summary = dict(summary)
     summary.pop("elapsed_seconds")
@@ -366,6 +375,33 @@ class TestParser:
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["frobnicate"])
 
+    def test_parser_built_once_and_reusable(self):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        assert parser.parse_args(["simulate", "--set", "n_traj=5", "--set", "tau=2"]).sets == ["n_traj=5", "tau=2"]
+        assert parser.parse_args(["simulate"]).sets is None
+        assert parser.parse_args(["simulate", "--set", "seed=3"]).sets == ["seed=3"]
+        # the shared parser still rejects an unknown subcommand, through main too
+        with pytest.raises(SystemExit) as err:
+            cli.main(["frobnicate"])
+        assert err.value.code == 2
+
+    def test_repeated_main_calls_match_single_calls(self, tmp_path):
+        """main may be called many times in one process: no --set of one
+        call reaches the next, so each writes what a call alone writes."""
+        first = ["simulate", "--seed", 5, "--set", "n_traj=5000", "--set", "bloch.z=0.5", "--set", "time_unit=2"]
+        second = ["simulate", "--seed", 6, "--set", "n_traj=4000"]
+        assert run_cli(first + ["--out", tmp_path / "first"]) == 0
+        assert run_cli(second + ["--out", tmp_path / "second"]) == 0
+        for name, args in (("first", first), ("second", second)):
+            alone = tmp_path / f"{name}_alone"
+            fresh_process("-m", "switchsim.cli", *args, "--out", alone)
+            assert strip_elapsed(read_summary(tmp_path / name)) == strip_elapsed(read_summary(alone))
+            assert (tmp_path / name / "histogram.csv").read_bytes() == (alone / "histogram.csv").read_bytes()
+        echo = read_summary(tmp_path / "second")["config_echo"]
+        assert echo == cli.load_config("simulate", None, ["n_traj=4000"], 6)
+        assert echo["bloch"]["z"] == 0.0 and echo["time_unit"] is None
+
     def test_set_parsing(self):
         cfg = {}
         cli._apply_set(cfg, "a.b=3")
@@ -377,10 +413,5 @@ class TestParser:
 def test_import_leaves_out_scipy_integrate():
     # the package integrates with its own Gauss-Kronrod rule; importing
     # scipy.integrate would only lengthen every start-up
-    src = os.path.dirname(os.path.dirname(switchsim.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    code = "import sys, switchsim, switchsim.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=120
-    )
+    out = fresh_process("-c", "import sys, switchsim, switchsim.cli; print('scipy.integrate' in sys.modules)")
     assert out.stdout.strip() == "False"

@@ -510,10 +510,29 @@ def survival_and_density_slopes(p, rhos, ts):
 def slope_bound(p, t, ref):
     """The bound of test_propagator_and_survival_over_parameter_box,
     1e-12 max(1, |G| t / 1e3) max(1, gamma_L, gamma_R), relative to the
-    slope where it exceeds 1."""
+    slope where it exceeds 1, plus the rounding of the t-sized terms that
+    a slope cancels; shape (len(NAMES), 2) like ref.
+
+    The slope of Tr{U^dag op U rho} along G' is 2 Re Tr(rho U^dag op dU)
+    plus a term in op' that does not grow with t, where
+    dU = int_0^t U(t - s) G' U(s) ds.  U(s) is a contraction
+    (G + G^dag = -Gamma <= 0), so the first part is a sum of terms of size
+    up to 2 t |G'| |op|, about t S |G'| |op| where the survival S stays
+    near 1.  Where they cancel, as dS/dE does when Gamma is a multiple of
+    I and dS/dgamma_L does for |1> at beta = 0, about an ulp of them
+    survives in either route: with gamma_plus at its 1e-3 floor, dS/dE
+    keeps 1.6e-12 at t = 1.5e4 and 2.3e-12 at t = 3e4 (~eps t / 2), above
+    the relative bound's 1e-12 and 1.9e-12.  Each (name, op) entry
+    therefore also allows 4 eps times 2 t |G'_name| |op|, with
+    |op| = 1 for the survival and |Gamma| = max(gamma_L, gamma_R) for the
+    density.
+    """
     g_norm = np.linalg.norm(det.generator(p), 2)
     bound = 1e-12 * max(1.0, g_norm * t / 1e3) * max(1.0, p.gamma_L, p.gamma_R)
-    return bound * np.maximum(1.0, np.abs(ref))
+    g_dot_norms = np.linalg.norm(det._generator_slopes(p, NAMES), 2, axis=(1, 2))
+    op_norms = np.array([1.0, max(p.gamma_L, p.gamma_R)])
+    cancelled = 2.0 * t * np.outer(g_dot_norms, op_norms)
+    return bound * np.maximum(1.0, np.abs(ref)) + 4.0 * np.finfo(float).eps * cancelled
 
 
 class TestSlopes:
@@ -568,6 +587,10 @@ class TestSlopes:
 )
 # |G| t = 1.1e4 with a non-normal Van Loan block, whose expm is off by 9e-5
 @example(0.0, 1.1754943508222875e-38, 1.0, 1.0, 0.75, (0.0, 0.0, 0.0, 1.0))
+# gamma_plus at its 1e-3 floor: dS/dE cancels terms of size t = 1.5e4 and
+# 3e4 and keeps 1.6e-12 and 2.3e-12 of their rounding
+@example(0.0, 2.22e-16, 0.0, 0.0625, 0.5, (0.0, 0.0, 1.0, 0.0))
+@example(0.0, 0.0, 0.0, 0.125, 1.0, (0.0, 0.0, 1.0, 0.0))
 def test_slopes_over_parameter_box(gamma_l, gamma_r, beta, e, frac, amps):
     """The survival and density slopes match exp_slopes at any admissible
     parameters, over 30 decay times as in

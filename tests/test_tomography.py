@@ -14,7 +14,7 @@ from switchsim.errors import (
     NotIdentifiableError,
     UnphysicalBlochError,
 )
-from switchsim.tolerances import FIT_GRADIENT_TOL
+from switchsim.tolerances import FIT_GRADIENT_TOL, FIT_START_TIE_TOL, RANK_DEFICIENCY_TOL
 
 from oracles import joint_free_fit, model_density_slow_form, multistart_state_fit
 
@@ -186,11 +186,39 @@ class TestFit:
         np.testing.assert_array_equal(r1.covariance, r2.covariance)
         assert r1.chi2 == r2.chi2
 
+    def test_repeated_state_fit_identical(self, monkeypatch):
+        """The up-front verdict at the fixed parameters is taken once per
+        (parameters, free names); the fit repeated there is unchanged."""
+        h = synthesize(IDENTIFIABLE, tomo.BlochComponents(0.3, -0.4, 0.5), 50000, seed=9)
+        real, calls = tomo.identifiability, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tomo, "identifiability", counting)
+        tomo._fixed_point_degeneracy.cache_clear()
+        first, second = (tomo.fit(h, fixed=IDENTIFIABLE) for _ in range(2))
+        assert calls == [IDENTIFIABLE]
+        assert first.to_json_dict() == second.to_json_dict()
+        np.testing.assert_array_equal(first.covariance, second.covariance)
+        # another set of free names is another verdict
+        tomo.fit(h, fixed=IDENTIFIABLE, free_bloch=("z",))
+        assert len(calls) == 2
+        # the public report is not cached: no array is shared between calls
+        assert real(IDENTIFIABLE).info is not real(IDENTIFIABLE).info
+
     def test_aligned_probe_not_identifiable(self):
         p = det.DetectorParams(1.0, 5.0, 0.0, 60.0)
         h = synthesize(p, tomo.BlochComponents(0.3, -0.4, 0.5), 20000, seed=10)
-        with pytest.raises(NotIdentifiableError):
-            tomo.fit(h, fixed=p)
+        tomo._fixed_point_degeneracy.cache_clear()
+        messages = []
+        for _ in range(2):  # computed, then kept: refused both times
+            with pytest.raises(NotIdentifiableError) as err:
+                tomo.fit(h, fixed=p)
+            messages.append(str(err.value))
+        report = tomo.identifiability(p, rel_threshold=RANK_DEFICIENCY_TOL)
+        assert messages == [f"degenerate directions {report.degenerate_directions} at the fixed detector parameters"] * 2
 
     def test_aligned_probe_z_only_is_fine(self):
         p = det.DetectorParams(1.0, 5.0, 0.0, 60.0)
@@ -456,13 +484,39 @@ class TestFreeFit:
             assert start.error is None and start.status > 0 and start.nfev >= start.njev > 0
             assert all(lo <= x <= hi for x, (lo, hi) in zip(start.x0, options["bounds"].values()))
         best = result.starts[result.best_start]
-        assert best.deviance == result.chi2 == min(start.deviance for start in result.starts)
+        lowest = min(start.deviance for start in result.starts)
+        assert best.deviance == result.chi2 <= lowest + FIT_START_TIE_TOL * max(1.0, lowest)
         assert best.converged and best.grad_max < FIT_GRADIENT_TOL * h.total
         record = result.to_json_dict()
         assert record["best_start"] == result.best_start
         assert record["starts"][result.best_start]["deviance"] == result.chi2
         # a state-only fit runs no start
         assert tomo.fit(h, fixed=p).to_json_dict()["starts"] == []
+
+    @pytest.mark.parametrize("k", range(len(CONFIGS)))
+    def test_start_tie_goes_to_lowest_index(self, k, monkeypatch):
+        """Starts that reached one optimum differ in deviance by its
+        rounding alone (up to ~1e-10 here), so the first of them wins; an
+        absolute 1e-12 margin made rounding pick starts 1, 1, 1 and 3.  A
+        start lower by more than the tie tolerance still wins."""
+        _, h, options = free_fit_problem(k)
+        result = tomo.fit(h, **options)
+        deviances = [start.deviance for start in result.starts]
+        assert max(deviances) - min(deviances) <= FIT_START_TIE_TOL * min(deviances)
+        assert result.best_start == 0 and result.chi2 == deviances[0]
+
+        real, calls = tomo.least_squares, []
+
+        def lowered_after_first(*args, **kwargs):
+            res = real(*args, **kwargs)
+            calls.append(1)
+            if len(calls) > 1:
+                # a deviance lower by 10 tie tolerances, relative
+                res.fun = res.fun * math.sqrt(1.0 - 10.0 * FIT_START_TIE_TOL)
+            return res
+
+        monkeypatch.setattr(tomo, "least_squares", lowered_after_first)
+        assert tomo.fit(h, **options).best_start == 1
 
     def test_stop_rule_evaluation_count(self, monkeypatch):
         """Each start stops on the profiled gradient: the C1-C4 fits above

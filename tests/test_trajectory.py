@@ -301,8 +301,8 @@ class TestInversion:
             traj.run_ensemble(p, MIXED, traj.SimConfig(n_traj=2000, tau=1.0, seed=3))
 
     def test_ensemble_memory_independent_of_size(self):
-        # ~16 MB, the same as for one chunk; drawing all 2e6 trajectories
-        # at once peaks at ~270 MB
+        # ~4 MB, the same as for one chunk of 2**14; drawing all 2e6
+        # trajectories at once peaks at ~270 MB
         p = det.DetectorParams(1.0, 5.0, math.pi / 4, 60.0)
         cfg = traj.SimConfig(n_traj=2_000_000, tau=1.2, seed=5, n_bins=150)
         tracemalloc.start()
