@@ -84,10 +84,6 @@ DEFAULTS = {
         "beta_points": 101,
     },
     "coherent": {
-        "g_L": 0.0,
-        "g_R": 1.0,
-        "eps_L": 0.0,
-        "eps_R": 0.0,
         "rate_scale": 1.0,
         "gamma1_cap": None,
         "beta_points": 101,
@@ -242,8 +238,8 @@ def cmd_simulate(config: dict, out: Path) -> dict:
             n_bins=int(config["n_bins"]),
         )
         scale = _time_scale(config, p)
-    times, no_switch = traj.sample_switch_times(p, rho0, cfg)
-    h = traj.bin_switch_times(times, no_switch, cfg)
+    h, time_sum = traj._binned_ensemble(p, rho0, cfg)
+    switched = cfg.n_traj - h.no_switch_count
     traj.write_histogram_csv(h, out / "histogram.csv", time_scale=scale)
     try:
         stat, dof, pval = traj.chi2_vs_analytic(h, p, rho0)
@@ -252,8 +248,8 @@ def cmd_simulate(config: dict, out: Path) -> dict:
         chi2 = None  # one populated cell, as for a dark state: no statistic
     return {
         "files": ["histogram.csv"],
-        "no_switch_fraction": no_switch / cfg.n_traj,
-        "mean_switch_time": float(times.mean()) if times.size else None,
+        "no_switch_fraction": h.no_switch_count / cfg.n_traj,
+        "mean_switch_time": time_sum / switched if switched else None,
         "time_unit_scale": scale,
         "chi2": chi2,
     }
@@ -264,7 +260,6 @@ def cmd_tomography(config: dict, out: Path) -> dict:
         p = _params_from(config["params"])
         scale = _time_scale(config, p)
         options = dict(
-            fixed=p,
             bounds=config["bounds"] or None,
             free_bloch=tuple(config["free_bloch"]),
             free_params=tuple(config["free_params"]),
@@ -273,7 +268,7 @@ def cmd_tomography(config: dict, out: Path) -> dict:
         tomo.search_box(**options)
         seed = int(config["seed"])
     h = traj.read_histogram_csv(config["histogram"], time_scale=scale)
-    result = tomo.fit(h, seed=seed, **options)
+    result = tomo.fit(h, p, seed=seed, **options)
     _write_json(out / "tomography.json", result.to_json_dict())
     return {"files": ["tomography.json"], "converged": result.converged}
 
@@ -317,11 +312,12 @@ def cmd_coherent(config: dict, out: Path) -> dict:
         with open(out / name, "w", encoding="utf-8") as fh:
             fh.write("beta,gamma_0,gamma_1,fidelity\n")
             for beta in betas:
+                # neither rate law reads the couplings or biases
                 params = coh.CoherentDetectorParams(
-                    g_L=float(config["g_L"]),
-                    g_R=float(config["g_R"]),
-                    eps_L=float(config["eps_L"]),
-                    eps_R=float(config["eps_R"]),
+                    g_L=0.0,
+                    g_R=1.0,
+                    eps_L=0.0,
+                    eps_R=0.0,
                     beta=float(beta),
                     rate_scale=float(config["rate_scale"]),
                     gamma1_cap=float(config["gamma1_cap"] or 0.0),

@@ -13,10 +13,6 @@ class NonHermitianError(SwitchSimError):
     """Matrix handed to a Hermitian-only routine fails the symmetry check."""
 
 
-class ZeroTraceError(SwitchSimError):
-    """Density matrix has (numerically) zero trace."""
-
-
 class StepTooLargeError(SwitchSimError):
     """Time step too large for the first-order switching probabilities."""
 

@@ -14,13 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonHermitianError, ZeroTraceError
-from .tolerances import (
-    ALGEBRA_TOL,
-    EIG_DEGENERATE_TOL,
-    HERMITIAN_TOL,
-    ZERO_TRACE_TOL,
-)
+from .errors import NonHermitianError
+from .tolerances import ALGEBRA_TOL, EIG_DEGENERATE_TOL, HERMITIAN_TOL
 
 IDENTITY = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -29,14 +24,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 KET_0 = np.array([1.0, 0.0], dtype=complex)
 KET_1 = np.array([0.0, 1.0], dtype=complex)
-
-
-def mat2(a00, a01, a10, a11) -> np.ndarray:
-    """Assemble a complex 2x2 matrix from its four entries."""
-    m = np.array([[a00, a01], [a10, a11]], dtype=complex)
-    if not np.all(np.isfinite(m.view(float))):
-        raise ValueError("matrix entries must be finite")
-    return m
 
 
 def dag(m: np.ndarray) -> np.ndarray:
@@ -59,10 +46,6 @@ def norm2(m: np.ndarray) -> float:
     return math.sqrt(max(half_tr + math.sqrt(disc), 0.0))
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return bool(np.max(np.abs(m - dag(m))) <= tol * max(1.0, norm2(m)))
-
-
 def normalize_phase(psi: np.ndarray) -> np.ndarray:
     """Fix the global phase: first amplitude above tolerance is real >= 0."""
     psi = np.asarray(psi, dtype=complex)
@@ -72,21 +55,12 @@ def normalize_phase(psi: np.ndarray) -> np.ndarray:
     return psi
 
 
-def pure_state(c0, c1) -> np.ndarray:
-    """Build a normalized pure state, fixing the global phase convention."""
-    psi = np.array([c0, c1], dtype=complex)
-    nrm = np.linalg.norm(psi)
-    if not np.isfinite(nrm) or nrm <= ZERO_TRACE_TOL:
-        raise ValueError("state amplitudes must be finite and not all zero")
-    return normalize_phase(psi / nrm)
-
-
-def check_pure_state(psi: np.ndarray, tol: float = ALGEBRA_TOL) -> None:
+def check_pure_state(psi: np.ndarray) -> None:
     """Raise unless psi is a normalized two-component state."""
     psi = np.asarray(psi)
     if psi.shape != (2,):
         raise ValueError("pure state must have shape (2,)")
-    if abs(np.vdot(psi, psi).real - 1.0) > tol:
+    if abs(np.vdot(psi, psi).real - 1.0) > ALGEBRA_TOL:
         raise ValueError("pure state is not normalized")
 
 
@@ -96,8 +70,8 @@ def projector(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
-def check_density_matrix(rho: np.ndarray, tol: float = 1e-12) -> None:
-    """Validate Hermiticity, positivity and 0 <= trace <= 1 (+ tolerance).
+def check_density_matrix(rho: np.ndarray) -> None:
+    """Validate Hermiticity, positivity and 0 <= trace <= 1 (+ ALGEBRA_TOL).
 
     Sub-normalized traces are allowed: a trace below one is the survival
     weight of the conditional state.
@@ -105,13 +79,13 @@ def check_density_matrix(rho: np.ndarray, tol: float = 1e-12) -> None:
     rho = np.asarray(rho)
     if rho.shape != (2, 2):
         raise ValueError("density matrix must have shape (2, 2)")
-    if np.max(np.abs(rho - dag(rho))) > tol:
+    if np.max(np.abs(rho - dag(rho))) > ALGEBRA_TOL:
         raise NonHermitianError("density matrix is not Hermitian")
     tr = trace(rho).real
-    if tr < -tol or tr > 1.0 + tol:
+    if tr < -ALGEBRA_TOL or tr > 1.0 + ALGEBRA_TOL:
         raise ValueError(f"density matrix trace {tr} outside [0, 1]")
     ev_lo = hermitian_eig(rho).eval_lo
-    if ev_lo < -tol:
+    if ev_lo < -ALGEBRA_TOL:
         raise ValueError(f"density matrix has negative eigenvalue {ev_lo}")
 
 
@@ -123,7 +97,7 @@ class EigResult(NamedTuple):
     degenerate: bool
 
 
-def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> EigResult:
+def hermitian_eig(m: np.ndarray) -> EigResult:
     """Closed-form eigendecomposition of a Hermitian 2x2 matrix.
 
     Returns eigenvalues sorted descending with orthonormal eigenvectors in
@@ -135,7 +109,7 @@ def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> EigResult:
     """
     m = np.asarray(m, dtype=complex)
     nrm = norm2(m)
-    if np.max(np.abs(m - dag(m))) > tol * max(nrm, 1.0):
+    if np.max(np.abs(m - dag(m))) > HERMITIAN_TOL * max(nrm, 1.0):
         raise NonHermitianError("matrix is not Hermitian within tolerance")
 
     a = m[0, 0].real
@@ -160,18 +134,3 @@ def hermitian_eig(m: np.ndarray, tol: float = HERMITIAN_TOL) -> EigResult:
     v_hi = v_hi / np.linalg.norm(v_hi)
     v_lo = np.array([-v_hi[1].conjugate(), v_hi[0].conjugate()], dtype=complex)
     return EigResult(hi, lo, normalize_phase(v_hi), normalize_phase(v_lo), False)
-
-
-def purity(rho: np.ndarray) -> float:
-    """Information content of a state: sqrt(2 Tr(rho_n^2) - 1) in [0, 1].
-
-    The state is trace-normalized first, so sub-normalized conditional
-    states are handled transparently.  One is returned exactly for rank-1
-    states, zero for the maximally mixed state.
-    """
-    tr = trace(rho).real
-    if tr <= ZERO_TRACE_TOL:
-        raise ZeroTraceError("cannot normalize a zero-trace density matrix")
-    rho_n = np.asarray(rho, dtype=complex) / tr
-    val = 2.0 * trace(rho_n @ rho_n).real - 1.0
-    return float(np.sqrt(min(max(val, 0.0), 1.0)))

@@ -4,7 +4,8 @@ Each constant is referenced by the module that enforces the corresponding
 contract; tests import from here instead of re-declaring magic numbers.
 """
 
-# Algebraic identities on 2x2 matrices (adjoint/trace/product round-trips).
+# Algebraic identities on 2x2 matrices (adjoint/trace/product round-trips),
+# and the slack of the pure-state and density-matrix checks.
 ALGEBRA_TOL = 1e-12
 
 # Hermiticity check before closed-form eigendecomposition.
@@ -15,9 +16,6 @@ HERMITIAN_TOL = 1e-10
 # perturbs the matrix by sqrt(discriminant), so the threshold sits at the
 # square of the reconstruction tolerance.
 EIG_DEGENERATE_TOL = 1e-20
-
-# Trace below which a density matrix cannot be normalized.
-ZERO_TRACE_TOL = 1e-15
 
 # Relative gap below which the two outcome probabilities of a measurement
 # decomposition count as degenerate.

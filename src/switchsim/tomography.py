@@ -35,7 +35,7 @@ from .tolerances import (
     IDENTIFIABILITY_REL_TOL,
     RANK_DEFICIENCY_TOL,
 )
-from .trajectory import Histogram
+from .trajectory import Histogram, _cells
 
 BLOCH_NAMES = ("x", "y", "z")
 PARAM_NAMES = ("gamma_L", "gamma_R", "beta", "E")
@@ -261,7 +261,6 @@ def _latin_hypercube(rng: np.random.Generator, n: int, lo: np.ndarray, hi: np.nd
 
 
 def search_box(
-    fixed: Optional[DetectorParams] = None,
     bounds: Optional[dict] = None,
     free_bloch: Sequence[str] = BLOCH_NAMES,
     free_params: Optional[Sequence[str]] = None,
@@ -279,13 +278,10 @@ def search_box(
     for name in free_bloch:
         if name not in BLOCH_NAMES:
             raise ValueError(f"unknown Bloch component {name!r}")
-    if fixed is None:
-        free_param_names = PARAM_NAMES
-    else:
-        free_param_names = tuple(free_params or ())
-        for name in free_param_names:
-            if name not in PARAM_NAMES:
-                raise ValueError(f"unknown detector parameter {name!r}")
+    free_param_names = tuple(free_params or ())
+    for name in free_param_names:
+        if name not in PARAM_NAMES:
+            raise ValueError(f"unknown detector parameter {name!r}")
     free = free_bloch + free_param_names
     if not free:
         raise ValueError("nothing to fit")
@@ -322,14 +318,6 @@ def _ball_step(hess: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
             break
         lam += step
     return -(vecs @ x), lam
-
-
-def _cells(surv: np.ndarray) -> np.ndarray:
-    """Cell probabilities from survival at the edges (last axis), no-switch last."""
-    cells = np.empty_like(surv)
-    np.subtract(surv[..., :-1], surv[..., 1:], out=cells[..., :-1])
-    cells[..., -1] = surv[..., -1]
-    return cells
 
 
 def _covariance(total: int, probs: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -493,7 +481,7 @@ class _Profile:
 
 def fit(
     h: Histogram,
-    fixed: Optional[DetectorParams] = None,
+    fixed: DetectorParams,
     bounds: Optional[dict] = None,
     free_bloch: Sequence[str] = BLOCH_NAMES,
     free_params: Optional[Sequence[str]] = None,
@@ -502,14 +490,14 @@ def fit(
 ) -> TomographyResult:
     """Fit the switching-time histogram by Poisson deviance minimization.
 
-    With `fixed` given, the requested Bloch components are free and
-    detector parameters stay at their fixed values unless named in
-    `free_params`; with `fixed=None` all four parameters are fitted.
-    Note the model carries an exact one-dimensional gauge freedom when
-    both rates, the angle and the coherences are all free (only
-    gamma_minus cos(beta) and gamma_minus sin(beta) times the coherence
-    magnitude are observable), so an all-parameter fit is rejected as not
-    identifiable; pinning one rate or the angle breaks the gauge.
+    `fixed` is required: the requested Bloch components are free, and the
+    detector parameters stay at their `fixed` values unless named in
+    `free_params`.  Note the model carries an exact one-dimensional gauge
+    freedom when both rates, the angle and the coherences are all free
+    (only gamma_minus cos(beta) and gamma_minus sin(beta) times the
+    coherence magnitude are observable), so a fit with `free_params` =
+    PARAM_NAMES is rejected as not identifiable; pinning one rate or the
+    angle breaks the gauge.
 
     The deviance is convex in the Bloch vector at fixed detector
     parameters, and is minimized there in one Newton solve over the Bloch
@@ -543,7 +531,7 @@ def fit(
     """
     if h.total < 1000:
         raise InsufficientDataError(f"histogram total {h.total} below 1000")
-    free, free_param_names, lo, hi = search_box(fixed, bounds, free_bloch, free_params, n_starts)
+    free, free_param_names, lo, hi = search_box(bounds, free_bloch, free_params, n_starts)
     free_bloch = free[: len(free) - len(free_param_names)]
 
     dof = max(len(h.counts) - len(free), 1)  # cells, less the total and the free names
@@ -560,7 +548,7 @@ def fit(
         state, deviance = profile.solver.state(profile.b), float(np.sum(profile.res**2))
         return TomographyResult(state, fixed, covariance, profile.converged(), deviance, dof, free)
 
-    base_params = {name: getattr(fixed, name) if fixed else 0.0 for name in PARAM_NAMES}
+    base_params = {name: getattr(fixed, name) for name in PARAM_NAMES}
 
     def params_at(theta: np.ndarray) -> DetectorParams:
         return DetectorParams(**{**base_params, **dict(zip(free_param_names, map(float, theta)))})

@@ -35,9 +35,17 @@ from .tolerances import INVERSION_RESIDUAL_TOL, INVERSION_STEP_REL_TOL
 # Trajectories per Philox draw.  A multiple of 4, so every chunk starts on
 # a whole counter step of the stream.
 CHUNK = 1 << 14
+# glibc's malloc hands the free top of its heap back to the OS once it
+# exceeds twice the largest mmap'd block freed so far.  Each chunk frees
+# 2-4 MB of numpy temporaries, so in a long-lived process every chunk
+# would fault its pages in afresh (~26k minor faults, ~0.1 s, per 1e6
+# trajectories) unless a block of this size has been freed first.
+_HEAP_HEADROOM = 32 * CHUNK * 8
 _TABLE_POINTS = 4097
 # Bisection alone narrows a grid bracket to the step tolerance in ~22 steps.
 _MAX_STEPS = 100
+# chi2_vs_analytic merges cells until each expects this many counts.
+_MIN_EXPECTED = 5.0
 
 
 @dataclass(frozen=True)
@@ -265,6 +273,7 @@ def _chunked_switch_times(p: DetectorParams, rho0: np.ndarray, cfg: SimConfig):
     """Yield (switching times, no-switch count) for trajectories taken CHUNK
     at a time in index order, so memory stays O(CHUNK) for any n_traj."""
     rho0 = _checked_state(rho0)
+    np.empty(_HEAP_HEADROOM, dtype=np.uint8)  # freed at once: see _HEAP_HEADROOM
     s_tau, invert = _survival_inverter(p, rho0, cfg.tau)
     for start in range(0, cfg.n_traj, CHUNK):
         u = _uniforms(cfg.seed, start, min(CHUNK, cfg.n_traj - start))
@@ -280,7 +289,8 @@ def sample_switch_times(
 
     Each chunk's times are copied into one n_traj buffer as they are solved,
     so no chunk's array outlives its chunk; the result is a view of that
-    buffer.
+    buffer.  A caller that needs only the histogram uses run_ensemble,
+    whose memory does not grow with n_traj.
     """
     times = np.empty(cfg.n_traj)
     switched = no_switch = 0
@@ -291,10 +301,18 @@ def sample_switch_times(
     return times[:switched], no_switch
 
 
-def bin_switch_times(times: np.ndarray, no_switch: int, cfg: SimConfig) -> Histogram:
+def _binned_ensemble(p: DetectorParams, rho0: np.ndarray, cfg: SimConfig) -> tuple[Histogram, float]:
+    """The histogram of cfg.n_traj trajectories and the sum of their
+    switching times, both taken chunk by chunk, so memory stays O(CHUNK)
+    for any n_traj."""
     edges = np.linspace(0.0, cfg.tau, cfg.n_bins + 1)
-    counts, _ = np.histogram(times, bins=edges)
-    return Histogram(edges, counts.astype(np.int64), no_switch, cfg.n_traj)
+    counts = np.zeros(cfg.n_bins, dtype=np.int64)
+    no_switch, time_sum = 0, 0.0
+    for times, n in _chunked_switch_times(p, rho0, cfg):
+        counts += np.histogram(times, bins=edges)[0]
+        time_sum += float(times.sum())
+        no_switch += n
+    return Histogram(edges, counts, no_switch, cfg.n_traj), time_sum
 
 
 def run_ensemble(p: DetectorParams, rho0: np.ndarray, cfg: SimConfig) -> Histogram:
@@ -306,13 +324,15 @@ def run_ensemble(p: DetectorParams, rho0: np.ndarray, cfg: SimConfig) -> Histogr
     ranges sum to the same result.  Times are binned chunk by chunk, so
     memory stays O(CHUNK) for any n_traj.
     """
-    edges = np.linspace(0.0, cfg.tau, cfg.n_bins + 1)
-    counts = np.zeros(cfg.n_bins, dtype=np.int64)
-    no_switch = 0
-    for times, n in _chunked_switch_times(p, rho0, cfg):
-        counts += np.histogram(times, bins=edges)[0]
-        no_switch += n
-    return Histogram(edges, counts, no_switch, cfg.n_traj)
+    return _binned_ensemble(p, rho0, cfg)[0]
+
+
+def _cells(surv: np.ndarray) -> np.ndarray:
+    """Cell probabilities from survival at the edges (last axis), no-switch last."""
+    cells = np.empty_like(surv)
+    np.subtract(surv[..., :-1], surv[..., 1:], out=cells[..., :-1])
+    cells[..., -1] = surv[..., -1]
+    return cells
 
 
 def expected_cell_probabilities(
@@ -323,19 +343,14 @@ def expected_cell_probabilities(
     Bin probabilities are exact survival differences, so no quadrature
     error enters the comparison.
     """
-    surv = survival_function(p, rho0)
-    s_edges = surv(h.bin_edges)
-    probs = np.append(-np.diff(s_edges), s_edges[-1])
-    return np.clip(probs, 0.0, None)
+    return np.clip(_cells(survival_function(p, rho0)(h.bin_edges)), 0.0, None)
 
 
-def chi2_vs_analytic(
-    h: Histogram, p: DetectorParams, rho0: np.ndarray, min_expected: float = 5.0
-) -> tuple[float, int, float]:
+def chi2_vs_analytic(h: Histogram, p: DetectorParams, rho0: np.ndarray) -> tuple[float, int, float]:
     """Pearson chi-squared of a histogram against the model distribution.
 
     Cells (bins plus the no-switch cell) with expected count below
-    min_expected are merged into their neighbor before the statistic is
+    _MIN_EXPECTED are merged into their neighbor before the statistic is
     formed.  Returns (statistic, dof, p_value).
     """
     if h.total <= 0 or (int(h.counts.sum()) + h.no_switch_count) <= 0:
@@ -350,7 +365,7 @@ def chi2_vs_analytic(
     for e, o in zip(expected, observed):
         acc_e += e
         acc_o += o
-        if acc_e >= min_expected:
+        if acc_e >= _MIN_EXPECTED:
             exp_m.append(acc_e)
             obs_m.append(acc_o)
             acc_e = acc_o = 0.0

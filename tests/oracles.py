@@ -17,7 +17,46 @@ from switchsim import tomography as tomo
 from switchsim import trajectory as traj
 from switchsim.detector import DetectorParams
 from switchsim.errors import BisectionFailureError
-from switchsim.tolerances import INVERSION_RESIDUAL_TOL, INVERSION_STEP_REL_TOL
+from switchsim.tolerances import HERMITIAN_TOL, INVERSION_RESIDUAL_TOL, INVERSION_STEP_REL_TOL
+
+# Norm or trace below which a state cannot be normalized.
+ZERO_TRACE_TOL = 1e-15
+
+
+def mat2(a00, a01, a10, a11) -> np.ndarray:
+    """Assemble a complex 2x2 matrix from its four entries."""
+    m = np.array([[a00, a01], [a10, a11]], dtype=complex)
+    if not np.all(np.isfinite(m.view(float))):
+        raise ValueError("matrix entries must be finite")
+    return m
+
+
+def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+    return bool(np.max(np.abs(m - m2.dag(m))) <= tol * max(1.0, m2.norm2(m)))
+
+
+def pure_state(c0, c1) -> np.ndarray:
+    """Build a normalized pure state, fixing the global phase convention."""
+    psi = np.array([c0, c1], dtype=complex)
+    nrm = np.linalg.norm(psi)
+    if not np.isfinite(nrm) or nrm <= ZERO_TRACE_TOL:
+        raise ValueError("state amplitudes must be finite and not all zero")
+    return m2.normalize_phase(psi / nrm)
+
+
+def purity(rho: np.ndarray) -> float:
+    """Information content of a state: sqrt(2 Tr(rho_n^2) - 1) in [0, 1].
+
+    The state is trace-normalized first, so sub-normalized conditional
+    states are handled transparently.  One is returned exactly for rank-1
+    states, zero for the maximally mixed state.
+    """
+    tr = m2.trace(rho).real
+    if tr <= ZERO_TRACE_TOL:
+        raise ValueError("cannot normalize a zero-trace density matrix")
+    rho_n = np.asarray(rho, dtype=complex) / tr
+    val = 2.0 * m2.trace(rho_n @ rho_n).real - 1.0
+    return float(np.sqrt(min(max(val, 0.0), 1.0)))
 
 
 def u_ns_half_angle_form(p: DetectorParams, t: float) -> np.ndarray:
@@ -74,10 +113,16 @@ def exp_slopes(p: DetectorParams, rho: np.ndarray, t: float, names) -> np.ndarra
         v_inv = np.linalg.inv(v)
         e = np.exp(lam * t)
         # (e^{lam_b t} - e^{lam_a t}) / (lam_b - lam_a) from the mode a that
-        # decays slower, so that expm1 cannot overflow
+        # decays slower, so that expm1 cannot overflow; at a tiny gap
+        # (zero or subnormal, where dividing by it overflows) expm1(x) / d
+        # is t (1 + x/2 + x^2/6), off by |x|^3 / 24 relative
         a = int(lam[1].real > lam[0].real)
         d = lam[1 - a] - lam[a]
-        f01 = t * e[a] if d == 0.0 else e[a] * np.expm1(d * t) / d
+        x = d * t
+        if abs(x) < 1e-5:
+            f01 = t * e[a] * (1.0 + x / 2.0 + x * x / 6.0)
+        else:
+            f01 = e[a] * np.expm1(x) / d
         f = np.array([[t * e[0], f01], [f01, t * e[1]]])
         u = v @ np.diag(e) @ v_inv
     out = []
@@ -156,6 +201,13 @@ def stepped_switch_times(p: DetectorParams, rho0: np.ndarray, cfg, dt: float):
     return np.array(times), cfg.n_traj - len(times)
 
 
+def bin_switch_times(times: np.ndarray, no_switch: int, cfg) -> traj.Histogram:
+    """Histogram of cfg.n_bins equal bins over [0, tau] of the given times."""
+    edges = np.linspace(0.0, cfg.tau, cfg.n_bins + 1)
+    counts, _ = np.histogram(times, bins=edges)
+    return traj.Histogram(edges, counts.astype(np.int64), no_switch, cfg.n_traj)
+
+
 def model_density_slow_form(p: DetectorParams, b, t: float) -> float:
     """Slow-regime (E >> gamma_plus) closed form of the switching-time
     density for Bloch vector b: the coherence terms carry the full
@@ -180,7 +232,7 @@ def purity_equals_fidelity_check(u: np.ndarray) -> tuple[float, float]:
     maximally mixed input; the two must agree."""
     fid = meas.outcome_fidelity(meas.decompose(u))
     rho = u @ (0.5 * m2.IDENTITY) @ m2.dag(u)
-    return fid, m2.purity(rho)
+    return fid, purity(rho)
 
 
 def basis_azimuth(p: DetectorParams, ts: np.ndarray) -> np.ndarray:
@@ -339,7 +391,7 @@ def joint_free_fit(h, fixed: DetectorParams, free_params, bounds, n_starts: int 
     (index tie-break), and the covariance is the Gauss-Newton
     pseudo-inverse there.  The reference for the profiled free fit.
     """
-    free, names, lo, hi = tomo.search_box(fixed, bounds, tomo.BLOCH_NAMES, free_params, n_starts)
+    free, names, lo, hi = tomo.search_box(bounds, tomo.BLOCH_NAMES, free_params, n_starts)
     # the Bloch components' box, [-1, 1] each, ahead of the parameters'
     lo, hi = np.append(-np.ones(3), lo), np.append(np.ones(3), hi)
     observed = np.append(h.counts, h.no_switch_count).astype(float)

@@ -24,6 +24,8 @@ from oracles import (
     azimuth_displacement,
     basis_azimuth,
     integrate_matrix,
+    pure_state,
+    purity,
     purity_equals_fidelity_check,
 )
 
@@ -267,9 +269,9 @@ def test_criterion_11_purity_fidelity_and_pure_states():
         det.DetectorParams(0.0, 3.0, 1.3, 8.0),
     ]
     cfg = traj.SimConfig(n_traj=250, tau=1.0, seed=9001)
-    psi = m2.pure_state(0.6, 0.8j)
+    psi = pure_state(0.6, 0.8j)
     rho0 = m2.projector(psi)
     for p in params:
         for i in range(250):
             out = traj.run_trajectory(p, rho0, cfg, i)
-            assert abs(m2.purity(out.final_state) - 1.0) <= 1e-8
+            assert abs(purity(out.final_state) - 1.0) <= 1e-8

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,20 @@ def fresh_process(*args):
     return subprocess.run(
         [sys.executable, *map(str, args)], env=env, capture_output=True, text=True, check=True, timeout=120
     )
+
+
+# (gamma_L, gamma_R, beta, E) of the benchmark configurations C1-C4
+CONFIGS = (
+    (1.0, 5.0, math.pi / 4, 60.0),
+    (0.0, 10.0, math.pi / 3, 200.0),
+    (2.0, 8.0, 1.0, 20.0),
+    (1.0, 4.0, 0.6, 120.0),
+)
+
+
+def param_sets(params):
+    names = ("gamma_L", "gamma_R", "beta", "E")
+    return [a for name, v in zip(names, params) for a in ("--set", f"params.{name}={v!r}")]
 
 
 def strip_elapsed(summary):
@@ -118,11 +133,39 @@ class TestSimulateCommand:
         assert h.total == 3000
         assert h.bin_edges[-1] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("params", CONFIGS)
+    def test_histogram_and_mean_match_library(self, tmp_path, params):
+        # 20000 trajectories span two sampler chunks
+        sets = param_sets(params) + ["--set", "n_traj=20000", "--set", "bloch.x=0.3", "--set", "bloch.z=-0.4"]
+        assert run_cli(["simulate", "--out", tmp_path, "--seed", 7] + sets) == 0
+        s = read_summary(tmp_path)
+        p = det.DetectorParams(*params)
+        rho0 = tomo.BlochComponents(0.3, 0.0, -0.4).to_density()
+        cfg = traj.SimConfig(n_traj=20000, tau=1.0, seed=7, n_bins=50)
+        h = traj.read_histogram_csv(tmp_path / "histogram.csv", time_scale=s["time_unit_scale"])
+        ref = traj.run_ensemble(p, rho0, cfg)
+        np.testing.assert_array_equal(h.counts, ref.counts)
+        assert (h.no_switch_count, h.total) == (ref.no_switch_count, ref.total)
+        times, _ = traj.sample_switch_times(p, rho0, cfg)
+        assert s["mean_switch_time"] == pytest.approx(float(times.mean()), rel=1e-12, abs=0.0)
+
+    def test_memory_independent_of_size(self, tmp_path):
+        # the bound of test_ensemble_memory_independent_of_size: simulate
+        # bins and sums each chunk's times, keeping no n_traj buffer
+        sets = param_sets(CONFIGS[0]) + ["--set", "n_traj=2000000", "--set", "tau=1.2", "--set", "n_bins=150"]
+        tracemalloc.start()
+        try:
+            assert run_cli(["simulate", "--out", tmp_path, "--seed", 5] + sets) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * traj.CHUNK * 8, f"peak {peak / 1e6:.1f} MB"
+
     def test_simulation_error_exit_code(self, tmp_path, monkeypatch):
         def broken(*args):
             raise BisectionFailureError("survival inversion residual too large")
 
-        monkeypatch.setattr(traj, "sample_switch_times", broken)
+        monkeypatch.setattr(traj, "_chunked_switch_times", broken)
         assert run_cli(["simulate", "--out", tmp_path, "--set", "n_traj=2000"]) == 3
         assert not (tmp_path / "summary.json").exists()
 
@@ -368,6 +411,18 @@ class TestCoherentCommand:
             for r in (tmp_path / "coherent_dominant_coupling.csv").read_text().strip().splitlines()[1:]
         ]
         assert dom[0][3] == pytest.approx(1.0)  # beta = 0
+
+    @pytest.mark.parametrize("key", ["g_L", "g_R", "eps_L", "eps_R"])
+    def test_coupling_keys_unknown(self, tmp_path, key):
+        # neither rate law reads the couplings or biases
+        assert run_cli(["coherent", "--out", tmp_path, "--set", f"{key}=1"]) == 2
+
+    def test_rate_scale_changes_outputs(self, tmp_path):
+        assert run_cli(["coherent", "--out", tmp_path / "a"]) == 0
+        assert run_cli(["coherent", "--out", tmp_path / "b", "--set", "rate_scale=2"]) == 0
+        for law in ("dominant_coupling", "large_bias"):
+            name = f"coherent_{law}.csv"
+            assert (tmp_path / "a" / name).read_bytes() != (tmp_path / "b" / name).read_bytes()
 
 
 class TestParser:

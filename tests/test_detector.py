@@ -17,6 +17,7 @@ from oracles import (
     exp_slopes,
     integrate_matrix,
     p_no_switch,
+    pure_state,
     u_ham,
     u_ns_half_angle_form,
     u_ns_stepped,
@@ -219,7 +220,7 @@ class TestUNoSwitch:
         # The exceptional point beta = pi/2, E = |gamma_minus| (here with
         # gamma_L = 0) and its neighbourhood: G is defective or nearly so,
         # and the propagator and survival must stay exact through it.
-        rho = m2.projector(m2.pure_state(1.0, 0.6 + 0.3j))
+        rho = m2.projector(pure_state(1.0, 0.6 + 0.3j))
         grid = np.linspace(0.0, 3.0, 61)
         for gamma_r in (0.1, 4.0, 400.0):
             for delta in (0.0, 1e-15, -1e-15, 1e-13, -1e-13, 1e-11, 1e-9):
@@ -313,7 +314,7 @@ class TestSurvival:
         rng = np.random.default_rng(9)
         for _ in range(20):
             p = random_params(rng)
-            rho = m2.projector(m2.pure_state(*(rng.standard_normal(2) + 1j * rng.standard_normal(2))))
+            rho = m2.projector(pure_state(*(rng.standard_normal(2) + 1j * rng.standard_normal(2))))
             s = det.survival_function(p, rho)
             grid = np.linspace(0.0, 5.0, 400)
             vals = s(grid)
@@ -354,7 +355,7 @@ class TestSwitchDensity:
 
     def test_equal_rates(self):
         p = det.DetectorParams(2.0, 2.0, 1.3, 3.0)
-        rho = m2.projector(m2.pure_state(0.6, 0.8))
+        rho = m2.projector(pure_state(0.6, 0.8))
         for t in (0.0, 0.5, 1.5):
             assert det.switch_density(p, rho, t) == pytest.approx(
                 2.0 * math.exp(-2.0 * t), rel=1e-12
@@ -393,7 +394,7 @@ class TestSwitchDensity:
     def test_vectorized_density_matches_scalar(self):
         rng = np.random.default_rng(13)
         p = random_params(rng)
-        rho = m2.projector(m2.pure_state(1.0, 0.5j))
+        rho = m2.projector(pure_state(1.0, 0.5j))
         d = det.switch_density_function(p, rho)
         for t in (0.0, 0.4, 1.9):
             assert float(d(t)) == pytest.approx(det.switch_density(p, rho, t), abs=1e-13)
@@ -451,7 +452,7 @@ def test_propagator_and_survival_over_parameter_box(gamma_l, gamma_r, beta, e, f
     bound = 1e-12 * max(1.0, g_norm * t / 1e3)
     assert np.max(np.abs(det.u_ns(p, t) - u)) <= bound
 
-    rho = m2.projector(m2.pure_state(amps[0] + 1j * amps[1], amps[2] + 1j * amps[3]))
+    rho = m2.projector(pure_state(amps[0] + 1j * amps[1], amps[2] + 1j * amps[3]))
     # the trace forms and the half gap weigh U by Gamma, so their bound
     # carries its norm
     gam = det.rate_matrix(p)
@@ -564,7 +565,7 @@ class TestSlopes:
     def test_match_van_loan_block(self, params):
         p = det.DetectorParams(*params)
         rhos = [
-            m2.projector(m2.pure_state(0.6, 0.8j)),
+            m2.projector(pure_state(0.6, 0.8j)),
             0.5 * np.eye(2, dtype=complex),
             np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, 0.7]]),
         ]
@@ -591,13 +592,15 @@ class TestSlopes:
 # 3e4 and keeps 1.6e-12 and 2.3e-12 of their rounding
 @example(0.0, 2.22e-16, 0.0, 0.0625, 0.5, (0.0, 0.0, 1.0, 0.0))
 @example(0.0, 0.0, 0.0, 0.125, 1.0, (0.0, 0.0, 1.0, 0.0))
+# a subnormal eigenvalue gap, which exp_slopes must not divide by
+@example(0.0, 0.0, 0.5, 2.2e-311, 0.5, (0.6, 0.0, 0.0, 0.8))
 def test_slopes_over_parameter_box(gamma_l, gamma_r, beta, e, frac, amps):
     """The survival and density slopes match exp_slopes at any admissible
     parameters, over 30 decay times as in
     test_propagator_and_survival_over_parameter_box."""
     p = det.DetectorParams(gamma_l, gamma_r, beta, e)
     t = frac * 30.0 / max(p.gamma_plus, 1e-3)
-    rho = m2.projector(m2.pure_state(amps[0] + 1j * amps[1], amps[2] + 1j * amps[3]))
+    rho = m2.projector(pure_state(amps[0] + 1j * amps[1], amps[2] + 1j * amps[3]))
     got = survival_and_density_slopes(p, [rho], np.array([t]))[:, 0, :, 0]
     ref = exp_slopes(p, rho, t, NAMES)
     assert np.all(np.abs(got - ref) <= slope_bound(p, t, ref))

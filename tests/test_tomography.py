@@ -240,7 +240,13 @@ class TestFit:
             "E": (55.0, 65.0),
         }
         with pytest.raises(NotIdentifiableError):
-            tomo.fit(h, fixed=None, bounds=bounds, seed=11, n_starts=16)
+            tomo.fit(h, fixed=IDENTIFIABLE, free_params=tomo.PARAM_NAMES, bounds=bounds, seed=11, n_starts=16)
+
+    def test_fixed_params_required(self):
+        # fixed has no default; free_params=PARAM_NAMES frees all four
+        h = synthesize(IDENTIFIABLE, tomo.BlochComponents(0.3, -0.4, 0.5), 100000, seed=55)
+        with pytest.raises(TypeError):
+            tomo.fit(h)
 
     def test_all_in_one_with_pinned_rate(self):
         # pinning gamma_L breaks the gauge: state and remaining detector

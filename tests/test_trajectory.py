@@ -1,4 +1,8 @@
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,6 +13,7 @@ from scipy.integrate import quad
 from scipy.stats import chi2 as chi2_dist
 from scipy.stats import kstest
 
+import switchsim
 from switchsim import detector as det
 from switchsim import mat2 as m2
 from switchsim import trajectory as traj
@@ -16,8 +21,11 @@ from switchsim.errors import BisectionFailureError, InsufficientCountsError
 from switchsim.tolerances import INVERSION_RESIDUAL_TOL
 
 from oracles import (
+    bin_switch_times,
     bisect_survival,
     p_no_switch,
+    pure_state,
+    purity,
     stepped_switch_times,
     table_newton_inverter,
     u_ham,
@@ -218,7 +226,7 @@ class TestExactSampling:
     def test_exceptional_point_matches_model(self):
         # beta = pi/2, E = |gamma_minus| makes G defective; the sampler must
         # invert the survival function on it and next to it
-        rho0 = m2.projector(m2.pure_state(1.0, 0.6 + 0.3j))
+        rho0 = m2.projector(pure_state(1.0, 0.6 + 0.3j))
         cfg = traj.SimConfig(n_traj=100_000, tau=1.5, seed=29, n_bins=60)
         for delta in (1e-11, 1e-13, 0.0):
             p = det.DetectorParams(0.0, 4.0, math.pi / 2, 2.0 * (1.0 + delta))
@@ -258,20 +266,20 @@ class TestInversion:
         of ~1e-6 / tau, beyond 1e-9 tau for any solver."""
         p = det.DetectorParams(gamma_l, gamma_r, beta, e)
         tau = frac * 30.0 / max(p.gamma_plus, 1e-3)
-        rho = m2.projector(m2.pure_state(amps[0] + 1j * amps[1], amps[2] + 1j * amps[3]))
+        rho = m2.projector(pure_state(amps[0] + 1j * amps[1], amps[2] + 1j * amps[3]))
         assume(det.survival_probability(p, rho, tau) < 1.0 - 1e-6)
         assert_inversion_matches_bisection(p, rho, tau)
 
     @pytest.mark.parametrize("delta", [0.0, 1e-13, 1e-11])
     def test_matches_bisection_at_exceptional_point(self, delta):
         p = det.DetectorParams(0.0, 4.0, math.pi / 2, 2.0 * (1.0 + delta))
-        assert_inversion_matches_bisection(p, m2.projector(m2.pure_state(1.0, 0.6 + 0.3j)), 1.5)
+        assert_inversion_matches_bisection(p, m2.projector(pure_state(1.0, 0.6 + 0.3j)), 1.5)
 
     def test_matches_bisection_near_dark_state(self):
         # |0> is dark (gamma_L = 0, beta = 0); tilted by 0.01 it switches
         # with probability ~1e-4
         p = det.DetectorParams(0.0, 3.0, 0.0, 2.0)
-        rho = m2.projector(m2.pure_state(math.cos(0.01), math.sin(0.01)))
+        rho = m2.projector(pure_state(math.cos(0.01), math.sin(0.01)))
         assert_inversion_matches_bisection(p, rho, 5.0)
 
     def test_prefix_across_chunk_boundaries(self):
@@ -313,6 +321,29 @@ class TestInversion:
             tracemalloc.stop()
         assert peak < 40 * traj.CHUNK * 8, f"peak {peak / 1e6:.1f} MB"
 
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap trimming")
+    def test_repeated_ensemble_keeps_its_pages(self):
+        # a fresh process, as earlier tests may already have lifted glibc's
+        # trim threshold; without _HEAP_HEADROOM each of the 8 chunks of a
+        # repeated run faults ~400 pages in again
+        script = (
+            "import math, resource\n"
+            "import numpy as np\n"
+            "from switchsim import detector as det, trajectory as traj\n"
+            "p = det.DetectorParams(1.0, 5.0, math.pi / 4, 60.0)\n"
+            "cfg = traj.SimConfig(n_traj=8 * traj.CHUNK, tau=1.2, seed=5, n_bins=150)\n"
+            "for _ in range(3):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    traj.run_ensemble(p, 0.5 * np.eye(2, dtype=complex), cfg)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = os.path.dirname(os.path.dirname(switchsim.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True, timeout=120
+        )
+        assert int(out.stdout) < 200
+
 
 def benchmark_pulse(config):
     p = det.DetectorParams(*config)
@@ -334,9 +365,9 @@ class TestInversionRoute:
         + [
             # the exceptional point and the near-dark state of TestInversion
             (det.DetectorParams(0.0, 4.0, math.pi / 2, 2.0),
-             m2.projector(m2.pure_state(1.0, 0.6 + 0.3j)), 1.5),
+             m2.projector(pure_state(1.0, 0.6 + 0.3j)), 1.5),
             (det.DetectorParams(0.0, 3.0, 0.0, 2.0),
-             m2.projector(m2.pure_state(math.cos(0.01), math.sin(0.01))), 5.0),
+             m2.projector(pure_state(math.cos(0.01), math.sin(0.01))), 5.0),
         ],
     )
     def test_matches_table_newton_oracle(self, params, rho, tau):
@@ -418,11 +449,11 @@ class TestPurity:
     def test_pure_stays_pure_exact(self):
         rng = np.random.default_rng(21)
         p = det.DetectorParams(1.0, 4.0, 1.1, 8.0)
-        psi = m2.pure_state(0.8, 0.6j)
+        psi = pure_state(0.8, 0.6j)
         cfg = traj.SimConfig(n_traj=100, tau=1.0, seed=13)
         for i in range(100):
             out = traj.run_trajectory(p, m2.projector(psi), cfg, i)
-            assert m2.purity(out.final_state) == pytest.approx(1.0, abs=1e-10)
+            assert purity(out.final_state) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestChi2:
@@ -473,7 +504,7 @@ class TestEuler:
         p = det.DetectorParams(1.0, 3.0, 0.8, 2.0)
         tau, dt = 1.0, 0.004
         cfg = traj.SimConfig(n_traj=20000, tau=tau, seed=31, n_bins=20)
-        h = traj.bin_switch_times(*stepped_switch_times(p, MIXED, cfg, dt), cfg)
+        h = bin_switch_times(*stepped_switch_times(p, MIXED, cfg, dt), cfg)
         probs = euler_law_cell_probabilities(p, MIXED, tau, dt, h.bin_edges)
         expected = probs * h.total
         observed = np.append(h.counts, h.no_switch_count).astype(float)
@@ -489,7 +520,7 @@ class TestEuler:
         cfg_exact = traj.SimConfig(n_traj=100000, tau=tau, seed=301, n_bins=20)
         cfg_euler = traj.SimConfig(n_traj=100000, tau=tau, seed=302, n_bins=20)
         h1 = traj.run_ensemble(p, MIXED, cfg_exact)
-        h2 = traj.bin_switch_times(*stepped_switch_times(p, MIXED, cfg_euler, 0.001), cfg_euler)
+        h2 = bin_switch_times(*stepped_switch_times(p, MIXED, cfg_euler, 0.001), cfg_euler)
         stat, dof, pval = two_sample_chi2(h1, h2)
         assert pval > 0.001
 
