@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import mat2 as m2
 from .detector import DetectorParams, _generator_slopes, _TraceForms, rate_matrix, switch_density
@@ -83,9 +82,15 @@ class BlochComponents:
 
 @dataclass(frozen=True)
 class FitStart:
-    """How one free-parameter start ended: its starting point and what
-    least_squares returned (status, nfev, njev, the deviance and
-    max|J^T r| at its end), or the text of the exception it raised."""
+    """How one free-parameter start ended: its starting point, how its
+    Levenberg-Marquardt search stopped, the residual (nfev) and Jacobian
+    (njev) evaluations it took, and the deviance and max|J^T r| at its end;
+    or the text of the exception it raised.
+
+    status is positive on a normal stop: 1 once the projected gradient is
+    at most a tenth of the convergence threshold, 2 once a step is below
+    1e-14 of the parameters; 0 when the evaluation cap ran out.
+    """
 
     x0: tuple[float, ...]
     status: Optional[int] = None
@@ -296,28 +301,35 @@ def search_box(
     return free, free_param_names, lo, hi
 
 
-def _ball_step(hess: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimizer x of x.hess.x/2 + c.x over |x| <= 1, hess positive
-    definite, and its multiplier lam >= 0: (hess + lam I) x = -c.
+def _secular_step(evals: np.ndarray, w: np.ndarray, radius: float) -> tuple[np.ndarray, float]:
+    """In the eigenbasis of a positive definite model Hessian (eigenvalues
+    evals, gradient components w): the minimizer x of the quadratic model
+    over |x| <= radius and its multiplier lam >= 0, x = -w / (evals + lam).
 
-    On the sphere lam solves the secular equation 1/|x(lam)| = 1.
+    On the sphere lam solves the secular equation 1/|x(lam)| = 1/radius.
     1/|x(lam)| is increasing and concave, so Newton's method from lam = 0
     climbs to the root without overshooting (Moré & Sorensen, "Computing a
     trust region step", SIAM J. Sci. Stat. Comput. 4, 1983).
     """
-    evals, vecs = np.linalg.eigh(hess)
-    w = vecs.T @ c
     lam = 0.0
     for _ in range(100):
         x = w / (evals + lam)
         norm = math.sqrt(x @ x)
-        if norm <= 1.0:
+        if norm <= radius:
             break
-        step = (norm - 1.0) * norm**2 / (x @ (x / (evals + lam)))
+        step = (norm - radius) / radius * norm**2 / (x @ (x / (evals + lam)))
         if step <= 1e-15 * lam:
             break
         lam += step
-    return -(vecs @ x), lam
+    return -x, lam
+
+
+def _ball_step(hess: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
+    """Minimizer x of x.hess.x/2 + c.x over |x| <= 1, hess positive
+    definite, and its multiplier lam >= 0: (hess + lam I) x = -c."""
+    evals, vecs = np.linalg.eigh(hess)
+    x, lam = _secular_step(evals, vecs.T @ c, 1.0)
+    return vecs @ x, lam
 
 
 def _covariance(total: int, probs: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -479,6 +491,91 @@ class _Profile:
         return jac
 
 
+@dataclass
+class _LMResult:
+    """Where _bounded_lm stopped: the parameters, the residuals and
+    Jacobian there, the stop's status and the evaluations it took."""
+
+    x: np.ndarray
+    fun: np.ndarray
+    jac: np.ndarray
+    status: int
+    nfev: int
+    njev: int
+
+
+def _bounded_lm(fun, jac, x0, lo: np.ndarray, hi: np.ndarray, gtol: float, max_nfev: int) -> _LMResult:
+    """Minimize |fun(x)|^2 over the box lo <= x <= hi by projected
+    Levenberg-Marquardt.
+
+    The variables are scaled by the running maximum of the Jacobian's
+    column norms (Moré, "The Levenberg-Marquardt algorithm: implementation
+    and theory", 1978).  Each step minimizes the linear model |r + J p| in
+    the scaled trust region, from the SVD of the scaled Jacobian with the
+    multiplier of the secular equation (_secular_step), over the
+    components not held at a bound by the gradient, and is projected onto
+    the box (Kanzow, Yamashita & Fukushima, J. Comput. Appl. Math. 172,
+    2004).  The ratio of actual to predicted reduction takes the step
+    (above 1e-4) and sets the radius as Moré does: below 1/4 it halves, to
+    at most five step lengths; above 3/4, or after an undamped step, it
+    becomes twice the step.  The Jacobian is evaluated only at a point
+    taken.
+
+    The status is 1 once the projected gradient max|J^T r| (components
+    held at a bound left out) is at most gtol, 2 once a step is below
+    1e-14 of |x| (scaled), and 0 once max_nfev residual evaluations are
+    spent.
+    """
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    r = fun(x)
+    if not np.all(np.isfinite(r)):
+        raise FloatingPointError(f"residuals are not finite at {x.tolist()}")
+    jacobian = jac(x)
+    nfev = njev = 1
+    scale = np.zeros_like(x)
+    radius = None
+    while True:
+        g = jacobian.T @ r
+        held = ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))
+        if np.max(np.abs(np.where(held, 0.0, g))) <= gtol:
+            status = 1
+            break
+        if nfev >= max_nfev:
+            status = 0
+            break
+        scale = np.maximum(scale, np.linalg.norm(jacobian, axis=0))
+        d = np.where(scale > 0.0, scale, 1.0)
+        if radius is None:
+            radius = float(np.linalg.norm(d * (hi - lo)))
+        free = ~held
+        u, s, vt = np.linalg.svd(jacobian[:, free] / d[free], full_matrices=False)
+        keep = s > 0.0
+        z, lam = _secular_step(s[keep] ** 2, s[keep] * (u[:, keep].T @ r), radius)
+        step = np.zeros_like(x)
+        step[free] = (vt[keep].T @ z) / d[free]
+        step = np.clip(x + step, lo, hi) - x
+        step_norm = float(np.linalg.norm(d * step))
+        if step_norm <= 1e-14 * np.linalg.norm(d * x):
+            status = 2
+            break
+        r_new = fun(x + step)
+        nfev += 1
+        jp = jacobian @ step
+        predicted = -(2.0 * (r @ jp) + jp @ jp)
+        # |r|^2 - |r_new|^2 without the cancellation of the two sums
+        actual = float((r - r_new) @ (r + r_new))
+        ratio = actual / predicted if predicted > 0.0 else -math.inf
+        if not ratio >= 0.25:
+            radius = 0.5 * min(radius, 10.0 * step_norm)
+        elif ratio >= 0.75 or lam == 0.0:
+            radius = 2.0 * step_norm
+        if ratio >= 1e-4:
+            x, r = x + step, r_new
+            jacobian = jac(x)
+            njev += 1
+    return _LMResult(x, r, jacobian, status, nfev, njev)
+
+
 def fit(
     h: Histogram,
     fixed: DetectorParams,
@@ -510,20 +607,20 @@ def fit(
     once per process for each pair (the last 128 pairs are kept).
 
     With detector parameters free, the state is profiled out: bounded
-    least squares searches the free parameters alone, on the residuals of
-    the profiled deviance min_b D(params, b), from n_starts Latin-hypercube
-    starts drawn deterministically from the parameters' `bounds` (names in
-    PARAM_NAMES; DEFAULT_BOUNDS for the others); the winner is the lowest
-    start index whose deviance lies within FIT_START_TIE_TOL (relative,
-    at least 1 count) of the lowest.  `converged` holds when the profiled
-    gradient is below FIT_GRADIENT_TOL times the histogram total, the
-    parameters lie strictly inside their box, and the inner solve meets
-    its KKT test.  Each start stops once its (bound-scaled) profiled
-    gradient is a tenth of that threshold, before the deviance flattens to
-    its rounding floor.  Every start leaves a FitStart record in `starts`,
-    the winner's index in `best_start`; a start that raises records the
-    exception, and NoConvergenceError carries the records when every
-    start fails.
+    Levenberg-Marquardt (_bounded_lm) searches the free parameters alone,
+    on the residuals of the profiled deviance min_b D(params, b), from
+    n_starts Latin-hypercube starts drawn deterministically from the
+    parameters' `bounds` (names in PARAM_NAMES; DEFAULT_BOUNDS for the
+    others); the winner is the lowest start index whose deviance lies
+    within FIT_START_TIE_TOL (relative, at least 1 count) of the lowest.
+    `converged` holds when the profiled gradient is below FIT_GRADIENT_TOL
+    times the histogram total, the parameters lie strictly inside their
+    box, and the inner solve meets its KKT test.  Each start stops once its
+    projected profiled gradient is a tenth of that threshold, before the
+    deviance flattens to its rounding floor.  Every start leaves a FitStart
+    record in `starts`, the winner's index in `best_start`; a start that
+    raises records the exception, and NoConvergenceError carries the
+    records when every start fails.
 
     The covariance is the inverse Fisher information at the optimum, over
     the free names in `free_names` order; its columns are exact, the
@@ -564,10 +661,9 @@ def fit(
         try:
             # stop on the profiled gradient, at a tenth of `converged`'s bound
             # below, before the deviance flattens to its rounding floor
-            res = least_squares(
-                profile.residuals, x0, jac=profile.jacobian,
-                bounds=(lo, hi), method="trf",
-                xtol=1e-14, ftol=1e-14, gtol=0.1 * FIT_GRADIENT_TOL * h.total, max_nfev=2000,
+            res = _bounded_lm(
+                profile.residuals, profile.jacobian, x0, lo, hi,
+                gtol=0.1 * FIT_GRADIENT_TOL * h.total, max_nfev=2000,
             )
             if not np.all(np.isfinite(res.x)):
                 raise FloatingPointError(f"non-finite parameters {res.x.tolist()}")
@@ -584,7 +680,7 @@ def fit(
         # histogram total; a stalled or boundary-pinned start sits orders of
         # magnitude above this threshold
         converged = bool(
-            res.success and grad_norm < FIT_GRADIENT_TOL * h.total and interior
+            res.status > 0 and grad_norm < FIT_GRADIENT_TOL * h.total and interior
             and inner_converged
         )
         records.append(FitStart(

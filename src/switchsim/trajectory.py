@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import chdtrc  # chi2.sf of scipy.stats, without its ~20 MB import
 
 from . import mat2 as m2
 from .detector import (
@@ -346,6 +345,29 @@ def expected_cell_probabilities(
     return np.clip(_cells(survival_function(p, rho0)(h.bin_edges)), 0.0, None)
 
 
+def _chi2_tail(k: int, x: float) -> float:
+    """P(X > x) for X chi-squared with k degrees of freedom.
+
+    That is Q(k/2, x/2), a finite series at integer k (Abramowitz & Stegun
+    26.4.4-26.4.5): e^{-x/2} sum_{j<k/2} (x/2)^j / j! for even k, and
+    erfc(sqrt(x/2)) + e^{-x/2} sum_{j=1}^{(k-1)/2} (x/2)^{j-1/2} / Gamma(j+1/2)
+    for odd k.  Each term is taken as one exponential of its logarithm, so
+    none underflows before the sum does (e^{-x/2} alone would beyond
+    x ~ 1490).
+    """
+    if x <= 0.0:
+        return 1.0
+    half = 0.5 * x
+    log_half = math.log(half)
+    if k % 2 == 0:
+        terms = [math.exp(j * log_half - half - math.lgamma(j + 1.0)) for j in range(k // 2)]
+    else:
+        terms = [math.erfc(math.sqrt(half))] + [
+            math.exp((j - 0.5) * log_half - half - math.lgamma(j + 0.5)) for j in range(1, (k + 1) // 2)
+        ]
+    return min(math.fsum(terms), 1.0)
+
+
 def chi2_vs_analytic(h: Histogram, p: DetectorParams, rho0: np.ndarray) -> tuple[float, int, float]:
     """Pearson chi-squared of a histogram against the model distribution.
 
@@ -384,7 +406,7 @@ def chi2_vs_analytic(h: Histogram, p: DetectorParams, rho0: np.ndarray) -> tuple
     obs_arr = np.asarray(obs_m)
     stat = float(np.sum((obs_arr - exp_arr) ** 2 / exp_arr))
     dof = len(exp_arr) - 1
-    return stat, dof, float(chdtrc(dof, stat))
+    return stat, dof, _chi2_tail(dof, stat)
 
 
 def _check_time_scale(time_scale: float) -> None:

@@ -1,9 +1,11 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,7 +303,7 @@ class TestTomographyCommand:
         def diverges(*args, **kwargs):
             raise FloatingPointError("residuals are not finite")
 
-        monkeypatch.setattr(tomo, "least_squares", diverges)
+        monkeypatch.setattr(tomo, "_bounded_lm", diverges)
         assert run_cli(self.fit_args(tmp_path, hist) + self.FREE_E) == 4
         with open(tmp_path / "tomography.json") as fh:
             record = json.load(fh)
@@ -470,3 +472,44 @@ def test_import_leaves_out_scipy_integrate():
     # scipy.integrate would only lengthen every start-up
     out = fresh_process("-c", "import sys, switchsim, switchsim.cli; print('scipy.integrate' in sys.modules)")
     assert out.stdout.strip() == "False"
+
+
+# a fresh interpreter in which every import of scipy fails runs the given
+# CLI argv lists in the given directory and prints their exit codes
+WITHOUT_SCIPY = """
+import json, os, sys
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"import of {name} refused", name=name)
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+os.chdir(sys.argv[1])
+from switchsim import cli
+
+print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[2])]))
+"""
+
+
+def readme_all_in_one():
+    """The argv lists of README's all-in-one simulate and tomography pair."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("### All-in-one fitting", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+    assert [command[:2] for command in commands] == [["switchsim", "simulate"], ["switchsim", "tomography"]]
+    return [command[1:] for command in commands]
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    """numpy is the only run-time dependency: README's all-in-one pair, a
+    simulate and a free-parameter tomography, runs where scipy cannot be
+    imported."""
+    out = fresh_process("-c", WITHOUT_SCIPY, tmp_path, json.dumps(readme_all_in_one()))
+    assert json.loads(out.stdout) == [0, 0]
+    with open(tmp_path / "out" / "tomography.json") as fh:
+        record = json.load(fh)
+    assert record["converged"] is True and record["free_names"][3:] == ["gamma_R", "beta", "E"]

@@ -433,6 +433,8 @@ unit = st.floats(-1.0, 1.0)
     st.floats(0.0, 1.0),
     st.tuples(unit, unit, unit, unit).filter(lambda v: sum(x * x for x in v) > 1e-6),
 )
+# tau = 1.3e-307: quadrature over [0, tau] itself warns of bad integrand behaviour
+@example(0.0, 1.0, 0.0, 0.0, 2.2e-309, (0.0, 0.0, 1.0, 1.0))
 def test_propagator_and_survival_over_parameter_box(gamma_l, gamma_r, beta, e, frac, amps):
     """Invariants at any admissible parameters, exceptional point included.
 
@@ -476,11 +478,13 @@ def test_propagator_and_survival_over_parameter_box(gamma_l, gamma_r, beta, e, f
     # written so that a subnormal g_norm does not overflow 100 / g_norm
     tau = t if g_norm * t <= 100.0 else 100.0 / g_norm
     dens = det.switch_density_function(p, rho)
-    # quad's default tolerance, 1.5e-8, is coarser than the 1e-8 checked
-    integral, _ = quad(
-        lambda u: float(dens(u)), 0.0, tau, limit=200, epsabs=1e-10, epsrel=1e-10
+    # quad's default tolerance, 1.5e-8, is coarser than the 1e-8 checked;
+    # the integral runs over [0, 1] in units of tau, as over [0, tau] at a
+    # subnormal tau quad sees only rounding
+    scaled, _ = quad(
+        lambda v: float(dens(tau * v)), 0.0, 1.0, limit=200, epsabs=1e-10, epsrel=1e-10
     )
-    assert float(s(tau)) + integral == pytest.approx(1.0, abs=1e-8)
+    assert float(s(tau)) + tau * scaled == pytest.approx(1.0, abs=1e-8)
 
 
 NAMES = ("gamma_L", "gamma_R", "beta", "E")

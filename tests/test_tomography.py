@@ -283,13 +283,13 @@ class TestFit:
 
     def test_n_starts_honoured(self, monkeypatch):
         h = synthesize(IDENTIFIABLE, tomo.BlochComponents(0.3, -0.4, 0.5), 20000, seed=13)
-        real, calls = tomo.least_squares, []
+        real, calls = tomo._bounded_lm, []
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(tomo, "least_squares", counting)
+        monkeypatch.setattr(tomo, "_bounded_lm", counting)
         tomo.fit(h, fixed=IDENTIFIABLE, free_params=("E",), bounds={"E": (55.0, 65.0)}, n_starts=3)
         assert len(calls) == 3
         with pytest.raises(ValueError):
@@ -448,7 +448,7 @@ class TestFreeFit:
     def test_failed_starts_recorded(self, monkeypatch):
         h = synthesize(IDENTIFIABLE, tomo.BlochComponents(0.3, -0.4, 0.5), 20000, seed=13)
         options = dict(fixed=IDENTIFIABLE, free_params=("E",), bounds={"E": (55.0, 65.0)}, n_starts=3)
-        real, calls = tomo.least_squares, []
+        real, calls = tomo._bounded_lm, []
 
         def second_fails(*args, **kwargs):
             calls.append(1)
@@ -456,7 +456,7 @@ class TestFreeFit:
                 raise ValueError("residuals are not finite")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(tomo, "least_squares", second_fails)
+        monkeypatch.setattr(tomo, "_bounded_lm", second_fails)
         result = tomo.fit(h, **options)
         assert result.converged
         assert len(calls) == 3
@@ -467,7 +467,7 @@ class TestFreeFit:
         def all_fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(tomo, "least_squares", all_fail)
+        monkeypatch.setattr(tomo, "_bounded_lm", all_fail)
         with pytest.raises(NoConvergenceError) as err:
             tomo.fit(h, **options)
         for idx in range(3):
@@ -478,7 +478,7 @@ class TestFreeFit:
         def bug(*args, **kwargs):
             raise TypeError("not a fit failure")
 
-        monkeypatch.setattr(tomo, "least_squares", bug)
+        monkeypatch.setattr(tomo, "_bounded_lm", bug)
         with pytest.raises(TypeError):
             tomo.fit(h, **options)
 
@@ -511,7 +511,7 @@ class TestFreeFit:
         assert max(deviances) - min(deviances) <= FIT_START_TIE_TOL * min(deviances)
         assert result.best_start == 0 and result.chi2 == deviances[0]
 
-        real, calls = tomo.least_squares, []
+        real, calls = tomo._bounded_lm, []
 
         def lowered_after_first(*args, **kwargs):
             res = real(*args, **kwargs)
@@ -521,25 +521,20 @@ class TestFreeFit:
                 res.fun = res.fun * math.sqrt(1.0 - 10.0 * FIT_START_TIE_TOL)
             return res
 
-        monkeypatch.setattr(tomo, "least_squares", lowered_after_first)
+        monkeypatch.setattr(tomo, "_bounded_lm", lowered_after_first)
         assert tomo.fit(h, **options).best_start == 1
 
-    def test_stop_rule_evaluation_count(self, monkeypatch):
+    def test_stop_rule_evaluation_count(self):
         """Each start stops on the profiled gradient: the C1-C4 fits above
         take at most 75% of the residual and Jacobian evaluations that
         stopping at the deviance's rounding floor (trf's xtol) took, 413
         nfev + njev over the four fits (95, 101, 109 and 108)."""
-        real, counts = tomo.least_squares, []
-
-        def counting(*args, **kwargs):
-            res = real(*args, **kwargs)
-            counts.append(res.nfev + res.njev)
-            return res
-
-        monkeypatch.setattr(tomo, "least_squares", counting)
+        counts = []
         for k in range(len(CONFIGS)):
             _, h, options = free_fit_problem(k)
-            assert tomo.fit(h, **options).converged
+            result = tomo.fit(h, **options)
+            assert result.converged
+            counts += [start.nfev + start.njev for start in result.starts]
         assert len(counts) == 16
         assert sum(counts) <= 0.75 * 413
 
@@ -559,3 +554,53 @@ class TestFreeFit:
                 assert abs(getattr(moved.bloch, name) - getattr(base.bloch, name)) <= 1e-6, name
             for name in FREE_PARAMS:
                 assert getattr(moved.params, name) == pytest.approx(getattr(base.params, name), rel=1e-5)
+
+
+class TestBoundedLM:
+    # a linear least-squares problem whose unconstrained optimum has x0 < 0:
+    # on the box x0 >= 0 the optimum sits on that bound
+    A = np.array([[1.0, 0.5], [0.3, 2.0], [-1.0, 1.0], [2.0, 0.1]])
+    B = np.array([-2.0, 1.0, 3.0, -1.5])
+    LO, HI = np.array([0.0, -10.0]), np.array([10.0, 10.0])
+
+    def run(self, gtol):
+        return tomo._bounded_lm(
+            lambda x: self.A @ x - self.B, lambda x: self.A, np.array([5.0, 5.0]), self.LO, self.HI, gtol, 100
+        )
+
+    def test_optimum_on_bound(self):
+        assert np.linalg.lstsq(self.A, self.B, rcond=None)[0][0] < 0.0
+        a1 = self.A[:, 1]
+        exact = np.array([0.0, (a1 @ self.B) / (a1 @ a1)])
+        res = self.run(gtol=1e-10)
+        assert res.status == 1 and res.nfev >= res.njev >= 1
+        np.testing.assert_allclose(res.x, exact, rtol=0, atol=1e-12)
+        assert res.x[0] == 0.0
+        # the gradient pushes x0 out of the box, so the projected gradient
+        # leaves it out: its free part vanishes
+        g = res.jac.T @ res.fun
+        assert g[0] > 1.0 and abs(g[1]) <= 1e-10
+        np.testing.assert_array_equal(res.fun, self.A @ res.x - self.B)
+
+    def test_step_stop_and_cap(self):
+        # a negative gradient tolerance cannot be met: the search ends on
+        # the relative step once the linear problem is solved to rounding
+        res = self.run(gtol=-1.0)
+        assert res.status == 2 and res.nfev < 20
+        assert res.x[0] == 0.0
+        # the cap counts residual evaluations, the start point's included
+        rosenbrock = lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])  # noqa: E731
+        rosenbrock_jac = lambda x: np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])  # noqa: E731
+        box = (np.array([-2.0, -2.0]), np.array([2.0, 2.0]))
+        for cap in (1, 2, 5):
+            res = tomo._bounded_lm(rosenbrock, rosenbrock_jac, np.array([-1.2, 1.0]), *box, 1e-12, cap)
+            assert res.status == 0 and res.nfev == cap and res.njev <= cap
+        res = tomo._bounded_lm(rosenbrock, rosenbrock_jac, np.array([-1.2, 1.0]), *box, 1e-12, 200)
+        assert res.status in (1, 2) and res.nfev < 200
+        np.testing.assert_allclose(res.x, [1.0, 1.0], rtol=0, atol=1e-10)
+
+    def test_nonfinite_start_refused(self):
+        with pytest.raises(FloatingPointError):
+            tomo._bounded_lm(
+                lambda x: np.array([np.nan, 1.0]), lambda x: np.eye(2), np.zeros(2), self.LO, self.HI, 1e-8, 10
+            )

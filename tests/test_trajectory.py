@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import chdtrc
 from scipy.stats import chi2 as chi2_dist
 from scipy.stats import kstest
 
@@ -476,6 +477,18 @@ class TestChi2:
         h = traj.Histogram(np.linspace(0, 1, 5), np.zeros(4, dtype=np.int64), 0, 0)
         with pytest.raises(InsufficientCountsError):
             traj.chi2_vs_analytic(h, det.DetectorParams(1, 2, 0.3, 1.0), MIXED)
+
+    def test_tail_matches_chdtrc(self):
+        """The p-value's finite series Q(k/2, x/2) agrees with scipy's
+        chdtrc to 1e-12 relative over k = 1-400, out beyond x ~ 1490 where
+        e^{-x/2} alone underflows, and is 1 at x = 0."""
+        xs = np.concatenate((np.geomspace(1e-3, 3000.0, 61), [1490.0, 1600.0, 2500.0]))
+        for k in range(1, 401):
+            assert traj._chi2_tail(k, 0.0) == 1.0
+            refs = chdtrc(k, xs)
+            for x, ref in zip(xs[refs > 1e-300], refs[refs > 1e-300]):
+                assert abs(traj._chi2_tail(k, float(x)) - ref) <= 1e-12 * ref, (k, x)
+        assert traj._chi2_tail(400, 1600.0) > 1e-150
 
     def test_cell_probabilities_sum_to_one(self):
         p = det.DetectorParams(1.0, 5.0, 0.8, 4.0)
