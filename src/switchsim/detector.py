@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import StepTooLargeError
-from .mat2 import IDENTITY, dag, normalize_phase
+from .mat2 import IDENTITY, normalize_phase
 
 
 @dataclass(frozen=True)
@@ -122,17 +122,22 @@ def generator(p: DetectorParams) -> np.ndarray:
     )
 
 
-def _generator_slopes(p: DetectorParams, names) -> np.ndarray:
-    """dG/dtheta for each named detector parameter, shape (len(names), 2, 2);
+def _generator_slopes(p, names) -> np.ndarray:
+    """dG/dtheta for each named detector parameter, shape (len(names), 2, 2),
+    or (K, len(names), 2, 2) for a sequence of K DetectorParams;
     Gamma = -(G + G^dag) has slopes -(G' + G'^dag)."""
-    c, s, gm = 0.25 * math.cos(p.beta), 0.25 * math.sin(p.beta), p.gamma_minus
-    table = {
-        "gamma_L": ((-0.25 - c, -s), (-s, c - 0.25)),
-        "gamma_R": ((c - 0.25, s), (s, -0.25 - c)),
-        "beta": ((-2.0 * gm * s, 2.0 * gm * c), (2.0 * gm * c, 2.0 * gm * s)),
-        "E": ((0.5j, 0.0), (0.0, -0.5j)),
-    }
-    return np.array([table[name] for name in names], dtype=complex).reshape(-1, 2, 2)
+    rows = []
+    for q in [p] if isinstance(p, DetectorParams) else p:
+        c, s, gm = 0.25 * math.cos(q.beta), 0.25 * math.sin(q.beta), q.gamma_minus
+        table = {
+            "gamma_L": ((-0.25 - c, -s), (-s, c - 0.25)),
+            "gamma_R": ((c - 0.25, s), (s, -0.25 - c)),
+            "beta": ((-2.0 * gm * s, 2.0 * gm * c), (2.0 * gm * c, 2.0 * gm * s)),
+            "E": ((0.5j, 0.0), (0.0, -0.5j)),
+        }
+        rows.append([table[name] for name in names])
+    slopes = np.array(rows, dtype=complex).reshape(len(rows), -1, 2, 2)
+    return slopes[0] if isinstance(p, DetectorParams) else slopes
 
 
 _SERIES_RADIUS = 1e-2
@@ -147,6 +152,23 @@ def _series(z2):
     )
 
 
+def _series_coefficients(m, r, t):
+    e, (ch, sc) = np.exp(m * t), _series((r * t) ** 2)
+    return e * ch, e * t * sc
+
+
+def _exp_coefficients(m, r, half_inv_r, t):
+    # e^{(m +- r) t} = a_+- e^{+-iy}, a_- = a_+ (1 + q): expm1 keeps
+    # a_+ - a_- exact as r t -> 0, and one cos and sin serve both
+    a_hi = np.exp((m + r.real) * t)
+    q = np.expm1(-2.0 * r.real * t)
+    plus, minus = a_hi * (2.0 + q), -a_hi * q
+    cos, sin = np.cos(r.imag * t), np.sin(r.imag * t)
+    c = 0.5 * (plus * cos + 1j * (minus * sin))
+    s = half_inv_r * (minus * cos + 1j * (plus * sin))
+    return c, s
+
+
 class _Propagator:
     """exp(G t) = C I + S N with C = e^{mt} cosh(rt), S = e^{mt} t sinhc(rt).
 
@@ -159,6 +181,14 @@ class _Propagator:
     float t is evaluated with cmath; anything else as a numpy array, giving
     shape (..., 2, 2), with the series only when it covers every time.
 
+    g is one generator, shape (2, 2), or a stack of K, shape (K, 2, 2),
+    whose m and r have shape (K, 1) and broadcast over a 1-d array of times
+    to (K, len(t)); each row takes the series only when it covers that
+    row's every time.  Each row's constants (r, 1/2r, ...) are formed in
+    Python's complex arithmetic, as for one generator, so a row of a stack
+    is bit-identical to its generator evaluated alone.  A float t needs one
+    generator.
+
     t = inf, a float or an array element, gives the limit.  Both modes
     decay, or, where the probe leaves a state dark, the slow one keeps
     modulus 1 (m + Re r = 0 to rounding): then C -> e^{(m+r)t} / 2 and
@@ -168,10 +198,32 @@ class _Propagator:
     """
 
     def __init__(self, g: np.ndarray):
-        self.m = float(0.5 * (g[0, 0] + g[1, 1]).real)  # tr G is real
-        self.n = g - self.m * IDENTITY
-        n00, n01, n10, n11 = self._entries = tuple(complex(v) for v in self.n.ravel())
-        self.r = cmath.sqrt(n01 * n10 - n00 * n11)
+        m = 0.5 * (g[..., 0, 0] + g[..., 1, 1]).real  # tr G is real
+        self.n = g - m[..., None, None] * IDENTITY
+        entries = self.n.reshape(-1, 4).tolist()
+        self._entries = entries[0]
+        nan = complex(math.nan, math.nan)  # 1/r where no time takes it
+        rows = []
+        for n00, n01, n10, n11 in entries:
+            r = cmath.sqrt(n01 * n10 - n00 * n11)
+            r2 = r**2
+            rows.append((r, abs(r), 0.5 / r if r else nan, r2, 0.5 / r2 if r2 else nan))
+        if g.ndim == 2:
+            self.m = float(m)
+            self.r, self._abs_r, self._half_inv_r, self._r2, self._half_inv_r2 = rows[0]
+        else:
+            self.m = m[:, None]
+            consts = np.array(rows).T[:, :, None]
+            self.r, self._half_inv_r, self._r2, self._half_inv_r2 = consts[[0, 2, 3, 4]]
+            self._abs_r = consts[1].real
+
+    def _limit(self):
+        """(C, S) as t -> inf."""
+        m, r = self.m, self.r
+        if np.any(m == 0.0):
+            raise ValueError("no limit at t = inf: neither mode decays")
+        decays = m + r.real < 1e-12 * m  # both modes decay
+        return np.where(decays, 0j, 0.5 + 0j), np.where(decays, 0j, self._half_inv_r)
 
     def coefficients(self, t):
         """(C, S) at time(s) t."""
@@ -182,30 +234,31 @@ class _Propagator:
                 e, (ch, sc) = math.exp(m * t), _series(z * z)
                 return e * ch, e * t * sc
             if t == math.inf:
-                if m == 0.0:
-                    raise ValueError("no limit at t = inf: neither mode decays")
-                if m + r.real < 1e-12 * m:  # both modes decay
-                    return 0j, 0j
-                return 0.5 + 0j, 0.5 / r
+                return tuple(map(complex, self._limit()))
             e_hi, e_lo = cmath.exp((m + r) * t), cmath.exp((m - r) * t)
             return 0.5 * (e_hi + e_lo), 0.5 * (e_hi - e_lo) / r
         t = np.asarray(t, dtype=float)
         infinite = t == math.inf
         if infinite.any():
             c, s = self.coefficients(np.where(infinite, 0.0, t))
-            c_inf, s_inf = self.coefficients(math.inf)
+            c_inf, s_inf = self._limit()
             return np.where(infinite, c_inf, c), np.where(infinite, s_inf, s)
-        if (abs(r) * np.abs(t) < _SERIES_RADIUS).all():
-            e, (ch, sc) = np.exp(m * t), _series((r * t) ** 2)
-            return e * ch, e * t * sc
-        # e^{(m +- r) t} = a_+- e^{+-iy}, a_- = a_+ (1 + q): expm1 keeps
-        # a_+ - a_- exact as r t -> 0, and one cos and sin serve both
-        a_hi = np.exp((m + r.real) * t)
-        q = np.expm1(-2.0 * r.real * t)
-        plus, minus = a_hi * (2.0 + q), -a_hi * q
-        cos, sin = np.cos(r.imag * t), np.sin(r.imag * t)
-        c = 0.5 * (plus * cos + 1j * (minus * sin))
-        s = (0.5 / r) * (minus * cos + 1j * (plus * sin))
+        small = self._abs_r * np.abs(t) < _SERIES_RADIUS
+        if isinstance(m, float):
+            # one generator: the series only where it covers every time
+            if small.all():
+                return _series_coefficients(m, r, t)
+            return _exp_coefficients(m, r, self._half_inv_r, t)
+        # a stack: each row takes its own branch
+        series = small.all(axis=-1)
+        if series.all():
+            return _series_coefficients(m, r, t)
+        if not series.any():
+            return _exp_coefficients(m, r, self._half_inv_r, t)
+        c, s = np.empty((2, *small.shape), dtype=complex)
+        c[series], s[series] = _series_coefficients(m[series], r[series], t)
+        rest = ~series
+        c[rest], s[rest] = _exp_coefficients(m[rest], r[rest], self._half_inv_r[rest], t)
         return c, s
 
     def __call__(self, t):
@@ -214,7 +267,7 @@ class _Propagator:
         if isinstance(t, float):
             n00, n01, n10, n11 = self._entries
             return np.array([[c + s * n00, s * n01], [s * n10, c + s * n11]])
-        return c[..., None, None] * IDENTITY + s[..., None, None] * self.n
+        return c[..., None, None] * IDENTITY + s[..., None, None] * self.n[..., None, :, :]
 
 
 def propagator(p: DetectorParams) -> _Propagator:
@@ -236,11 +289,17 @@ def u_s(p: DetectorParams, t: float, dt: float) -> np.ndarray:
 
 def _weights(rhos: np.ndarray, a: np.ndarray, b: np.ndarray, d: np.ndarray) -> tuple:
     """[Tr(a rho), 2 Re Tr(b rho), -2 Im Tr(b rho), Re Tr(d rho)] for each rho
-    and each matrix of the equal-length stacks a (Hermitian), b, d, rho-major."""
-    fixed = np.concatenate((a, b, d)).reshape(-1, 4)
+    and each matrix of the equal-length stacks a (Hermitian), b, d, rho-major;
+    leading axes of a, b and d broadcast, and each row of them is one
+    matrix product of the shape a single stack takes."""
+    if a.shape != b.shape:
+        a = np.broadcast_to(a, b.shape)
+    fixed = np.concatenate((a, b, d), axis=-3)
+    lead = fixed.shape[:-3]
     # Tr(A rho) = A.ravel() @ rho.T.ravel(); rows rho-major for each kind
     states = rhos.transpose(0, 2, 1).reshape(-1, 4)
-    tr = (states @ fixed.T).reshape(len(states), 3, len(a)).transpose(1, 0, 2).reshape(3, -1)
+    tr = states @ fixed.reshape(*lead, -1, 4).swapaxes(-1, -2)
+    tr = tr.reshape(*lead, len(states), 3, -1).swapaxes(-3, -2).reshape(*lead, 3, -1).swapaxes(0, -2)
     return tr[0].real, 2.0 * tr[1].real, -2.0 * tr[1].imag, tr[2].real
 
 
@@ -254,21 +313,37 @@ class _TraceForms:
     -2 Im Tr(op N rho), Tr(N^dag op N rho)] fixed once (`weights`, its
     columns); `combine(c, s)` gives the rows at coefficients the caller has
     evaluated with `propagator.coefficients`.
+
+    p is one DetectorParams, or a sequence of K for a stack: the
+    propagator's stack, weights of shape (K, rows), and rows and slopes
+    with a leading axis of K over a 1-d array of times, each row
+    bit-identical to its parameters' forms alone.
     """
 
-    def __init__(self, p: DetectorParams, rhos: np.ndarray, ops: np.ndarray):
-        self.p, self.propagator = p, propagator(p)
+    def __init__(self, p, rhos: np.ndarray, ops: np.ndarray):
+        self.p = p
+        if isinstance(p, DetectorParams):
+            self.propagator = propagator(p)
+        else:
+            self.propagator = _Propagator(np.array([generator(q) for q in p]))
         self.rhos, self.ops = np.asarray(rhos, dtype=complex), np.asarray(ops, dtype=complex)
-        n = self.propagator.n
+        n = self._n()
         op_n = self.ops @ n
-        self.weights = _weights(self.rhos, self.ops, op_n, dag(n) @ op_n)
+        self.weights = _weights(self.rhos, self.ops, op_n, n.conj().swapaxes(-1, -2) @ op_n)
+
+    def _n(self) -> np.ndarray:
+        """N, each of a stack's with an axis to broadcast over the ops."""
+        n = self.propagator.n
+        return n if n.ndim == 2 else n[:, None]
 
     def __call__(self, t):
         return self.combine(*self.propagator.coefficients(t))
 
     def combine(self, c, s):
         w_cc, w_re, w_im, w_ss = self.weights
-        outer = np.multiply.outer
+        # weights against the times: np.multiply.outer for one generator,
+        # row by row, (K, rows) against (K, times), for a stack
+        outer = np.multiply.outer if w_cc.ndim == 1 else lambda w, x: w[..., None] * x[..., None, :]
         c_bar = c.conjugate()
         cs = c_bar * s
         # term by term, as a matrix product's summation order may depend on
@@ -281,9 +356,10 @@ class _TraceForms:
 
     def slopes(self, names, t: np.ndarray, coefficients, op_slopes=None) -> np.ndarray:
         """Derivatives of the rows in the named detector parameters over an
-        array of finite times t, shape (len(names), rows, len(t)), from the
-        coefficients (C, S) at t; op_slopes, shape (len(names), len(ops),
-        2, 2), are the ops' own (zero when None).
+        array of finite times t, shape (len(names), rows, len(t)) (with a
+        leading K for a stack), from the coefficients (C, S) at t;
+        op_slopes, shape (len(names), len(ops), 2, 2), are the ops' own
+        (zero when None).
 
         dU = m' t U + (r^2)' (C' I + S' N) + S N', with G' = dG/dtheta,
         m' = Re tr G'/2, N' = G' - m' I, (r^2)' = tr(N N'), and C' = t S/2
@@ -294,18 +370,27 @@ class _TraceForms:
         (below) against [cs, q, t cs, t q, conj(C) S', conj(S) S'],
         cs = conj(C) S and q = |C|^2 + i|S|^2: one complex product.
         """
-        n = self.propagator.n
+        prop = self.propagator
+        n = self._n()
         g_dot = _generator_slopes(self.p, names)
-        m_dot = 0.5 * (g_dot[:, 0, 0] + g_dot[:, 1, 1]).real[:, None]
-        r2_dot = np.einsum("ij,kji->k", n, g_dot)[:, None]  # tr(N N'), as tr N = 0
-        op_n_dot = (self.ops @ (g_dot - m_dot[:, :, None] * IDENTITY)[:, None]).reshape(-1, 2, 2)
+        m_dot = 0.5 * (g_dot[..., 0, 0] + g_dot[..., 1, 1]).real[..., None]
+        # (r^2)' = tr(N N'), as tr N = 0, summed term by term: an einsum's
+        # order may depend on the stack
+        nn = (prop.n[..., None, :, :] * g_dot.swapaxes(-1, -2)).reshape(*g_dot.shape[:-2], 4)
+        r2_dot = (nn[..., 0] + nn[..., 1] + nn[..., 2] + nn[..., 3])[..., None]
+        op_n_dot = self.ops @ (g_dot - m_dot[..., None] * IDENTITY)[..., None, :, :]
+        op_n_dot = op_n_dot.reshape(*op_n_dot.shape[:-4], -1, 2, 2)
         op_dot = np.zeros_like(op_n_dot) if op_slopes is None else op_slopes.reshape(-1, 2, 2)
         big_b = op_n_dot + op_dot @ n
-        own = _weights(self.rhos, op_dot, big_b, dag(n) @ (big_b + op_n_dot))
-        # (kind, rho, name, op) -> (kind, name, rho-major rows)
+        own = _weights(self.rhos, op_dot, big_b, n.conj().swapaxes(-1, -2) @ (big_b + op_n_dot))
+        # (kind, ..., rho, name, op) -> (kind, ..., name, rho-major rows)
         k = (len(self.rhos), len(names), len(self.ops))
-        w_a, w_re, w_im, w_d = np.reshape(own, (4, *k)).transpose(0, 2, 1, 3).reshape(4, k[1], -1)
-        a, two_b, d = self.weights[0], self.weights[1] - 1j * self.weights[2], self.weights[3]
+        lead = prop.n.shape[:-2]
+        own = np.reshape(own, (4, *lead, *k)).swapaxes(-3, -2)
+        w_a, w_re, w_im, w_d = own.reshape(4, *lead, k[1], -1)
+        a, two_b, d = (w[..., None, :] for w in (
+            self.weights[0], self.weights[1] - 1j * self.weights[2], self.weights[3]
+        ))
         # 2B, A - iD, 4m'b + (r^2)'a, 2m'(a - id) - i Re[(r^2)' conj(b)], 2(r^2)'b, 2(r^2)'d
         v = np.stack((
             w_re - 1j * w_im,
@@ -319,17 +404,17 @@ class _TraceForms:
         c, s = coefficients
         # S' = (t C - S) / 2r^2, or where |r t| < 0.1, where that cancels,
         # its even series e^{mt} t^3 sum_k (rt)^{2k-2} k / (2k+1)!
-        r, m = self.propagator.r, self.propagator.m
-        small = abs(r) * t < 0.1
-        s_dot = np.empty_like(c) if small.all() else (t * c - s) * (0.5 / r**2)
-        ts = t[small]
-        z2 = r**2 * ts * ts
-        s_dot[small] = np.exp(m * ts) * ts**3 * (
+        small = prop._abs_r * t < 0.1
+        z2 = prop._r2 * t * t
+        s_dot = np.exp(prop.m * t) * t**3 * (
             1 / 6 + z2 * (1 / 60 + z2 * (1 / 1680 + z2 * (1 / 90720 + z2 / 7983360)))
         )
+        if not small.all():
+            s_dot = np.where(small, s_dot, (t * c - s) * prop._half_inv_r2)
         c_bar, s_bar = c.conjugate(), s.conjugate()
         cs, q = c_bar * s, (c * c_bar).real + 1j * (s * s_bar).real
-        return (v @ np.stack((cs, q, t * cs, t * q, c_bar * s_dot, s_bar * s_dot))).real
+        terms = np.stack((cs, q, t * cs, t * q, c_bar * s_dot, s_bar * s_dot), axis=-2)
+        return (v @ terms[..., None, :, :]).real
 
 
 def _survival_and_density(

@@ -85,7 +85,10 @@ class FitStart:
     """How one free-parameter start ended: its starting point, how its
     Levenberg-Marquardt search stopped, the residual (nfev) and Jacobian
     (njev) evaluations it took, and the deviance and max|J^T r| at its end;
-    or the text of the exception it raised.
+    or the text of the exception it raised.  The starts are stepped
+    together, and nfev and njev count this start's own evaluations (the
+    batched rounds it took part in); every field is what the start gives
+    when run alone.
 
     status is positive on a normal stop: 1 once the projected gradient is
     at most a tenth of the convergence threshold, 2 once a step is below
@@ -301,10 +304,55 @@ def search_box(
     return free, free_param_names, lo, hi
 
 
-def _secular_step(evals: np.ndarray, w: np.ndarray, radius: float) -> tuple[np.ndarray, float]:
+# A batch of K starts is stepped together, one row each.  Every contraction
+# keeps the shape and summation order one row has alone (a BLAS dot, gemv or
+# gemm per row, never one product over the rows), and each stacked LAPACK call
+# factors each matrix on its own, so a row's result never depends on the
+# others in its batch.
+_START_FAILURES = (SwitchSimError, ValueError, FloatingPointError, np.linalg.LinAlgError)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_k . b_k for each row k of stacks (K, n), a 1-d a broadcast."""
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
+
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m_k @ v_k for each row k of stacks (K, p, q) and (K, q)."""
+    return (m @ v[..., None])[..., 0]
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean length of each row of a stack (K, n), as np.linalg.norm of the row."""
+    return np.sqrt(_dot(v, v))
+
+
+def _lapack(fn, *stacks):
+    """fn over stacks of matrices in one call, and the rows whose matrices it
+    cannot factor, {row: LinAlgError}.  numpy's stacked call raises for the
+    whole stack, so then each row is tried alone and the failing rows'
+    matrices are replaced by the identity (their results are meaningless);
+    the others' results are those their factorizations give alone."""
+    try:
+        return fn(*stacks), {}
+    except np.linalg.LinAlgError:
+        pass
+    errors = {}
+    for k in range(len(stacks[0])):
+        try:
+            fn(*(stack[k : k + 1] for stack in stacks))
+        except np.linalg.LinAlgError as exc:
+            errors[k] = exc
+    stacks = [np.array(stack) for stack in stacks]
+    for stack in stacks:
+        stack[list(errors)] = np.eye(*stack.shape[-2:])
+    return fn(*stacks), errors
+
+
+def _secular_root(evals: np.ndarray, w: np.ndarray, radius: float) -> tuple[np.ndarray, float]:
     """In the eigenbasis of a positive definite model Hessian (eigenvalues
-    evals, gradient components w): the minimizer x of the quadratic model
-    over |x| <= radius and its multiplier lam >= 0, x = -w / (evals + lam).
+    evals, gradient components w): the minimizer -x of the quadratic model
+    over |x| <= radius, x = w / (evals + lam), and its multiplier lam >= 0.
 
     On the sphere lam solves the secular equation 1/|x(lam)| = 1/radius.
     1/|x(lam)| is increasing and concave, so Newton's method from lam = 0
@@ -321,15 +369,28 @@ def _secular_step(evals: np.ndarray, w: np.ndarray, radius: float) -> tuple[np.n
         if step <= 1e-15 * lam:
             break
         lam += step
+    return x, lam
+
+
+def _secular_step(evals: np.ndarray, w: np.ndarray, radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_secular_root for each row of the stacks evals and w (K, n) and
+    radius (K,): (minimizers, multipliers).  The rows whose unconstrained
+    minimizer lies inside take one stacked pass, each other row its own
+    root search."""
+    x, lam = w / (evals + 0.0), np.zeros(len(w))
+    for k in (~(np.sqrt(_dot(x, x)) <= radius)).nonzero()[0]:
+        x[k], lam[k] = _secular_root(evals[k], w[k], radius[k])
     return -x, lam
 
 
-def _ball_step(hess: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimizer x of x.hess.x/2 + c.x over |x| <= 1, hess positive
-    definite, and its multiplier lam >= 0: (hess + lam I) x = -c."""
-    evals, vecs = np.linalg.eigh(hess)
-    x, lam = _secular_step(evals, vecs.T @ c, 1.0)
-    return vecs @ x, lam
+def _ball_step(hess: np.ndarray, c: np.ndarray):
+    """For each row k: the minimizer x of x.hess.x/2 + c.x over |x| <= 1,
+    hess[k] positive definite, and its multiplier lam >= 0:
+    (hess + lam I) x = -c, c and x columns (K, n, 1).  Also the rows whose
+    hess cannot be factored."""
+    (evals, vecs), errors = _lapack(np.linalg.eigh, hess)
+    x, lam = _secular_step(evals, (vecs.swapaxes(1, 2) @ c)[:, :, 0], np.ones(len(c)))
+    return vecs @ x[:, :, None], lam, errors
 
 
 def _covariance(total: int, probs: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -340,8 +401,8 @@ def _covariance(total: int, probs: np.ndarray, columns: np.ndarray) -> np.ndarra
 
 
 class _StateSolver:
-    """Maximum-likelihood Bloch components of one histogram at one
-    parameter point at a time.
+    """Maximum-likelihood Bloch components of one histogram, at a batch of
+    parameter points at a time.
 
     Each cell probability is affine in the Bloch vector, probs = a0 + A b,
     with a0 and the columns of A the cell rows of rho = I/2 and of the
@@ -360,45 +421,94 @@ class _StateSolver:
         self.seen = slice(None) if seen.all() else seen
         self.free_idx = [BLOCH_NAMES.index(name) for name in free_bloch]
 
-    def solve(self, a0: np.ndarray, design: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-        """(minimizer, ball multiplier), starting from b, or from the mixed
-        state if b leaves a seen cell no probability."""
+    def start(self, a0: np.ndarray, basis: np.ndarray) -> np.ndarray:
+        """A first b for each row of the stacks a0 and basis (as in solve),
+        near its minimizer: the minimizer over the ball of Neyman's
+        chi-squared, the squared misfit of the cell probabilities weighted
+        by the inverse counts, which the deviance approaches for large
+        counts; the mixed state where its Hessian cannot be factored."""
+        design_t = basis[:, :, self.seen]
+        weighted = design_t / self.observed[self.seen]
+        freqs = self.observed[self.seen] / self.total - a0[:, self.seen]
+        x, _, failed = _ball_step(weighted @ design_t.swapaxes(1, 2), -(weighted @ freqs[:, :, None]))
+        if failed:
+            x[list(failed)] = 0.0
+        return x[:, :, 0]
+
+    def solve(self, a0: np.ndarray, basis: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+        """For each row k of the stacks a0 (K, cells), basis (K, len(b[k]),
+        cells), the rows of A^T, and b (K, len(b[k])): the minimizer, from
+        b[k], or from the mixed state if b[k] leaves a seen cell no
+        probability, and its ball multiplier; also the rows that failed,
+        {row: exception}.  Each row takes its own Newton steps and leaves
+        the batch once its own step is below FIT_NEWTON_STEP_TOL."""
+        b, lam, errors = np.array(b, dtype=float), np.zeros(len(b)), {}
         if not self.free_idx:
-            return b, 0.0
+            return b, lam, errors
         counts = self.observed[self.seen]
-        a_seen, design_seen = a0[self.seen], design[self.seen]
+        # the rows still stepping, compacted whenever one leaves; vectors are
+        # columns (K, n, 1) and the cell probabilities rows (K, 1, cells)
+        rows = np.arange(len(b))
+        a_l = np.ascontiguousarray(a0[:, None, self.seen])
+        design_t = np.ascontiguousarray(basis[:, :, self.seen])
+        design = design_t.swapaxes(1, 2)
 
-        def cost(b: np.ndarray) -> float:
-            probs = a_seen + design_seen @ b
-            return -float(counts @ np.log(probs)) if probs.min() > 0.0 else math.inf
+        def cost(b):
+            probs = a_l + (design @ b).swapaxes(1, 2)
+            inside = probs.min(axis=2)[:, 0] > 0.0
+            if all(inside):
+                return -(counts @ np.log(probs).swapaxes(1, 2))[:, 0]
+            logs = np.log(np.where(inside[:, None, None], probs, 1.0))
+            return np.where(inside, -(counts @ logs.swapaxes(1, 2))[:, 0], math.inf)
 
-        probs = a_seen + design_seen @ b
-        if probs.min() <= 0.0:
-            b = np.zeros_like(b)
-            probs = a_seen
+        b_l = b[:, :, None]
+        probs = a_l + (design @ b_l).swapaxes(1, 2)
+        outside = probs.min(axis=2)[:, 0] <= 0.0
+        if any(outside):
+            b_l = np.where(outside[:, None, None], 0.0, b_l)
+            probs[outside] = a_l[outside]
         for _ in range(50):
             # gradient and Hessian of the negative log-likelihood
             # -sum n log(probs); the cell probabilities sum to one for every b
             ratio = counts / probs
-            grad = -(ratio @ design_seen)
-            hess = (design_seen.T * (ratio / probs)) @ design_seen
-            x, lam = _ball_step(hess, grad - hess @ b)
-            step = x - b
+            grad = -(ratio @ design)
+            hess = (design_t * (ratio / probs)) @ design
+            x, lam_l, failed = _ball_step(hess, grad.swapaxes(1, 2) - hess @ b_l)
+            if failed:
+                errors.update((rows[k], exc) for k, exc in failed.items())
+                ok = np.isin(np.arange(len(rows)), list(failed), invert=True)
+                rows, a_l, design_t, b_l, x, lam_l, grad, hess = (
+                    v[ok] for v in (rows, a_l, design_t, b_l, x, lam_l, grad, hess)
+                )
+                design = design_t.swapaxes(1, 2)
+            step = x - b_l
             # the step's length in standard deviations (the Newton decrement);
             # -n log p is self-concordant, so a step under 1/4 keeps every cell
             # probability positive and converges quadratically
-            size = math.sqrt(max(step @ hess @ step, 0.0))
-            t = 1.0
-            if size > 0.25:
-                # far from the optimum: backtrack to sufficient decrease
-                f0, slope = cost(b), grad @ step
-                while t > 1e-12 and cost(b + t * step) > f0 + 1e-4 * t * slope:
-                    t *= 0.5
-            b = b + t * step
-            if size <= FIT_NEWTON_STEP_TOL:
-                break
-            probs = a_seen + design_seen @ b
-        return b, lam
+            size = np.sqrt(np.maximum(step.swapaxes(1, 2) @ hess @ step, 0.0))[:, 0, 0]
+            backtrack = size > 0.25
+            if any(backtrack):
+                # far from the optimum: backtrack to sufficient decrease,
+                # halving t while t > 1e-12 and the decrease falls short
+                f0, slope, t = cost(b_l), (grad @ step)[:, 0, 0], np.ones(len(rows))
+                while True:
+                    trial = cost(b_l + t[:, None, None] * step)
+                    if not any(backtrack := backtrack & (trial > f0 + 1e-4 * t * slope)):
+                        break
+                    t[backtrack] *= 0.5
+                    backtrack &= t > 1e-12
+                step = t[:, None, None] * step
+            b_l = b_l + step
+            done = size <= FIT_NEWTON_STEP_TOL
+            if any(done):
+                b[rows], lam[rows] = b_l[:, :, 0], lam_l
+                rows, a_l, design_t, b_l, lam_l = (v[~done] for v in (rows, a_l, design_t, b_l, lam_l))
+                design = design_t.swapaxes(1, 2)
+                if not len(rows):
+                    break
+            probs = a_l + (design @ b_l).swapaxes(1, 2)
+        b[rows], lam[rows] = b_l[:, :, 0], lam_l
+        return b, lam, errors
 
     def converged(self, a0: np.ndarray, design: np.ndarray, b: np.ndarray, lam: float) -> bool:
         """KKT test of a solution: grad + lam b = 0 with lam >= 0 (lam = 0
@@ -433,80 +543,161 @@ def _residual_slopes(observed: np.ndarray, expected: np.ndarray, res: np.ndarray
 
 class _Profile:
     """Profiled deviance residuals r(theta) = r(theta, b*(theta)) over the
-    free detector parameters theta, and their Jacobian, along one start.
+    free detector parameters theta, and their Jacobian, for a batch of
+    starts, one row each.
 
-    Residuals and Jacobian share one evaluation per theta, and each inner
-    solve starts from the previous b*.  The Jacobian is Kaufman's: the
-    exact slopes of the cell probabilities in theta at fixed b*, from the
-    coefficients the rows were evaluated with, projected off the exact
-    residual columns of the directions in which b* can move (Kaufman,
-    BIT 15, 1975; O'Leary & Rust, Comput. Optim. Appl. 54, 2013).  At b*
-    the residuals are orthogonal to those columns, so its gradient J^T r is
-    the profiled deviance's.
+    `residuals(rows, theta)` and `jacobian(rows, theta)` evaluate the starts
+    `rows` at theta (one point per row) and return their values with the
+    starts that failed, {position in rows: exception}.  Residuals and
+    Jacobian share one evaluation per theta, and each start's inner solve
+    starts from its previous b* (its first from _StateSolver.start).  The
+    Jacobian is Kaufman's: the exact slopes of the cell probabilities in
+    theta at fixed b*, from the coefficients the rows were evaluated with,
+    projected off the exact residual columns of the directions in which b*
+    can move (Kaufman, BIT 15, 1975; O'Leary & Rust, Comput. Optim. Appl.
+    54, 2013).  At b* the residuals are orthogonal to those columns, so its
+    gradient J^T r is the profiled deviance's.
     """
 
-    def __init__(self, h: Histogram, solver: _StateSolver, params_at, names: tuple[str, ...]):
+    def __init__(self, h: Histogram, solver: _StateSolver, params_at, names: tuple[str, ...], n_rows: int):
         self.edges, self.solver, self.params_at, self.names = h.bin_edges, solver, params_at, names
-        self.key = None
-        self.b = np.zeros(len(solver.free_idx))
+        n_cells = len(solver.observed)
+        self.keys, self.params = [None] * n_rows, [None] * n_rows
+        self.b, self.lam = np.zeros((n_rows, len(solver.free_idx))), np.zeros(n_rows)
+        self.a0, self.probs, self.res = np.zeros((3, n_rows, n_cells))
+        # the cell rows of the free Bloch directions, A^T, per start
+        self.basis = np.zeros((n_rows, len(solver.free_idx), n_cells))
+        # the last batch solved: its starts, trace forms and coefficients
+        self.last = (), None, None
 
-    def at(self, theta: np.ndarray) -> "_Profile":
-        """Solve for b* at theta unless theta was the last point solved."""
-        key = theta.tobytes()
-        if key != self.key:
-            self.forms = _TraceForms(self.params_at(theta), _CELL_STATES, [m2.IDENTITY])
-            self.coefficients = self.forms.propagator.coefficients(self.edges)
-            cells = _cells(self.forms.combine(*self.coefficients))
-            self.a0, self.design = cells[0], cells[1:][self.solver.free_idx].T
-            self.b, self.lam = self.solver.solve(self.a0, self.design, self.b)
-            self.probs = self.a0 + self.design @ self.b
-            self.res = _deviance_residuals(self.solver.observed, self.probs * self.solver.total)
-            self.key = key
-        return self
+    def at(self, rows: np.ndarray, theta: np.ndarray) -> dict:
+        """Solve for b* at theta[i] for each start rows[i] whose last point
+        solved was another; the starts that failed, {i: exception}."""
+        errors, stale = {}, []
+        for i, (k, point) in enumerate(zip(rows, theta)):
+            if point.tobytes() != self.keys[k]:
+                try:
+                    self.params[k] = self.params_at(point)
+                except _START_FAILURES as exc:
+                    errors[i] = exc
+                    continue
+                stale.append(i)
+        if not stale:
+            return errors
+        ks = rows[stale]
+        forms = self._forms(ks)
+        c, s = forms.propagator.coefficients(self.edges)
+        cells = _cells(forms.combine(c, s)).reshape(len(ks), len(_CELL_STATES), -1)
+        a0, basis = cells[:, 0], cells[:, 1:][:, self.solver.free_idx]
+        b = self.b[ks]
+        cold = [self.keys[k] is None for k in ks]
+        if self.solver.free_idx and any(cold):
+            # a start's first solve begins near its minimizer
+            b[cold] = self.solver.start(a0[cold], basis[cold])
+        b, lam, failed = self.solver.solve(a0, basis, b)
+        probs = a0 + _matvec(basis.swapaxes(1, 2), b)
+        res = _deviance_residuals(self.solver.observed, probs * self.solver.total)
+        for j, (i, k) in enumerate(zip(stale, ks)):
+            if j in failed:
+                errors[i] = failed[j]
+                continue
+            self.keys[k] = theta[i].tobytes()
+            self.a0[k], self.basis[k], self.b[k], self.lam[k] = a0[j], basis[j], b[j], lam[j]
+            self.probs[k], self.res[k] = probs[j], res[j]
+        self.last = ks, forms, (c, s)
+        return errors
 
-    def residuals(self, theta: np.ndarray) -> np.ndarray:
-        return self.at(theta).res
+    def _forms(self, rows: np.ndarray) -> _TraceForms:
+        """The cell states' trace forms at the starts' parameters; a single
+        start's as one point, which runs the same arithmetic as a stack
+        (detector._Propagator) without a stack's overhead."""
+        points = [self.params[k] for k in rows]
+        return _TraceForms(points[0] if len(points) == 1 else points, _CELL_STATES, [m2.IDENTITY])
 
-    def converged(self) -> bool:
-        """The inner solve's KKT test at the last point solved."""
-        return self.solver.converged(self.a0, self.design, self.b, self.lam)
+    def residuals(self, rows: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, dict]:
+        errors = self.at(rows, theta)
+        return self.res[rows], errors
 
-    def columns(self) -> np.ndarray:
-        """Cell-probability slopes in theta at the last point solved and b*."""
-        slopes = _cells(self.forms.slopes(self.names, self.edges, self.coefficients))
-        return (slopes[:, 0] + self.b @ slopes[:, 1:][:, self.solver.free_idx]).T
+    def converged(self, k: int) -> bool:
+        """Start k's inner KKT test at its last point solved."""
+        return self.solver.converged(self.a0[k], self.basis[k].T, self.b[k], self.lam[k])
 
-    def jacobian(self, theta: np.ndarray) -> np.ndarray:
-        self.at(theta)
+    def columns(self, rows: np.ndarray) -> np.ndarray:
+        """Cell-probability slopes in theta at each start's last point
+        solved and b*, shape (len(rows), len(names), cells)."""
+        ks, forms, coefficients = self.last
+        position = {k: j for j, k in enumerate(ks)}
+        if all(k in position for k in rows):
+            # the forms the rows were last evaluated with, every row of them
+            picked = [position[k] for k in rows]
+        else:
+            forms = self._forms(rows)
+            coefficients, picked = forms.propagator.coefficients(self.edges), slice(None)
+        slopes = _cells(forms.slopes(self.names, self.edges, coefficients))
+        slopes = slopes.reshape(-1, *slopes.shape[-3:])[picked]
+        moved = self.b[rows][:, None, None, :] @ slopes[:, :, 1:][:, :, self.solver.free_idx]
+        return slopes[:, :, 0] + moved[:, :, 0]
+
+    def jacobian(self, rows: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, dict]:
+        errors = self.at(rows, theta)
+        jac = np.zeros((len(rows), len(self.solver.observed), len(self.names)))
+        ok = np.array([i not in errors for i in range(len(rows))], dtype=bool)
+        ks = rows[ok]
+        if not len(ks):
+            return jac, errors
         total = self.solver.total
-        slopes = total * _residual_slopes(self.solver.observed, self.probs * total, self.res)
-        jac = slopes[:, None] * self.columns()
-        moves = self.design
-        if self.lam > 0.0:
-            # on the sphere b* moves only along it
-            moves = moves @ np.linalg.svd(self.b[None, :])[2][1:].T
-        if moves.shape[1]:
-            q, _ = np.linalg.qr(slopes[:, None] * moves)
-            jac -= q @ (q.T @ jac)
-        return jac
+        slopes = total * _residual_slopes(self.solver.observed, self.probs[ks] * total, self.res[ks])
+        # J^T per start, so that each J is Fortran-ordered
+        jac_t = slopes[:, None, :] * self.columns(ks)
+        # on the sphere b* moves only along it: one stacked projection for
+        # the starts inside the ball and one for those on the sphere
+        on_sphere = self.lam[ks] > 0.0
+        for group in (np.flatnonzero(~on_sphere), np.flatnonzero(on_sphere)):
+            if not len(group):
+                continue
+            moves, failed = self.basis[ks[group]].swapaxes(1, 2), {}
+            if on_sphere[group[0]]:
+                (_, _, vt), failed = _lapack(np.linalg.svd, self.b[ks[group]][:, None, :])
+                moves = moves @ vt[:, 1:].swapaxes(1, 2)
+            if moves.shape[2]:
+                q, failed_qr = _lapack(lambda a: np.linalg.qr(a)[0], slopes[group][:, :, None] * moves)
+                failed.update(failed_qr)
+                part = jac_t[group].swapaxes(1, 2)
+                part -= q @ (q.swapaxes(1, 2) @ part)
+                jac_t[group] = part.swapaxes(1, 2)
+            for j, exc in failed.items():
+                errors[np.flatnonzero(ok)[group[j]]] = exc
+        jac[ok] = jac_t.swapaxes(1, 2)
+        return jac, errors
 
 
 @dataclass
 class _LMResult:
-    """Where _bounded_lm stopped: the parameters, the residuals and
-    Jacobian there, the stop's status and the evaluations it took."""
+    """Where _bounded_lm stopped each start: the parameters, the residuals
+    and Jacobian there, the stop's status and the evaluations it took, or
+    the exception that ended it (None for a normal stop)."""
 
     x: np.ndarray
     fun: np.ndarray
     jac: np.ndarray
-    status: int
-    nfev: int
-    njev: int
+    status: np.ndarray
+    nfev: np.ndarray
+    njev: np.ndarray
+    errors: list
 
 
 def _bounded_lm(fun, jac, x0, lo: np.ndarray, hi: np.ndarray, gtol: float, max_nfev: int) -> _LMResult:
     """Minimize |fun(x)|^2 over the box lo <= x <= hi by projected
-    Levenberg-Marquardt.
+    Levenberg-Marquardt, from each start x0[k] of a batch (K, n) at once.
+
+    fun(rows, x) and jac(rows, x) give the residuals (len(rows), m) and
+    Jacobian (len(rows), m, n) of the starts `rows` at their points x, with
+    the starts that failed, {position in rows: exception}.  Each round
+    evaluates every start still searching in one call; a start leaves the
+    batch once it stops, and a start whose evaluation fails, or whose
+    residuals are not finite, or whose scaled Jacobian cannot be factored,
+    records its exception and leaves alone.  No start's arithmetic depends
+    on another's: a held column is zeroed, not dropped.
 
     The variables are scaled by the running maximum of the Jacobian's
     column norms (Moré, "The Levenberg-Marquardt algorithm: implementation
@@ -524,56 +715,98 @@ def _bounded_lm(fun, jac, x0, lo: np.ndarray, hi: np.ndarray, gtol: float, max_n
     The status is 1 once the projected gradient max|J^T r| (components
     held at a bound left out) is at most gtol, 2 once a step is below
     1e-14 of |x| (scaled), and 0 once max_nfev residual evaluations are
-    spent.
+    spent; nfev and njev count each start's own evaluations.
     """
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    r = fun(x)
-    if not np.all(np.isfinite(r)):
-        raise FloatingPointError(f"residuals are not finite at {x.tolist()}")
-    jacobian = jac(x)
-    nfev = njev = 1
-    scale = np.zeros_like(x)
-    radius = None
-    while True:
-        g = jacobian.T @ r
-        held = ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))
-        if np.max(np.abs(np.where(held, 0.0, g))) <= gtol:
-            status = 1
+    n_rows, n = x.shape
+    errors = [None] * n_rows
+    searching = np.ones(n_rows, dtype=bool)
+
+    def evaluate(f, rows, points, residuals=False):
+        """f at the starts' points: the values, and which starts did not fail
+        (the others' exceptions recorded and their search ended)."""
+        values, failed = f(rows, points)
+        if residuals:
+            for i in np.flatnonzero(~np.all(np.isfinite(values), axis=1)):
+                failed.setdefault(i, FloatingPointError(f"residuals are not finite at {points[i].tolist()}"))
+        for i, exc in failed.items():
+            errors[rows[i]] = exc
+            searching[rows[i]] = False
+        return values, searching[rows]
+
+    rows = np.arange(n_rows)
+    r = np.array(evaluate(fun, rows, x, residuals=True)[0], dtype=float)
+    # each start's J^T, so that J is Fortran-ordered
+    jac_t = np.zeros((n_rows, n, r.shape[1]))
+    rows = np.flatnonzero(searching)
+    jacobian, ok = evaluate(jac, rows, x[rows])
+    jac_t[rows[ok]] = jacobian[ok].swapaxes(1, 2)
+    nfev, njev = np.ones(n_rows, dtype=int), np.ones(n_rows, dtype=int)
+    status = np.zeros(n_rows, dtype=int)
+    scale, radius = np.zeros((n_rows, n)), np.full(n_rows, math.nan)
+    while (live := np.flatnonzero(searching)).size:
+        x_l, jt = x[live], jac_t[live]
+        g = _matvec(jt, r[live])
+        held = ((x_l <= lo) & (g > 0.0)) | ((x_l >= hi) & (g < 0.0))
+        done = np.max(np.abs(np.where(held, 0.0, g)), axis=1) <= gtol
+        status[live[done]] = 1
+        searching[live[done | (nfev[live] >= max_nfev)]] = False
+        go = searching[live]
+        live, x_l, jt, held = live[go], x_l[go], jt[go], held[go]
+        if not live.size:
             break
-        if nfev >= max_nfev:
-            status = 0
-            break
-        scale = np.maximum(scale, np.linalg.norm(jacobian, axis=0))
-        d = np.where(scale > 0.0, scale, 1.0)
-        if radius is None:
-            radius = float(np.linalg.norm(d * (hi - lo)))
+        scale[live] = np.maximum(scale[live], np.linalg.norm(jt, axis=2))
+        d = np.where(scale[live] > 0.0, scale[live], 1.0)
+        unset = np.isnan(radius[live])
+        radius[live[unset]] = _norm(d[unset] * (hi - lo))
         free = ~held
-        u, s, vt = np.linalg.svd(jacobian[:, free] / d[free], full_matrices=False)
-        keep = s > 0.0
-        z, lam = _secular_step(s[keep] ** 2, s[keep] * (u[:, keep].T @ r), radius)
-        step = np.zeros_like(x)
-        step[free] = (vt[keep].T @ z) / d[free]
-        step = np.clip(x + step, lo, hi) - x
-        step_norm = float(np.linalg.norm(d * step))
-        if step_norm <= 1e-14 * np.linalg.norm(d * x):
-            status = 2
+        (u, s, vt), failed = _lapack(
+            lambda a: np.linalg.svd(a, full_matrices=False),
+            np.where(free[:, :, None], jt / d[:, :, None], 0.0).swapaxes(1, 2),
+        )
+        # the held columns' singular values are zero: the smallest ones
+        keep = (s > 0.0) & (np.arange(n) < n - held.sum(axis=1)[:, None])
+        # U^T r with U^T C-ordered, as the transpose of a column selection
+        w = np.where(keep, s * _matvec(np.ascontiguousarray(u.swapaxes(1, 2)), r[live]), 0.0)
+        z, lam = _secular_step(np.where(keep, s**2, 1.0), w, radius[live])
+        step = np.where(free, _matvec(vt.swapaxes(1, 2), z) / d, 0.0)
+        step = np.clip(x_l + step, lo, hi) - x_l
+        step_norm = _norm(d * step)
+        small = step_norm <= 1e-14 * _norm(d * x_l)
+        status[live[small]] = 2
+        searching[live[small]] = False
+        for j, exc in failed.items():
+            errors[live[j]] = exc
+            searching[live[j]] = False
+        go = searching[live]
+        live, x_l, jt, step, step_norm, lam = (a[go] for a in (live, x_l, jt, step, step_norm, lam))
+        if not live.size:
             break
-        r_new = fun(x + step)
-        nfev += 1
-        jp = jacobian @ step
-        predicted = -(2.0 * (r @ jp) + jp @ jp)
+        trial = x_l + step
+        r_new, ok = evaluate(fun, live, trial, residuals=True)
+        nfev[live] += 1
+        live, jt, step, step_norm, lam, trial, r_new = (
+            a[ok] for a in (live, jt, step, step_norm, lam, trial, r_new)
+        )
+        r_l = r[live]
+        jp = _matvec(jt.swapaxes(1, 2), step)
+        predicted = -(2.0 * _dot(r_l, jp) + _dot(jp, jp))
         # |r|^2 - |r_new|^2 without the cancellation of the two sums
-        actual = float((r - r_new) @ (r + r_new))
-        ratio = actual / predicted if predicted > 0.0 else -math.inf
-        if not ratio >= 0.25:
-            radius = 0.5 * min(radius, 10.0 * step_norm)
-        elif ratio >= 0.75 or lam == 0.0:
-            radius = 2.0 * step_norm
-        if ratio >= 1e-4:
-            x, r = x + step, r_new
-            jacobian = jac(x)
-            njev += 1
-    return _LMResult(x, r, jacobian, status, nfev, njev)
+        actual = _dot(r_l - r_new, r_l + r_new)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(predicted > 0.0, actual / predicted, -math.inf)
+        shrink = ~(ratio >= 0.25)
+        radius[live[shrink]] = 0.5 * np.minimum(radius[live[shrink]], 10.0 * step_norm[shrink])
+        grow = ~shrink & ((ratio >= 0.75) | (lam == 0.0))
+        radius[live[grow]] = 2.0 * step_norm[grow]
+        taken = ratio >= 1e-4
+        moved = live[taken]
+        if moved.size:
+            x[moved], r[moved] = trial[taken], r_new[taken]
+            jacobian, ok = evaluate(jac, moved, x[moved])
+            njev[moved] += 1
+            jac_t[moved[ok]] = jacobian[ok].swapaxes(1, 2)
+    return _LMResult(x, r, jac_t.swapaxes(1, 2), status, nfev, njev, errors)
 
 
 def fit(
@@ -613,13 +846,16 @@ def fit(
     parameters' `bounds` (names in PARAM_NAMES; DEFAULT_BOUNDS for the
     others); the winner is the lowest start index whose deviance lies
     within FIT_START_TIE_TOL (relative, at least 1 count) of the lowest.
+    The starts are stepped together, each round evaluating every start
+    still searching in one batch, and each start's result is bit-identical
+    to that of the start run alone.
     `converged` holds when the profiled gradient is below FIT_GRADIENT_TOL
     times the histogram total, the parameters lie strictly inside their
     box, and the inner solve meets its KKT test.  Each start stops once its
     projected profiled gradient is a tenth of that threshold, before the
     deviance flattens to its rounding floor.  Every start leaves a FitStart
     record in `starts`, the winner's index in `best_start`; a start that
-    raises records the exception, and NoConvergenceError carries the
+    fails records its exception, and NoConvergenceError carries the
     records when every start fails.
 
     The covariance is the inverse Fisher information at the optimum, over
@@ -640,10 +876,13 @@ def fit(
                 f"degenerate directions {degenerate} at the fixed detector parameters"
             )
         # one convex solve: the profile at the fixed parameters
-        profile = _Profile(h, _StateSolver(h, free), lambda theta: fixed, ()).at(np.empty(0))
-        covariance = _covariance(h.total, profile.probs, profile.design)
-        state, deviance = profile.solver.state(profile.b), float(np.sum(profile.res**2))
-        return TomographyResult(state, fixed, covariance, profile.converged(), deviance, dof, free)
+        profile = _Profile(h, _StateSolver(h, free), lambda theta: fixed, (), 1)
+        errors = profile.at(np.zeros(1, dtype=int), np.empty((1, 0)))
+        if errors:
+            raise errors[0]
+        covariance = _covariance(h.total, profile.probs[0], profile.basis[0].T)
+        state, deviance = profile.solver.state(profile.b[0]), float(np.sum(profile.res[0] ** 2))
+        return TomographyResult(state, fixed, covariance, profile.converged(0), deviance, dof, free)
 
     base_params = {name: getattr(fixed, name) for name in PARAM_NAMES}
 
@@ -652,41 +891,43 @@ def fit(
 
     solver = _StateSolver(h, free_bloch)
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
-    starts = _latin_hypercube(rng, n_starts, lo, hi)
+    starts = np.clip(_latin_hypercube(rng, n_starts, lo, hi), lo, hi)
+    profile = _Profile(h, solver, params_at, free_param_names, len(starts))
+    # stop on the profiled gradient, at a tenth of `converged`'s bound
+    # below, before the deviance flattens to its rounding floor
+    res = _bounded_lm(
+        profile.residuals, profile.jacobian, starts, lo, hi,
+        gtol=0.1 * FIT_GRADIENT_TOL * h.total, max_nfev=2000,
+    )
+    errors = list(res.errors)
+    for idx, x in enumerate(res.x):
+        if errors[idx] is None and not np.all(np.isfinite(x)):
+            errors[idx] = FloatingPointError(f"non-finite parameters {x.tolist()}")
+    ended = np.array([idx for idx, exc in enumerate(errors) if exc is None], dtype=int)
+    for i, exc in profile.at(ended, res.x[ended]).items():
+        errors[ended[i]] = exc
 
-    ended, records = [], []
+    records = []
     for idx, x0 in enumerate(starts):
-        x0 = tuple(map(float, np.clip(x0, lo, hi)))
-        profile = _Profile(h, solver, params_at, free_param_names)
-        try:
-            # stop on the profiled gradient, at a tenth of `converged`'s bound
-            # below, before the deviance flattens to its rounding floor
-            res = _bounded_lm(
-                profile.residuals, profile.jacobian, x0, lo, hi,
-                gtol=0.1 * FIT_GRADIENT_TOL * h.total, max_nfev=2000,
-            )
-            if not np.all(np.isfinite(res.x)):
-                raise FloatingPointError(f"non-finite parameters {res.x.tolist()}")
-            inner_converged = profile.at(res.x).converged()
-        except (SwitchSimError, ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
-            records.append(FitStart(x0, error=f"{type(exc).__name__}: {exc}"))
+        x0 = tuple(map(float, x0))
+        if errors[idx] is not None:
+            records.append(FitStart(x0, error=f"{type(errors[idx]).__name__}: {errors[idx]}"))
             continue
-        deviance = float(np.sum(res.fun**2))
-        grad_norm = float(np.max(np.abs(res.jac.T @ res.fun)))
-        interior = bool(
-            np.all(res.x > lo + 1e-9 * (hi - lo)) and np.all(res.x < hi - 1e-9 * (hi - lo))
-        )
+        x, fun, jac = res.x[idx], res.fun[idx], res.jac[idx]
+        deviance = float(np.sum(fun**2))
+        grad_norm = float(np.max(np.abs(jac.T @ fun)))
+        interior = bool(np.all(x > lo + 1e-9 * (hi - lo)) and np.all(x < hi - 1e-9 * (hi - lo)))
         # the deviance is measured in counts, so its gradient scale is the
         # histogram total; a stalled or boundary-pinned start sits orders of
         # magnitude above this threshold
         converged = bool(
-            res.status > 0 and grad_norm < FIT_GRADIENT_TOL * h.total and interior
-            and inner_converged
+            res.status[idx] > 0 and grad_norm < FIT_GRADIENT_TOL * h.total and interior
+            and profile.converged(idx)
         )
         records.append(FitStart(
-            x0, int(res.status), int(res.nfev), int(res.njev), deviance, grad_norm, converged
+            x0, int(res.status[idx]), int(res.nfev[idx]), int(res.njev[idx]), deviance, grad_norm, converged
         ))
-        ended.append((idx, res.x, profile))
+    ended = [idx for idx, record in enumerate(records) if record.error is None]
     if not ended:
         raise NoConvergenceError(
             f"all {len(starts)} fit starts failed: "
@@ -695,11 +936,11 @@ def fit(
         )
 
     # the first start tied with the lowest deviance wins (FIT_START_TIE_TOL)
-    lowest = min(records[idx].deviance for idx, _, _ in ended)
+    lowest = min(records[idx].deviance for idx in ended)
     tie = lowest + FIT_START_TIE_TOL * max(1.0, lowest)
-    best_idx, theta, profile = next(end for end in ended if records[end[0]].deviance <= tie)
-    deviance, converged = records[best_idx].deviance, records[best_idx].converged
-    p_fit, b_fit = params_at(theta), solver.state(profile.b)
+    best = next(idx for idx in ended if records[idx].deviance <= tie)
+    deviance, converged = records[best].deviance, records[best].converged
+    p_fit, b_fit = params_at(res.x[best]), solver.state(profile.b[best])
     # with parameters free, rank deficiency (such as the gauge null
     # direction of the all-parameter model) is only visible at the fitted
     # point
@@ -711,15 +952,15 @@ def fit(
             f"degenerate directions {report.degenerate_directions} at the "
             "fitted parameters"
         )
-    columns = np.hstack([profile.design, profile.columns()])
+    columns = np.hstack([profile.basis[best].T, profile.columns(np.array([best]))[0].T])
     return TomographyResult(
         bloch=b_fit,
         params=p_fit,
-        covariance=_covariance(h.total, profile.probs, columns),
+        covariance=_covariance(h.total, profile.probs[best], columns),
         converged=converged,
         chi2=deviance,
         dof=dof,
         free_names=free,
         starts=tuple(records),
-        best_start=best_idx,
+        best_start=best,
     )

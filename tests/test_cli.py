@@ -300,8 +300,15 @@ class TestTomographyCommand:
         p = det.DetectorParams(1.0, 5.0, math.pi / 4, 60.0)
         hist = self.make_histogram(tmp_path, p, tomo.BlochComponents(0.3, -0.4, 0.5), n=5000)
 
-        def diverges(*args, **kwargs):
-            raise FloatingPointError("residuals are not finite")
+        real = tomo._bounded_lm
+
+        def diverges(fun, jac, x0, *args, **kwargs):
+            # every start's residuals fail, in the batch that steps them together
+            def failing(rows, x):
+                values, _ = fun(rows, x)
+                return values, {i: FloatingPointError("residuals are not finite") for i in range(len(rows))}
+
+            return real(failing, jac, x0, *args, **kwargs)
 
         monkeypatch.setattr(tomo, "_bounded_lm", diverges)
         assert run_cli(self.fit_args(tmp_path, hist) + self.FREE_E) == 4

@@ -11,6 +11,7 @@ from scipy.linalg import expm
 from switchsim import detector as det
 from switchsim import mat2 as m2
 from switchsim import measurement as meas
+from switchsim import trajectory as traj
 from switchsim.errors import StepTooLargeError
 
 from oracles import (
@@ -608,3 +609,49 @@ def test_slopes_over_parameter_box(gamma_l, gamma_r, beta, e, frac, amps):
     got = survival_and_density_slopes(p, [rho], np.array([t]))[:, 0, :, 0]
     ref = exp_slopes(p, rho, t, NAMES)
     assert np.all(np.abs(got - ref) <= slope_bound(p, t, ref))
+
+
+STACK_RHOS = [
+    m2.projector(pure_state(0.6, 0.8j)),
+    0.5 * np.eye(2, dtype=complex),
+    np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, 0.7]]),
+]
+STACK_OPS = [np.eye(2), np.array([[2.0, 0.5 - 1.0j], [0.5 + 1.0j, 0.25]])]
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(st.tuples(rates, rates, st.floats(0.0, math.pi), st.floats(0.0, 1000.0)), min_size=1, max_size=4),
+    st.floats(0.0, 1e-6),
+    st.floats(1e-3, 5.0),
+)
+# the exceptional point itself (r = 0), and 1e-7 from it
+@example([(1.0, 5.0, math.pi / 4, 60.0)], 0.0, 1.0)
+@example([(0.0, 0.0, 0.3, 1.0), (2.0, 8.0, 1.0, 20.0)], 1e-7, 5.0)
+def test_stacked_forms_match_single(points, offset, t_max):
+    """Rows, cells and slopes of K stacked parameter points are
+    bit-identical to the K points evaluated alone.  Each stack holds a point
+    by the exceptional point beta = pi/2, E = |gamma_minus| (E offset from
+    it), whose |r t| stays inside the series radius at every time, next to
+    C1, outside it at the last time: the series is chosen per row, not
+    for the whole stack."""
+    near = det.DetectorParams(0.0, 4.0, math.pi / 2, 2.0 + offset)  # |gamma_minus| = 2
+    c1 = det.DetectorParams(1.0, 5.0, math.pi / 4, 60.0)
+    ps = [det.DetectorParams(*q) for q in points[:1]] + [near, c1] + [det.DetectorParams(*q) for q in points[1:]]
+    t = np.linspace(0.0, t_max, 17)
+    singles = [det._TraceForms(p, STACK_RHOS, STACK_OPS) for p in ps]
+    assert abs(singles[1].propagator.r) * t_max < det._SERIES_RADIUS
+    assert abs(singles[2].propagator.r) * t_max >= det._SERIES_RADIUS
+
+    forms = det._TraceForms(ps, STACK_RHOS, STACK_OPS)
+    coefficients = forms.propagator.coefficients(t)
+    rows = forms.combine(*coefficients)
+    slopes = forms.slopes(NAMES, t, coefficients)
+    assert rows.shape == (len(ps), len(STACK_RHOS) * len(STACK_OPS), len(t))
+    assert slopes.shape == (len(ps), len(NAMES), *rows.shape[1:])
+    for k, single in enumerate(singles):
+        c, s = single.propagator.coefficients(t)
+        assert c.tobytes() == coefficients[0][k].tobytes() and s.tobytes() == coefficients[1][k].tobytes(), k
+        assert single(t).tobytes() == rows[k].tobytes() == forms(t)[k].tobytes(), k
+        assert traj._cells(single(t)).tobytes() == traj._cells(rows)[k].tobytes(), k
+        assert single.slopes(NAMES, t, (c, s)).tobytes() == slopes[k].tobytes(), k
