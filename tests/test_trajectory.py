@@ -297,7 +297,9 @@ class TestInversion:
             if last.switched:
                 assert last.switch_time == times[-1]
 
-    def test_non_monotone_survival_raises(self, monkeypatch):
+    # _binned_ensemble is CLI simulate's path
+    @pytest.mark.parametrize("sampler", ["run_ensemble", "sample_switch_times", "_binned_ensemble"])
+    def test_non_monotone_survival_raises(self, sampler, monkeypatch):
         exact = det.survival_function
 
         def wiggly(p, rho0):
@@ -307,7 +309,7 @@ class TestInversion:
         monkeypatch.setattr(traj, "survival_function", wiggly)
         p = det.DetectorParams(1.0, 4.0, 0.7, 5.0)
         with pytest.raises(BisectionFailureError):
-            traj.run_ensemble(p, MIXED, traj.SimConfig(n_traj=2000, tau=1.0, seed=3))
+            getattr(traj, sampler)(p, MIXED, traj.SimConfig(n_traj=2000, tau=1.0, seed=3))
 
     def test_ensemble_memory_independent_of_size(self):
         # ~4 MB, the same as for one chunk of 2**14; drawing all 2e6
