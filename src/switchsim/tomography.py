@@ -441,7 +441,14 @@ class _StateSolver:
         b[k], or from the mixed state if b[k] leaves a seen cell no
         probability, and its ball multiplier; also the rows that failed,
         {row: exception}.  Each row takes its own Newton steps and leaves
-        the batch once its own step is below FIT_NEWTON_STEP_TOL."""
+        the batch once its own step is below FIT_NEWTON_STEP_TOL.
+
+        Each b[k] must lie in the unit ball.  From outside it, a row whose
+        unconstrained minimizer lies outside too cannot converge: every
+        step back into the ball raises the cost, so backtracking shrinks it
+        to nothing.  `start` and `_ball_step` return points in the ball and
+        each step moves b towards one of them, so the earlier solutions that
+        fit starts from lie in it as well."""
         b, lam, errors = np.array(b, dtype=float), np.zeros(len(b)), {}
         if not self.free_idx:
             return b, lam, errors

@@ -36,9 +36,9 @@ from .tolerances import INVERSION_RESIDUAL_TOL, INVERSION_STEP_REL_TOL
 CHUNK = 1 << 14
 # glibc's malloc hands the free top of its heap back to the OS once it
 # exceeds twice the largest mmap'd block freed so far.  Each chunk frees
-# 2-4 MB of numpy temporaries, so in a long-lived process every chunk
-# would fault its pages in afresh (~26k minor faults, ~0.1 s, per 1e6
-# trajectories) unless a block of this size has been freed first.
+# about 3 MB of numpy temporaries, so in a long-lived process every chunk
+# would fault its pages in afresh (~29k minor faults per 1e6 trajectories
+# at C1) unless a block of this size has been freed first.
 _HEAP_HEADROOM = 32 * CHUNK * 8
 _TABLE_POINTS = 4097
 # Bisection alone narrows a grid bracket to the step tolerance in ~22 steps.
@@ -173,15 +173,36 @@ def _survival_inverter(p: DetectorParams, rho0: np.ndarray, tau: float):
     INVERSION_STEP_REL_TOL * tau, which the Hermite seed makes the first
     step almost everywhere; S flat or staircase-like on the grid's scale (a
     long pulse with many precession periods, or rho near zero) falls back
-    towards bisection.  A residual above INVERSION_RESIDUAL_TOL raises,
-    since it would indicate a broken survival function rather than bad data.
+    towards bisection.
+
+    Every returned time t' meets |S(t') - u| <= INVERSION_RESIDUAL_TOL, or
+    the call raises BisectionFailureError, since a larger residual would
+    indicate a broken survival function rather than bad data.  The residual
+    is bounded from values the last Newton step holds: the solve evaluated
+    s = S(t) at t and returns t' with |t' - t| <= INVERSION_STEP_REL_TOL *
+    tau.  As dS/dt = -Tr{Gamma U rho0 U^dag}, U rho0 U^dag >= 0 has trace
+    S <= 1 and Gamma's largest eigenvalue is max(gamma_L, gamma_R),
+    |dS/dt| <= max(gamma_L, gamma_R), so
+
+        |S(t') - u| <= |s - u| + max(gamma_L, gamma_R) |t' - t|.
+
+    s is the paired evaluator's S row, bit-identical to survival_function.
+    Only where the largest bound of a call exceeds the tolerance (about
+    max(gamma_L, gamma_R) tau > 500, or a solve still open after
+    _MAX_STEPS) is survival_function evaluated at the returned times.  The
+    tabulated S, before it is made monotone, must not rise by more than the
+    tolerance either.
     """
     surv = survival_function(p, rho0)
     paired = _survival_and_density(p, rho0)
     grid = np.linspace(0.0, tau, _TABLE_POINTS)
-    table = np.minimum.accumulate(surv(grid))
+    raw = surv(grid)
+    table = np.minimum.accumulate(raw)
+    if np.max(raw - table) > INVERSION_RESIDUAL_TOL:
+        raise BisectionFailureError("tabulated survival rises; S(t) appears non-monotone")
     bracket = _bracket_finder(table)
     step_tol = INVERSION_STEP_REL_TOL * tau
+    gamma_max = max(p.gamma_L, p.gamma_R)
 
     # cell j = [grid[j], grid[j + 1]]: the seed grid[j] + w (b1 + w (b2 + w b3))
     # is the Hermite form above expanded in w and scaled by the width h
@@ -213,16 +234,21 @@ def _survival_inverter(p: DetectorParams, rho0: np.ndarray, tau: float):
         np.clip(t, lo, hi, out=t)
         times = todo = None
         target, last = u, hi - lo
+        worst = 0.0  # the largest residual bound over the ended solves
         for _ in range(_MAX_STEPS):
             s, rate = paired(t)
             above = s >= target
             lo, hi = np.where(above, t, lo), np.where(above, hi, t)
-            step = np.divide(s - target, rate, out=np.full_like(t, np.inf), where=rate > 0.0)
+            gap = s - target
+            step = np.divide(gap, rate, out=np.full_like(t, np.inf), where=rate > 0.0)
             nxt = t + step
             newton = (lo <= nxt) & (nxt <= hi) & (2.0 * np.abs(step) <= last)
             nxt = np.where(newton, nxt, 0.5 * (lo + hi))
             last = np.abs(nxt - t)
             done = last <= step_tol
+            bound = np.abs(gap, out=gap)
+            bound += gamma_max * last
+            worst = np.max(bound, where=done, initial=worst)
             if done.all():
                 t = nxt
                 break
@@ -233,11 +259,14 @@ def _survival_inverter(p: DetectorParams, rho0: np.ndarray, tau: float):
             todo, target, t, lo, hi, last = (
                 a[keep] for a in (todo, target, nxt, lo, hi, last)
             )
+        else:
+            worst = np.inf  # a solve still open has no bound
         if times is None:
             times = t
         else:
             times[todo] = t
-        if times.size and np.max(np.abs(surv(times) - u)) > INVERSION_RESIDUAL_TOL:
+        # "not <=" sends a NaN bound to the exact check
+        if not worst <= INVERSION_RESIDUAL_TOL and np.max(np.abs(surv(times) - u)) > INVERSION_RESIDUAL_TOL:
             raise BisectionFailureError(
                 "survival inversion residual too large; S(t) appears non-monotone"
             )

@@ -472,7 +472,10 @@ def test_propagator_and_survival_over_parameter_box(gamma_l, gamma_r, beta, e, f
     assert math.sqrt(x * x + y * y + z * z) == pytest.approx(0.5 * (high - low), abs=gam_bound)
     s = det.survival_function(p, rho)
     assert float(s(0.0)) == pytest.approx(1.0, abs=1e-12)
-    vals = s(np.linspace(0.0, horizon, 400))
+    grid = np.linspace(0.0, horizon, 400)
+    vals = s(grid)
+    # the sampler bounds its inversion residual with the paired S row
+    np.testing.assert_array_equal(det._survival_and_density(p, rho)(grid)[0], vals)
     assert np.all(vals >= -1e-12) and np.all(vals <= 1.0 + 1e-12)
     assert np.all(np.diff(vals) <= 1e-12)
 

@@ -297,9 +297,8 @@ class TestInversion:
             if last.switched:
                 assert last.switch_time == times[-1]
 
-    # _binned_ensemble is CLI simulate's path
-    @pytest.mark.parametrize("sampler", ["run_ensemble", "sample_switch_times", "_binned_ensemble"])
-    def test_non_monotone_survival_raises(self, sampler, monkeypatch):
+    @pytest.fixture
+    def wiggly_survival(self, monkeypatch):
         exact = det.survival_function
 
         def wiggly(p, rho0):
@@ -307,9 +306,18 @@ class TestInversion:
             return lambda t: s(t) + 0.05 * np.sin(40.0 * np.asarray(t))
 
         monkeypatch.setattr(traj, "survival_function", wiggly)
+
+    # _binned_ensemble is CLI simulate's path
+    @pytest.mark.parametrize("sampler", ["run_ensemble", "sample_switch_times", "_binned_ensemble"])
+    def test_non_monotone_survival_raises(self, sampler, wiggly_survival):
         p = det.DetectorParams(1.0, 4.0, 0.7, 5.0)
         with pytest.raises(BisectionFailureError):
             getattr(traj, sampler)(p, MIXED, traj.SimConfig(n_traj=2000, tau=1.0, seed=3))
+
+    def test_rising_table_raises_before_any_solve(self, wiggly_survival):
+        # the table itself is checked, not only the solves' residuals
+        with pytest.raises(BisectionFailureError, match="tabulated"):
+            traj._survival_inverter(det.DetectorParams(1.0, 4.0, 0.7, 5.0), MIXED, 1.0)
 
     def test_ensemble_memory_independent_of_size(self):
         # ~4 MB, the same as for one chunk of 2**14; drawing all 2e6
@@ -356,6 +364,25 @@ def benchmark_pulse(config):
 def switched_uniforms(s_tau, n, seed=0):
     """n targets drawn uniformly from the switched range (S(tau), 1]."""
     return s_tau + (1.0 - s_tau) * (1.0 - np.random.default_rng(seed).random(n))
+
+
+def count_points(monkeypatch, factory):
+    """Patch trajectory.<factory> so that its evaluators record the number
+    of times of each call in the returned list."""
+    points = []
+    make = getattr(det, factory)
+
+    def counted(p, rho0):
+        f = make(p, rho0)
+
+        def g(t):
+            points.append(np.size(t))
+            return f(t)
+
+        return g
+
+    monkeypatch.setattr(traj, factory, counted)
+    return points
 
 
 class TestInversionRoute:
@@ -425,19 +452,7 @@ class TestInversionRoute:
 
     @pytest.mark.parametrize("config", CONFIGS)
     def test_one_evaluation_per_solve(self, config, monkeypatch):
-        points = []
-        paired = det._survival_and_density
-
-        def counted(p, rho0):
-            f = paired(p, rho0)
-
-            def g(t):
-                points.append(np.size(t))
-                return f(t)
-
-            return g
-
-        monkeypatch.setattr(traj, "_survival_and_density", counted)
+        points = count_points(monkeypatch, "_survival_and_density")
         p, tau = benchmark_pulse(config)
         s_tau, invert = traj._survival_inverter(p, MIXED, tau)
         points.clear()  # the setup's grid call
@@ -446,6 +461,34 @@ class TestInversionRoute:
         assert points, "the sampler no longer evaluates trajectory._survival_and_density"
         per_solve = sum(points) / n
         assert per_solve <= 1.05, f"{per_solve:.3f} survival points per solve"
+
+    def test_residual_bound_skips_survival_function(self, monkeypatch):
+        # survival_function tabulates S and gives S(tau); every residual
+        # is bounded from the Newton step's own values
+        points = count_points(monkeypatch, "survival_function")
+        p, tau = benchmark_pulse(CONFIGS[0])
+        traj.run_ensemble(p, MIXED, traj.SimConfig(n_traj=3 * traj.CHUNK, tau=tau, seed=17))
+        assert points == [traj._TABLE_POINTS, 1]
+
+    @pytest.mark.parametrize(
+        "params, tau, max_steps",
+        [
+            # max(gamma_L, gamma_R) tau = 3000: the bound's
+            # 2 gamma_max INVERSION_STEP_REL_TOL tau exceeds the tolerance
+            ((0.0, 100.0, 1.0, 25.0), 30.0, traj._MAX_STEPS),
+            # S is a staircase on the grid's scale, so one step leaves
+            # solves open
+            ((0.0, 1.0, 1.0, 25.0), 60.0, 1),
+        ],
+    )
+    def test_unbounded_residual_evaluated_exactly(self, params, tau, max_steps, monkeypatch):
+        points = count_points(monkeypatch, "survival_function")
+        monkeypatch.setattr(traj, "_MAX_STEPS", max_steps)
+        cfg = traj.SimConfig(n_traj=2 * traj.CHUNK + 5, tau=tau, seed=3)
+        times, _ = traj.sample_switch_times(det.DetectorParams(*params), MIXED, cfg)
+        assert times.size > 0
+        assert points[:2] == [traj._TABLE_POINTS, 1]
+        assert sum(points[2:]) == times.size
 
 
 class TestPurity:
