@@ -630,3 +630,22 @@ class TestHistogramCsv:
             path.write_text("bin_start,bin_end,count\n" + rows + "#no_switch,2\n#total,9\n")
             with pytest.raises(ValueError):
                 traj.read_histogram_csv(path, time_scale=2.0)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "0.0,0.5,3\n0.5,1.0,4\n#total,9\n",
+            "0.0,0.5,3\n0.5,1.0,4\n#no_switch,2\n",
+            "0.0,0.5,-3\n0.5,1.0,10\n#no_switch,2\n#total,9\n",
+            "0.0,0.5,3\n0.5,1.0,4\n#no_switch,2\n#total,10\n",
+            "0.0,0.5\n0.5,1.0,4\n#no_switch,2\n#total,9\n",
+            "0.0,0.5,3,1\n0.5,1.0,4\n#no_switch,2\n#total,9\n",
+            "0.0,0.5,three\n0.5,1.0,4\n#no_switch,2\n#total,9\n",
+        ],
+        ids=["no_no_switch", "no_total", "negative_count", "total_mismatch", "two_fields", "four_fields", "text_count"],
+    )
+    def test_malformed_rows_rejected(self, tmp_path, body):
+        path = tmp_path / "hist.csv"
+        path.write_text("bin_start,bin_end,count\n" + body)
+        with pytest.raises(ValueError):
+            traj.read_histogram_csv(path, time_scale=2.0)
