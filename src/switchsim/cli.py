@@ -160,9 +160,10 @@ def _params_from(config_entry: dict) -> DetectorParams:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    # one write of the whole text: json.dump would write each token alone
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _summary(config: dict, started: float, extra: dict) -> dict:

@@ -250,6 +250,17 @@ def _fixed_point_degeneracy(p: DetectorParams, free: tuple[str, ...]) -> tuple[t
     return identifiability(p, free=free, rel_threshold=RANK_DEFICIENCY_TOL).degenerate_directions
 
 
+@functools.lru_cache(maxsize=128)
+def _cell_model(p: DetectorParams, edges: bytes) -> np.ndarray:
+    """The cell rows of _CELL_STATES at p over the bin edges (float64
+    bytes), shape (4, cells), rho = I/2's first: the same for every
+    histogram binned on those edges, so kept per (p, edges) for the process;
+    read-only, as every fit there shares them."""
+    cells = _cells(_TraceForms(p, _CELL_STATES, [m2.IDENTITY])(np.frombuffer(edges)))
+    cells.flags.writeable = False
+    return cells
+
+
 def _deviance_residuals(observed: np.ndarray, expected: np.ndarray) -> np.ndarray:
     """Signed square roots of per-cell Poisson deviance contributions."""
     expected = np.maximum(expected, 1e-12)
@@ -372,14 +383,14 @@ def _secular_root(evals: np.ndarray, w: np.ndarray, radius: float) -> tuple[np.n
     return x, lam
 
 
-def _secular_step(evals: np.ndarray, w: np.ndarray, radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _secular_step(evals: np.ndarray, w: np.ndarray, radius) -> tuple[np.ndarray, np.ndarray]:
     """_secular_root for each row of the stacks evals and w (K, n) and
-    radius (K,): (minimizers, multipliers).  The rows whose unconstrained
-    minimizer lies inside take one stacked pass, each other row its own
-    root search."""
+    radius (K,), or one float for every row: (minimizers, multipliers).
+    The rows whose unconstrained minimizer lies inside take one stacked
+    pass, each other row its own root search."""
     x, lam = w / (evals + 0.0), np.zeros(len(w))
     for k in (~(np.sqrt(_dot(x, x)) <= radius)).nonzero()[0]:
-        x[k], lam[k] = _secular_root(evals[k], w[k], radius[k])
+        x[k], lam[k] = _secular_root(evals[k], w[k], np.broadcast_to(radius, len(w))[k])
     return -x, lam
 
 
@@ -389,7 +400,7 @@ def _ball_step(hess: np.ndarray, c: np.ndarray):
     (hess + lam I) x = -c, c and x columns (K, n, 1).  Also the rows whose
     hess cannot be factored."""
     (evals, vecs), errors = _lapack(np.linalg.eigh, hess)
-    x, lam = _secular_step(evals, (vecs.swapaxes(1, 2) @ c)[:, :, 0], np.ones(len(c)))
+    x, lam = _secular_step(evals, (vecs.swapaxes(1, 2) @ c)[:, :, 0], 1.0)
     return vecs @ x[:, :, None], lam, errors
 
 
@@ -419,6 +430,7 @@ class _StateSolver:
         # all have counts)
         seen = self.observed > 0.0
         self.seen = slice(None) if seen.all() else seen
+        self.counts = self.observed[self.seen]
         self.free_idx = [BLOCH_NAMES.index(name) for name in free_bloch]
 
     def start(self, a0: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -428,8 +440,8 @@ class _StateSolver:
         by the inverse counts, which the deviance approaches for large
         counts; the mixed state where its Hessian cannot be factored."""
         design_t = basis[:, :, self.seen]
-        weighted = design_t / self.observed[self.seen]
-        freqs = self.observed[self.seen] / self.total - a0[:, self.seen]
+        weighted = design_t / self.counts
+        freqs = self.counts / self.total - a0[:, self.seen]
         x, _, failed = _ball_step(weighted @ design_t.swapaxes(1, 2), -(weighted @ freqs[:, :, None]))
         if failed:
             x[list(failed)] = 0.0
@@ -452,11 +464,11 @@ class _StateSolver:
         b, lam, errors = np.array(b, dtype=float), np.zeros(len(b)), {}
         if not self.free_idx:
             return b, lam, errors
-        counts = self.observed[self.seen]
+        counts = self.counts
         # the rows still stepping, compacted whenever one leaves; vectors are
         # columns (K, n, 1) and the cell probabilities rows (K, 1, cells)
         rows = np.arange(len(b))
-        a_l = np.ascontiguousarray(a0[:, None, self.seen])
+        a_l = a0[:, None, self.seen]
         design_t = np.ascontiguousarray(basis[:, :, self.seen])
         design = design_t.swapaxes(1, 2)
 
@@ -508,11 +520,11 @@ class _StateSolver:
             b_l = b_l + step
             done = size <= FIT_NEWTON_STEP_TOL
             if any(done):
+                if all(done):
+                    break
                 b[rows], lam[rows] = b_l[:, :, 0], lam_l
                 rows, a_l, design_t, b_l, lam_l = (v[~done] for v in (rows, a_l, design_t, b_l, lam_l))
                 design = design_t.swapaxes(1, 2)
-                if not len(rows):
-                    break
             probs = a_l + (design @ b_l).swapaxes(1, 2)
         b[rows], lam[rows] = b_l[:, :, 0], lam_l
         return b, lam, errors
@@ -522,7 +534,7 @@ class _StateSolver:
         inside the ball), the gradient in counts, as in the free-parameter
         fit's criterion."""
         seen = self.seen
-        grad = -(self.observed[seen] / (a0[seen] + design[seen] @ b)) @ design[seen]
+        grad = -(self.counts / (a0[seen] + design[seen] @ b)) @ design[seen]
         return bool(np.max(np.abs(grad + lam * b), initial=0.0) < FIT_GRADIENT_TOL * self.total)
 
     def state(self, b: np.ndarray) -> BlochComponents:
@@ -563,7 +575,8 @@ class _Profile:
     projected off the exact residual columns of the directions in which b*
     can move (Kaufman, BIT 15, 1975; O'Leary & Rust, Comput. Optim. Appl.
     54, 2013).  At b* the residuals are orthogonal to those columns, so its
-    gradient J^T r is the profiled deviance's.
+    gradient J^T r is the profiled deviance's.  With no free parameter
+    (`names` empty) the cell rows are the calibration's, from _cell_model.
     """
 
     def __init__(self, h: Histogram, solver: _StateSolver, params_at, names: tuple[str, ...], n_rows: int):
@@ -580,21 +593,29 @@ class _Profile:
     def at(self, rows: np.ndarray, theta: np.ndarray) -> dict:
         """Solve for b* at theta[i] for each start rows[i] whose last point
         solved was another; the starts that failed, {i: exception}."""
-        errors, stale = {}, []
+        errors, stale, keys = {}, [], []
         for i, (k, point) in enumerate(zip(rows, theta)):
-            if point.tobytes() != self.keys[k]:
+            key = point.tobytes()
+            if key != self.keys[k]:
                 try:
                     self.params[k] = self.params_at(point)
                 except _START_FAILURES as exc:
                     errors[i] = exc
                     continue
                 stale.append(i)
+                keys.append(key)
         if not stale:
             return errors
         ks = rows[stale]
-        forms = self._forms(ks)
-        c, s = forms.propagator.coefficients(self.edges)
-        cells = _cells(forms.combine(c, s)).reshape(len(ks), len(_CELL_STATES), -1)
+        if self.names:
+            forms = self._forms(ks)
+            c, s = forms.propagator.coefficients(self.edges)
+            cells = _cells(forms.combine(c, s)).reshape(len(ks), len(_CELL_STATES), -1)
+            self.last = ks, forms, (c, s)
+        else:
+            # no free parameter: the rows depend on the calibration alone
+            edges = self.edges.tobytes()
+            cells = np.array([_cell_model(self.params[k], edges) for k in ks])
         a0, basis = cells[:, 0], cells[:, 1:][:, self.solver.free_idx]
         b = self.b[ks]
         cold = [self.keys[k] is None for k in ks]
@@ -604,14 +625,15 @@ class _Profile:
         b, lam, failed = self.solver.solve(a0, basis, b)
         probs = a0 + _matvec(basis.swapaxes(1, 2), b)
         res = _deviance_residuals(self.solver.observed, probs * self.solver.total)
-        for j, (i, k) in enumerate(zip(stale, ks)):
-            if j in failed:
-                errors[i] = failed[j]
-                continue
-            self.keys[k] = theta[i].tobytes()
-            self.a0[k], self.basis[k], self.b[k], self.lam[k] = a0[j], basis[j], b[j], lam[j]
-            self.probs[k], self.res[k] = probs[j], res[j]
-        self.last = ks, forms, (c, s)
+        for j, exc in failed.items():
+            errors[stale[j]] = exc
+        solved = [j for j in range(len(ks)) if j not in failed]
+        for j in solved:
+            self.keys[ks[j]] = keys[j]
+        if failed:
+            ks, a0, basis, b, lam, probs, res = (v[solved] for v in (ks, a0, basis, b, lam, probs, res))
+        self.a0[ks], self.basis[ks], self.b[ks], self.lam[ks] = a0, basis, b, lam
+        self.probs[ks], self.res[ks] = probs, res
         return errors
 
     def _forms(self, rows: np.ndarray) -> _TraceForms:
@@ -844,7 +866,12 @@ def fit(
     and `seed` and `n_starts` go unused.  Such a fit first refuses a
     configuration rank-deficient at the fixed parameters; that verdict
     depends on the parameters and the free names alone, so it is taken
-    once per process for each pair (the last 128 pairs are kept).
+    once per process for each pair (the last 128 pairs are kept).  Its
+    cell model, the cell probabilities of rho = I/2 and of the three Bloch
+    directions, depends on the parameters and the bin edges alone, and is
+    likewise kept for the last 128 pairs (read-only, shared by every fit
+    there), so fitting many histograms binned alike at one calibration
+    evaluates it once.
 
     With detector parameters free, the state is profiled out: bounded
     Levenberg-Marquardt (_bounded_lm) searches the free parameters alone,

@@ -89,8 +89,15 @@ class Histogram:
         counts = np.asarray(self.counts, dtype=np.int64)
         if edges.ndim != 1 or len(edges) != len(counts) + 1:
             raise ValueError("need len(bin_edges) == len(counts) + 1")
-        if np.any(np.diff(edges) <= 0.0):
-            raise ValueError("bin edges must be strictly increasing")
+        # "not all >" also stops at a NaN edge, which every comparison fails
+        rising = np.diff(edges) > 0.0
+        if not np.all(rising):
+            i = int(np.argmin(rising))
+            raise ValueError(
+                f"bin edges must be strictly increasing: edge {i + 1} ({edges[i + 1]}) follows edge {i} ({edges[i]})"
+            )
+        if not edges[0] >= 0.0:
+            raise ValueError(f"bin edges must not be negative: edge 0 is {edges[0]}")
         if np.any(counts < 0) or int(self.no_switch_count) < 0:
             raise ValueError("counts and no_switch_count must be >= 0")
         if int(counts.sum()) + int(self.no_switch_count) != int(self.total):
@@ -464,34 +471,35 @@ def read_histogram_csv(path, time_scale: float = 1.0) -> Histogram:
     """Inverse of write_histogram_csv (divides edges by time_scale).
 
     Rows must tile the time axis: each bin_start equals the previous
-    row's bin_end, compared as written in the file.
+    row's bin_end, compared as written in the file.  The file is read in
+    one call and parsed in one pass; a bin_start written as the previous
+    bin_end is that value, so only the others are converted.
     """
     _check_time_scale(time_scale)
-    edges = []
-    counts = []
-    no_switch = total = prev_end = None
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "bin_start,bin_end,count":
             raise ValueError(f"unexpected histogram header {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#no_switch,"):
-                no_switch = int(line.split(",")[1])
-            elif line.startswith("#total,"):
-                total = int(line.split(",")[1])
-            else:
-                start, end, count = line.split(",")
-                start, end = float(start), float(end)
+        text = fh.read()
+    edges, counts, meta, written = [], [], {}, None
+    for line in text.split("\n"):
+        line = line.strip()
+        if line.startswith(("#no_switch,", "#total,")):
+            key, value = line.split(",")[:2]
+            meta[key] = int(value)
+        elif line:
+            start, end, count = line.split(",")
+            if start != written:
+                value = float(start)
                 if not edges:
-                    edges.append(start / time_scale)
-                elif start != prev_end:
-                    raise ValueError(f"bin_start {start} does not follow bin_end {prev_end}")
-                prev_end = end
-                edges.append(end / time_scale)
-                counts.append(int(count))
-    if no_switch is None or total is None:
+                    edges.append(value)
+                elif value != edges[-1]:
+                    raise ValueError(f"bin_start {value} does not follow bin_end {edges[-1]}")
+            elif edges[-1] != edges[-1]:  # the same text: equal unless NaN
+                raise ValueError(f"bin_start {edges[-1]} does not follow bin_end {edges[-1]}")
+            written = end
+            edges.append(float(end))
+            counts.append(int(count))
+    if "#no_switch" not in meta or "#total" not in meta:
         raise ValueError("histogram file missing #no_switch or #total rows")
-    return Histogram(np.asarray(edges), np.asarray(counts, dtype=np.int64), no_switch, total)
+    return Histogram(np.array(edges) / time_scale, np.array(counts, dtype=np.int64), meta["#no_switch"], meta["#total"])

@@ -296,6 +296,17 @@ class TestTomographyCommand:
         check_tomography_json(record, 1)
         assert len(record["starts"]) == 3 and record["converged"]
 
+    def test_cached_cell_model_writes_same_file(self, tmp_path):
+        """Two state-only calls on one histogram, the first filling the
+        cell-model cache and the second reading it, write the same bytes."""
+        p = det.DetectorParams(1.0, 5.0, math.pi / 4, 60.0)
+        hist = self.make_histogram(tmp_path, p, tomo.BlochComponents(0.3, -0.4, 0.5), n=5000)
+        tomo._cell_model.cache_clear()
+        assert run_cli(self.fit_args(tmp_path / "miss", hist)) == 0
+        assert run_cli(self.fit_args(tmp_path / "hit", hist)) == 0
+        assert tomo._cell_model.cache_info().hits == 1
+        assert (tmp_path / "miss" / "tomography.json").read_bytes() == (tmp_path / "hit" / "tomography.json").read_bytes()
+
     def test_failed_fit_writes_start_table(self, tmp_path, monkeypatch):
         p = det.DetectorParams(1.0, 5.0, math.pi / 4, 60.0)
         hist = self.make_histogram(tmp_path, p, tomo.BlochComponents(0.3, -0.4, 0.5), n=5000)
@@ -352,6 +363,23 @@ class TestTomographyCommand:
         hist = tmp_path / "hist.csv"
         hist.write_text("start,end,count\n0.0,1.0,5\n#no_switch,0\n#total,5\n")
         assert run_cli(["tomography", "--out", tmp_path, "--set", f"histogram={hist}"]) == 3
+
+    @pytest.mark.parametrize("edge", ["last_nan", "first_negative"])
+    def test_bad_edge_exit_simulation(self, tmp_path, capsys, edge):
+        """A NaN last edge or a negative first edge is a malformed file, not
+        a fit that fails in LAPACK or converges on cells no model has."""
+        p = det.DetectorParams(1.0, 5.0, math.pi / 4, 60.0)
+        hist = self.make_histogram(tmp_path, p, tomo.BlochComponents(0.3, -0.4, 0.5), n=5000)
+        lines = hist.read_text().splitlines()
+        if edge == "last_nan":
+            start, _, count = lines[-3].split(",")
+            lines[-3] = f"{start},nan,{count}"
+        else:
+            lines[1] = "-0.5," + lines[1].split(",", 1)[1]
+        hist.write_text("\n".join(lines) + "\n")
+        assert run_cli(self.fit_args(tmp_path / "out", hist)) == 3
+        assert "bin edges must" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "tomography.json").exists()
 
 
 class TestSCurvesCommand:

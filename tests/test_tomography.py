@@ -209,6 +209,30 @@ class TestFit:
         # the public report is not cached: no array is shared between calls
         assert real(IDENTIFIABLE).info is not real(IDENTIFIABLE).info
 
+    def test_cell_model_cache_bit_identical(self):
+        """A state-only fit takes its cell rows from a cache kept per (fixed
+        parameters, bin edges): fits at p, at p with E moved, and at p with
+        one edge moved by an ulp are three entries, and each fit, and a
+        repeat at p from the cache, equals the same fit with the cache
+        cleared.  The cached rows are read-only."""
+        h = synthesize(IDENTIFIABLE, tomo.BlochComponents(0.3, -0.4, 0.5), 50000, seed=9)
+        edges = h.bin_edges.copy()
+        edges[5] = np.nextafter(edges[5], math.inf)
+        moved = traj.Histogram(edges, h.counts, h.no_switch_count, h.total)
+        cases = ((h, IDENTIFIABLE), (h, dataclasses.replace(IDENTIFIABLE, E=61.0)), (moved, IDENTIFIABLE), (h, IDENTIFIABLE))
+        tomo._cell_model.cache_clear()
+        in_turn = [tomo.fit(hist, fixed=p) for hist, p in cases]
+        info = tomo._cell_model.cache_info()
+        assert (info.misses, info.hits) == (3, 1)
+        for result, (hist, p) in zip(in_turn, cases):
+            tomo._cell_model.cache_clear()
+            alone = tomo.fit(hist, fixed=p)
+            assert result.to_json_dict() == alone.to_json_dict()
+            np.testing.assert_array_equal(result.covariance, alone.covariance)
+        rows = tomo._cell_model(IDENTIFIABLE, h.bin_edges.tobytes())
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0.0
+
     def test_aligned_probe_not_identifiable(self):
         p = det.DetectorParams(1.0, 5.0, 0.0, 60.0)
         h = synthesize(p, tomo.BlochComponents(0.3, -0.4, 0.5), 20000, seed=10)

@@ -1,6 +1,7 @@
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -613,6 +614,11 @@ class TestHistogramCsv:
             traj.Histogram(np.array([0.0, 0.5, 1.0]), np.array([-1, 8]), 2, 9)
         with pytest.raises(ValueError):
             traj.Histogram(np.array([0.0, 1.0]), np.array([10]), -1, 9)
+        # a NaN first or last edge, and a negative first edge, named in the message
+        for edges, named in (([math.nan, 0.5, 1.0], "edge 0 (nan)"), ([0.0, 0.5, math.nan], "edge 2 (nan)"),
+                             ([-0.5, 0.5, 1.0], "edge 0 is -0.5")):
+            with pytest.raises(ValueError, match=re.escape(named)):
+                traj.Histogram(np.array(edges), np.array([3, 4]), 2, 9)
 
     @pytest.mark.parametrize("scale", [0.0, -2.0, math.nan, math.inf])
     def test_bad_time_scale_rejected(self, tmp_path, scale):
