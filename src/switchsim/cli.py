@@ -5,8 +5,9 @@ rejected), applies `--set key=value` overrides, and writes CSV/JSON
 outputs into `--out`.  Outputs are deterministic given the config and
 seed; only the elapsed-time entry of the summary varies between runs.
 
-Exit codes: 0 success, 2 config validation, 3 simulation error,
-4 fit non-convergence, 5 unidentifiable configuration.
+Exit codes: 0 success, 2 config validation or a file that cannot be read
+or written, 3 simulation error, 4 fit non-convergence, 5 unidentifiable
+configuration.
 """
 
 from __future__ import annotations
@@ -94,25 +95,18 @@ DEFAULTS = {
 _OPEN_SUBTREES = {("tomography", "bounds")}
 
 
-def _validate_keys(command: str, provided: dict, defaults: dict, path=()) -> None:
+def _merge(command: str, config: dict, provided: dict, path=()) -> None:
+    """Write the provided entries into config, a copy of the defaults, a
+    nested dict key by key; a key the defaults lack is a ConfigError,
+    except inside _OPEN_SUBTREES, which take the provided dict whole."""
     for key, value in provided.items():
-        if key not in defaults:
+        if key not in config:
             dotted = ".".join(path + (key,))
             raise ConfigError(f"unknown config key {dotted!r} for {command}")
-        if isinstance(value, dict) and isinstance(defaults[key], dict):
-            if (command, *path, key) in _OPEN_SUBTREES:
-                continue
-            _validate_keys(command, value, defaults[key], path + (key,))
-
-
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
+        if isinstance(value, dict) and isinstance(config[key], dict) and (command, *path, key) not in _OPEN_SUBTREES:
+            _merge(command, config[key], value, path + (key,))
         else:
-            out[key] = copy.deepcopy(value)
-    return out
+            config[key] = value
 
 
 def _apply_set(config: dict, assignment: str) -> None:
@@ -141,8 +135,8 @@ def load_config(command: str, config_path, sets, seed) -> dict:
             raise ConfigError("config file must contain a JSON object")
     for assignment in sets or ():
         _apply_set(provided, assignment)
-    _validate_keys(command, provided, DEFAULTS[command])
-    config = _deep_merge(DEFAULTS[command], provided)
+    config = copy.deepcopy(DEFAULTS[command])
+    _merge(command, config, provided)
     if seed is not None:
         if "seed" not in DEFAULTS[command]:
             raise ConfigError(f"{command} takes no seed")
@@ -371,32 +365,30 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.monotonic()
+    out = args.out
     try:
         config = load_config(args.command, args.config, args.sets, args.seed)
+        out.mkdir(parents=True, exist_ok=True)
+        try:
+            extra = _COMMANDS[args.command](config, out)
+        except ConfigError:
+            raise
+        except NotIdentifiableError as exc:
+            _write_json(out / "tomography.json", {"converged": False, "error": str(exc)})
+            print(f"not identifiable: {exc}", file=sys.stderr)
+            return EXIT_NOT_IDENTIFIABLE
+        except NoConvergenceError as exc:
+            starts = [dataclasses.asdict(start) for start in exc.starts]
+            _write_json(out / "tomography.json", {"converged": False, "error": str(exc), "starts": starts})
+            print(f"fit failed: {exc}", file=sys.stderr)
+            return EXIT_NO_CONVERGENCE
+        except (SwitchSimError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG if args.command in ("fidelity", "scurves", "coherent") else EXIT_SIMULATION
+        _write_json(out / "summary.json", _summary(config, started, extra))
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        extra = _COMMANDS[args.command](config, out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NotIdentifiableError as exc:
-        _write_json(out / "tomography.json", {"converged": False, "error": str(exc)})
-        print(f"not identifiable: {exc}", file=sys.stderr)
-        return EXIT_NOT_IDENTIFIABLE
-    except NoConvergenceError as exc:
-        starts = [dataclasses.asdict(start) for start in exc.starts]
-        _write_json(out / "tomography.json", {"converged": False, "error": str(exc), "starts": starts})
-        print(f"fit failed: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except (SwitchSimError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG if args.command in ("fidelity", "scurves", "coherent") else EXIT_SIMULATION
-    _write_json(out / "summary.json", _summary(config, started, extra))
     return EXIT_OK
 
 

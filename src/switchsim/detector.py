@@ -122,12 +122,12 @@ def generator(p: DetectorParams) -> np.ndarray:
     )
 
 
-def _generator_slopes(p, names) -> np.ndarray:
-    """dG/dtheta for each named detector parameter, shape (len(names), 2, 2),
-    or (K, len(names), 2, 2) for a sequence of K DetectorParams;
-    Gamma = -(G + G^dag) has slopes -(G' + G'^dag)."""
+def _generator_slopes(ps, names) -> np.ndarray:
+    """dG/dtheta for each named detector parameter at each of a sequence of
+    K DetectorParams, shape (K, len(names), 2, 2); Gamma = -(G + G^dag) has
+    slopes -(G' + G'^dag)."""
     rows = []
-    for q in [p] if isinstance(p, DetectorParams) else p:
+    for q in ps:
         c, s, gm = 0.25 * math.cos(q.beta), 0.25 * math.sin(q.beta), q.gamma_minus
         table = {
             "gamma_L": ((-0.25 - c, -s), (-s, c - 0.25)),
@@ -136,8 +136,7 @@ def _generator_slopes(p, names) -> np.ndarray:
             "E": ((0.5j, 0.0), (0.0, -0.5j)),
         }
         rows.append([table[name] for name in names])
-    slopes = np.array(rows, dtype=complex).reshape(len(rows), -1, 2, 2)
-    return slopes[0] if isinstance(p, DetectorParams) else slopes
+    return np.array(rows, dtype=complex).reshape(len(rows), -1, 2, 2)
 
 
 _SERIES_RADIUS = 1e-2
@@ -177,17 +176,18 @@ class _Propagator:
     even in r, so no eigenvalue branch is chosen and the formula stays
     smooth where G is defective (r = 0: beta = pi/2, E = |gamma_minus|).
     C and S are half-sums of e^{(m +- r) t}, which cannot overflow as
-    Re(m +- r) <= 0, or Taylor series where |r t| < _SERIES_RADIUS.  A
-    float t is evaluated with cmath; anything else as a numpy array, giving
-    shape (..., 2, 2), with the series only when it covers every time.
+    Re(m +- r) <= 0, or Taylor series where |r t| < _SERIES_RADIUS.
+    `coefficients` evaluates a float t with cmath and anything else as a
+    numpy array, with the series only when it covers every time; the call
+    gives the (2, 2) matrix at one time, taken as a float.
 
     g is one generator, shape (2, 2), or a stack of K, shape (K, 2, 2),
     whose m and r have shape (K, 1) and broadcast over a 1-d array of times
     to (K, len(t)); each row takes the series only when it covers that
     row's every time.  Each row's constants (r, 1/2r, ...) are formed in
     Python's complex arithmetic, as for one generator, so a row of a stack
-    is bit-identical to its generator evaluated alone.  A float t needs one
-    generator.
+    is bit-identical to its generator evaluated alone.  A float t, and so
+    the call, needs one generator.
 
     t = inf, a float or an array element, gives the limit.  Both modes
     decay, or, where the probe leaves a state dark, the slow one keeps
@@ -261,13 +261,11 @@ class _Propagator:
         c[rest], s[rest] = _exp_coefficients(m[rest], r[rest], self._half_inv_r[rest], t)
         return c, s
 
-    def __call__(self, t):
-        """Propagator at time(s) t; shape (..., 2, 2)."""
-        c, s = self.coefficients(t)
-        if isinstance(t, float):
-            n00, n01, n10, n11 = self._entries
-            return np.array([[c + s * n00, s * n01], [s * n10, c + s * n11]])
-        return c[..., None, None] * IDENTITY + s[..., None, None] * self.n[..., None, :, :]
+    def __call__(self, t) -> np.ndarray:
+        """Propagator at one time t, shape (2, 2), of one generator."""
+        c, s = self.coefficients(float(t))
+        n00, n01, n10, n11 = self._entries
+        return np.array([[c + s * n00, s * n01], [s * n10, c + s * n11]])
 
 
 def propagator(p: DetectorParams) -> _Propagator:
@@ -279,7 +277,7 @@ def u_ns(p: DetectorParams, t: float) -> np.ndarray:
     """No-switch propagator U_ns(t) = exp(G t) for a single time t >= 0."""
     if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    return propagator(p)(float(t))
+    return propagator(p)(t)
 
 
 def u_s(p: DetectorParams, t: float, dt: float) -> np.ndarray:
@@ -314,27 +312,27 @@ class _TraceForms:
     columns); `combine(c, s)` gives the rows at coefficients the caller has
     evaluated with `propagator.coefficients`.
 
-    p is one DetectorParams, or a sequence of K for a stack: the
-    propagator's stack, weights of shape (K, rows), and rows and slopes
-    with a leading axis of K over a 1-d array of times, each row
-    bit-identical to its parameters' forms alone.
+    p is a sequence of K DetectorParams, a stack: the propagator's stack,
+    weights of shape (K, rows), and rows and slopes with a leading axis of
+    K over a 1-d array of times, each row bit-identical to its parameters'
+    forms alone.  Slopes, and a fit's rows, take a stack, of one for one
+    point.  One DetectorParams p serves only the value-only evaluators on
+    hot paths (survival_function, switch_density_function,
+    _survival_and_density, measurement.overall_fidelity_numeric), whose
+    scalar m and r set up and evaluate faster than a stack of one.
     """
 
     def __init__(self, p, rhos: np.ndarray, ops: np.ndarray):
         self.p = p
         if isinstance(p, DetectorParams):
             self.propagator = propagator(p)
+            n = self.propagator.n
         else:
             self.propagator = _Propagator(np.array([generator(q) for q in p]))
+            n = self.propagator.n[:, None]  # an axis to broadcast over the ops
         self.rhos, self.ops = np.asarray(rhos, dtype=complex), np.asarray(ops, dtype=complex)
-        n = self._n()
         op_n = self.ops @ n
         self.weights = _weights(self.rhos, self.ops, op_n, n.conj().swapaxes(-1, -2) @ op_n)
-
-    def _n(self) -> np.ndarray:
-        """N, each of a stack's with an axis to broadcast over the ops."""
-        n = self.propagator.n
-        return n if n.ndim == 2 else n[:, None]
 
     def __call__(self, t):
         return self.combine(*self.propagator.coefficients(t))
@@ -355,11 +353,11 @@ class _TraceForms:
         return out
 
     def slopes(self, names, t: np.ndarray, coefficients, op_slopes=None) -> np.ndarray:
-        """Derivatives of the rows in the named detector parameters over an
-        array of finite times t, shape (len(names), rows, len(t)) (with a
-        leading K for a stack), from the coefficients (C, S) at t;
-        op_slopes, shape (len(names), len(ops), 2, 2), are the ops' own
-        (zero when None).
+        """Derivatives of a stack's rows in the named detector parameters
+        over an array of finite times t, shape (K, len(names), rows,
+        len(t)), from the coefficients (C, S) at t; op_slopes, shape
+        (len(names), len(ops), 2, 2), are the ops' own, the same for every
+        point (zero when None).
 
         dU = m' t U + (r^2)' (C' I + S' N) + S N', with G' = dG/dtheta,
         m' = Re tr G'/2, N' = G' - m' I, (r^2)' = tr(N N'), and C' = t S/2
@@ -371,7 +369,7 @@ class _TraceForms:
         cs = conj(C) S and q = |C|^2 + i|S|^2: one complex product.
         """
         prop = self.propagator
-        n = self._n()
+        n = prop.n[:, None]
         g_dot = _generator_slopes(self.p, names)
         m_dot = 0.5 * (g_dot[..., 0, 0] + g_dot[..., 1, 1]).real[..., None]
         # (r^2)' = tr(N N'), as tr N = 0, summed term by term: an einsum's
@@ -383,11 +381,10 @@ class _TraceForms:
         op_dot = np.zeros_like(op_n_dot) if op_slopes is None else op_slopes.reshape(-1, 2, 2)
         big_b = op_n_dot + op_dot @ n
         own = _weights(self.rhos, op_dot, big_b, n.conj().swapaxes(-1, -2) @ (big_b + op_n_dot))
-        # (kind, ..., rho, name, op) -> (kind, ..., name, rho-major rows)
-        k = (len(self.rhos), len(names), len(self.ops))
-        lead = prop.n.shape[:-2]
-        own = np.reshape(own, (4, *lead, *k)).swapaxes(-3, -2)
-        w_a, w_re, w_im, w_d = own.reshape(4, *lead, k[1], -1)
+        # (kind, K, rho, name, op) -> (kind, K, name, rho-major rows)
+        k = (len(self.p), len(self.rhos), len(names), len(self.ops))
+        own = np.reshape(own, (4, *k)).swapaxes(-3, -2)
+        w_a, w_re, w_im, w_d = own.reshape(4, k[0], k[2], -1)
         a, two_b, d = (w[..., None, :] for w in (
             self.weights[0], self.weights[1] - 1j * self.weights[2], self.weights[3]
         ))

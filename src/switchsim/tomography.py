@@ -202,16 +202,17 @@ def identifiability(
     weight = t_max / n
 
     # survival and density of each state on the grid, shape (4, 2, n), and
-    # rho0's slopes; the grid ends at t_max, so the last survival value is S(t_max)
-    forms = _TraceForms(p, [b0.to_density(), *_BLOCH_BASIS.values()], [m2.IDENTITY, rate_matrix(p)])
+    # rho0's slopes, from a stack of one; the grid ends at t_max, so the
+    # last survival value is S(t_max)
+    forms = _TraceForms([p], [b0.to_density(), *_BLOCH_BASIS.values()], [m2.IDENTITY, rate_matrix(p)])
     coefficients = forms.propagator.coefficients(grid)
-    rows = forms.combine(*coefficients).reshape(4, 2, n)
+    rows = forms.combine(*coefficients)[0].reshape(4, 2, n)
     columns = dict(zip(BLOCH_NAMES, rows[1:]))
     param_names = [name for name in free if name in PARAM_NAMES]
     if param_names:
-        g_dot = _generator_slopes(p, param_names)
+        g_dot = _generator_slopes([p], param_names)[0]
         gam_dot = -(g_dot + g_dot.conj().transpose(0, 2, 1))
-        slopes = forms.slopes(param_names, grid, coefficients, np.stack((0 * gam_dot, gam_dot), 1))
+        slopes = forms.slopes(param_names, grid, coefficients, np.stack((0 * gam_dot, gam_dot), 1))[0]
         columns.update(zip(param_names, slopes[:, :2]))
     d0, s0 = np.maximum(rows[0, 1], 1e-12), max(rows[0, 0, -1], 1e-12)
 
@@ -256,7 +257,7 @@ def _cell_model(p: DetectorParams, edges: bytes) -> np.ndarray:
     bytes), shape (4, cells), rho = I/2's first: the same for every
     histogram binned on those edges, so kept per (p, edges) for the process;
     read-only, as every fit there shares them."""
-    cells = _cells(_TraceForms(p, _CELL_STATES, [m2.IDENTITY])(np.frombuffer(edges)))
+    cells = _cells(_TraceForms([p], _CELL_STATES, [m2.IDENTITY])(np.frombuffer(edges))[0])
     cells.flags.writeable = False
     return cells
 
@@ -608,9 +609,9 @@ class _Profile:
             return errors
         ks = rows[stale]
         if self.names:
-            forms = self._forms(ks)
+            forms = _TraceForms([self.params[k] for k in ks], _CELL_STATES, [m2.IDENTITY])
             c, s = forms.propagator.coefficients(self.edges)
-            cells = _cells(forms.combine(c, s)).reshape(len(ks), len(_CELL_STATES), -1)
+            cells = _cells(forms.combine(c, s))
             self.last = ks, forms, (c, s)
         else:
             # no free parameter: the rows depend on the calibration alone
@@ -636,13 +637,6 @@ class _Profile:
         self.probs[ks], self.res[ks] = probs, res
         return errors
 
-    def _forms(self, rows: np.ndarray) -> _TraceForms:
-        """The cell states' trace forms at the starts' parameters; a single
-        start's as one point, which runs the same arithmetic as a stack
-        (detector._Propagator) without a stack's overhead."""
-        points = [self.params[k] for k in rows]
-        return _TraceForms(points[0] if len(points) == 1 else points, _CELL_STATES, [m2.IDENTITY])
-
     def residuals(self, rows: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, dict]:
         errors = self.at(rows, theta)
         return self.res[rows], errors
@@ -660,10 +654,9 @@ class _Profile:
             # the forms the rows were last evaluated with, every row of them
             picked = [position[k] for k in rows]
         else:
-            forms = self._forms(rows)
+            forms = _TraceForms([self.params[k] for k in rows], _CELL_STATES, [m2.IDENTITY])
             coefficients, picked = forms.propagator.coefficients(self.edges), slice(None)
-        slopes = _cells(forms.slopes(self.names, self.edges, coefficients))
-        slopes = slopes.reshape(-1, *slopes.shape[-3:])[picked]
+        slopes = _cells(forms.slopes(self.names, self.edges, coefficients))[picked]
         moved = self.b[rows][:, None, None, :] @ slopes[:, :, 1:][:, :, self.solver.free_idx]
         return slopes[:, :, 0] + moved[:, :, 0]
 

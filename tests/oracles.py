@@ -126,7 +126,7 @@ def exp_slopes(p: DetectorParams, rho: np.ndarray, t: float, names) -> np.ndarra
         f = np.array([[t * e[0], f01], [f01, t * e[1]]])
         u = v @ np.diag(e) @ v_inv
     out = []
-    for g_dot in det._generator_slopes(p, names):
+    for g_dot in det._generator_slopes([p], names)[0]:
         if eigen:
             du = v @ (f * (v_inv @ g_dot @ v)) @ v_inv
         else:

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -500,6 +501,40 @@ class TestParser:
         cli._apply_set(cfg, 'c=["x"]')
         cli._apply_set(cfg, "d=text")
         assert cfg == {"a": {"b": 3}, "c": ["x"], "d": "text"}
+
+
+class TestConfigAndFiles:
+    def test_overrides_leave_defaults_unchanged(self, tmp_path):
+        before = copy.deepcopy(cli.DEFAULTS)
+        params = param_sets(CONFIGS[0])
+        small = ["--set", "n_traj=2000", "--set", "tau=1.2", *params]
+        assert run_cli(["simulate", "--out", tmp_path / "a", *small, "--set", "params.gamma_R=4"]) == 0
+        assert run_cli(["simulate", "--out", tmp_path / "b", *small, "--set", 'bloch={"x": 0.5}']) == 0
+        histogram = f"histogram={tmp_path / 'a' / 'histogram.csv'}"
+        fit = ["tomography", "--set", histogram, *params, "--set", "params.gamma_R=4"]
+        bounds = ["--set", 'bounds={"E": [0, 10]}', "--set", "bounds.beta=[0, 1]"]
+        assert run_cli(fit + ["--out", tmp_path / "c", *bounds]) == 0
+        assert read_summary(tmp_path / "b")["config_echo"]["bloch"] == {"x": 0.5, "y": 0.0, "z": 0.0}
+        assert read_summary(tmp_path / "c")["config_echo"]["bounds"] == {"E": [0, 10], "beta": [0, 1]}
+        assert cli.DEFAULTS == before
+
+    def test_unknown_nested_key(self, tmp_path, capsys):
+        assert run_cli(["simulate", "--out", tmp_path, "--set", "params.gamma_X=1"]) == 2
+        assert "unknown config key 'params.gamma_X' for simulate" in capsys.readouterr().err
+
+    def test_file_errors_exit_config(self, tmp_path, capsys):
+        """A file a command cannot read or write is a config error (exit 2),
+        like a missing --config: a missing histogram, and an --out that is
+        a file or lies under one."""
+        (tmp_path / "file").write_text("")
+        cases = (
+            ["tomography", "--out", tmp_path / "out", "--set", f"histogram={tmp_path / 'nope.csv'}"],
+            ["fidelity", "--out", tmp_path / "file"],
+            ["fidelity", "--out", tmp_path / "file" / "sub"],
+        )
+        for args in cases:
+            assert run_cli(args) == 2
+            assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_import_leaves_out_scipy_integrate():

@@ -11,6 +11,7 @@ from scipy.linalg import expm
 from switchsim import detector as det
 from switchsim import mat2 as m2
 from switchsim import measurement as meas
+from switchsim import tomography as tomo
 from switchsim import trajectory as traj
 from switchsim.errors import StepTooLargeError
 
@@ -508,11 +509,11 @@ def survival_and_density_slopes(p, rhos, ts):
     """The package's slopes of the trace forms with op = I and op = Gamma,
     the latter with Gamma's own slope -(G' + G'^dag); shape
     (len(NAMES), len(rhos), 2, len(ts))."""
-    g_dot = det._generator_slopes(p, NAMES)
+    g_dot = det._generator_slopes([p], NAMES)[0]
     gam_dot = -(g_dot + g_dot.conj().transpose(0, 2, 1))
-    forms = det._TraceForms(p, rhos, [np.eye(2), det.rate_matrix(p)])
+    forms = det._TraceForms([p], rhos, [np.eye(2), det.rate_matrix(p)])
     op_slopes = np.stack((np.zeros_like(gam_dot), gam_dot), axis=1)
-    slopes = forms.slopes(NAMES, ts, forms.propagator.coefficients(ts), op_slopes)
+    slopes = forms.slopes(NAMES, ts, forms.propagator.coefficients(ts), op_slopes)[0]
     return slopes.reshape(len(NAMES), len(rhos), 2, len(ts))
 
 
@@ -538,7 +539,7 @@ def slope_bound(p, t, ref):
     """
     g_norm = np.linalg.norm(det.generator(p), 2)
     bound = 1e-12 * max(1.0, g_norm * t / 1e3) * max(1.0, p.gamma_L, p.gamma_R)
-    g_dot_norms = np.linalg.norm(det._generator_slopes(p, NAMES), 2, axis=(1, 2))
+    g_dot_norms = np.linalg.norm(det._generator_slopes([p], NAMES)[0], 2, axis=(1, 2))
     op_norms = np.array([1.0, max(p.gamma_L, p.gamma_R)])
     cancelled = 2.0 * t * np.outer(g_dot_norms, op_norms)
     return bound * np.maximum(1.0, np.abs(ref)) + 4.0 * np.finfo(float).eps * cancelled
@@ -550,7 +551,7 @@ class TestSlopes:
         # G is linear in the rates and E, so a one-sided difference at a
         # zero rate is as good as a central one
         p = det.DetectorParams(*params)
-        g_dot = det._generator_slopes(p, NAMES)
+        g_dot = det._generator_slopes([p], NAMES)[0]
         for j, name in enumerate(NAMES):
             v = getattr(p, name)
             h = 1e-6 * max(1.0, abs(v))
@@ -632,12 +633,12 @@ STACK_OPS = [np.eye(2), np.array([[2.0, 0.5 - 1.0j], [0.5 + 1.0j, 0.25]])]
 @example([(1.0, 5.0, math.pi / 4, 60.0)], 0.0, 1.0)
 @example([(0.0, 0.0, 0.3, 1.0), (2.0, 8.0, 1.0, 20.0)], 1e-7, 5.0)
 def test_stacked_forms_match_single(points, offset, t_max):
-    """Rows, cells and slopes of K stacked parameter points are
-    bit-identical to the K points evaluated alone.  Each stack holds a point
-    by the exceptional point beta = pi/2, E = |gamma_minus| (E offset from
-    it), whose |r t| stays inside the series radius at every time, next to
-    C1, outside it at the last time: the series is chosen per row, not
-    for the whole stack."""
+    """Rows and cells of K stacked parameter points are bit-identical to the
+    K points evaluated alone, and slopes to each point's stack of one.  Each
+    stack holds a point by the exceptional point beta = pi/2,
+    E = |gamma_minus| (E offset from it), whose |r t| stays inside the
+    series radius at every time, next to C1, outside it at the last time:
+    the series is chosen per row, not for the whole stack."""
     near = det.DetectorParams(0.0, 4.0, math.pi / 2, 2.0 + offset)  # |gamma_minus| = 2
     c1 = det.DetectorParams(1.0, 5.0, math.pi / 4, 60.0)
     ps = [det.DetectorParams(*q) for q in points[:1]] + [near, c1] + [det.DetectorParams(*q) for q in points[1:]]
@@ -657,4 +658,29 @@ def test_stacked_forms_match_single(points, offset, t_max):
         assert c.tobytes() == coefficients[0][k].tobytes() and s.tobytes() == coefficients[1][k].tobytes(), k
         assert single(t).tobytes() == rows[k].tobytes() == forms(t)[k].tobytes(), k
         assert traj._cells(single(t)).tobytes() == traj._cells(rows)[k].tobytes(), k
-        assert single.slopes(NAMES, t, (c, s)).tobytes() == slopes[k].tobytes(), k
+        alone = det._TraceForms([ps[k]], STACK_RHOS, STACK_OPS)
+        assert alone.slopes(NAMES, t, alone.propagator.coefficients(t))[0].tobytes() == slopes[k].tobytes(), k
+
+
+@settings(max_examples=30)
+@given(rates, rates, st.floats(0.0, math.pi), st.floats(0.0, 1000.0), st.floats(1e-3, 1.0))
+# the exceptional point (r = 0) and C1
+@example(0.0, 4.0, math.pi / 2, 2.0, 1.0)
+@example(1.0, 5.0, math.pi / 4, 60.0, 1.0)
+@pytest.mark.parametrize("n", [151, 256, 8192])
+def test_stack_of_one_matches_single(n, gamma_l, gamma_r, beta, e, frac):
+    """A stack of one gives the single point's rows and cells bit for bit at
+    the sizes of the callers that evaluate one: a histogram's 151 edges
+    (tomography._cell_model) and identifiability's shortest and longest
+    grids, with the states and ops each takes."""
+    p = det.DetectorParams(gamma_l, gamma_r, beta, e)
+    t = np.linspace(0.0, frac * 5.0 / max(p.gamma_plus, 1e-3), n)
+    for rhos, ops in (
+        (tomo._CELL_STATES, [m2.IDENTITY]),
+        ([STACK_RHOS[2], *tomo._CELL_STATES[1:]], [m2.IDENTITY, det.rate_matrix(p)]),
+    ):
+        single = det._TraceForms(p, rhos, ops)(t)
+        stacked = det._TraceForms([p], rhos, ops)(t)
+        assert stacked.shape == (1, *single.shape)
+        assert stacked[0].tobytes() == single.tobytes()
+        assert traj._cells(stacked)[0].tobytes() == traj._cells(single).tobytes()

@@ -182,6 +182,15 @@ class TestExactSampling:
         np.testing.assert_array_equal(counts, h.counts)
         assert no_switch == h.no_switch_count
 
+    def test_integer_tau_surviving_trajectory(self):
+        # SimConfig accepts an integer tau; a surviving index evaluates the
+        # propagator at it and gets the outcome of tau = 1.0 bit for bit
+        p = det.DetectorParams(1.0, 4.0, 0.7, 5.0)
+        whole, real = (traj.run_trajectory(p, MIXED, traj.SimConfig(10, tau, 3), 0) for tau in (1, 1.0))
+        assert not whole.switched and not real.switched
+        assert whole.final_state.shape == (2, 2)
+        assert whole.final_state.tobytes() == real.final_state.tobytes()
+
     def test_single_trajectory_far_into_stream(self):
         # the stream is advanced, not drawn, up to the index: 2**40 costs
         # the same as 0, and reads the double built from that raw word
