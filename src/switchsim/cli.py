@@ -261,7 +261,7 @@ def cmd_tomography(config: dict, out: Path) -> dict:
             n_starts=int(config["n_starts"]),
         )
         tomo.search_box(**options)
-        seed = int(config["seed"])
+        seed = traj._checked_seed(int(config["seed"]))
     h = traj.read_histogram_csv(config["histogram"], time_scale=scale)
     result = tomo.fit(h, p, seed=seed, **options)
     _write_json(out / "tomography.json", result.to_json_dict())

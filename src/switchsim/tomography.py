@@ -34,7 +34,7 @@ from .tolerances import (
     IDENTIFIABILITY_REL_TOL,
     RANK_DEFICIENCY_TOL,
 )
-from .trajectory import Histogram, _cells
+from .trajectory import Histogram, _cells, _checked_seed
 
 BLOCH_NAMES = ("x", "y", "z")
 PARAM_NAMES = ("gamma_L", "gamma_R", "beta", "E")
@@ -888,7 +888,11 @@ def fit(
     The covariance is the inverse Fisher information at the optimum, over
     the free names in `free_names` order; its columns are exact, the
     detector parameters' from the trace-form slopes.
+
+    A seed outside [0, 2^64) raises ValueError, whether or not the fit
+    draws starts.
     """
+    _checked_seed(seed)
     if h.total < 1000:
         raise InsufficientDataError(f"histogram total {h.total} below 1000")
     free, free_param_names, lo, hi = search_box(bounds, free_bloch, free_params, n_starts)

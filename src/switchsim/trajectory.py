@@ -24,6 +24,8 @@ from . import mat2 as m2
 from .detector import (
     DetectorParams,
     _survival_and_density,
+    _TraceForms,
+    generator,
     propagator,
     sqrt_rate_matrix,
     survival_function,
@@ -36,15 +38,29 @@ from .tolerances import INVERSION_RESIDUAL_TOL, INVERSION_STEP_REL_TOL
 CHUNK = 1 << 14
 # glibc's malloc hands the free top of its heap back to the OS once it
 # exceeds twice the largest mmap'd block freed so far.  Each chunk frees
-# about 3 MB of numpy temporaries, so in a long-lived process every chunk
-# would fault its pages in afresh (~29k minor faults per 1e6 trajectories
-# at C1) unless a block of this size has been freed first.
+# its numpy temporaries, so in a long-lived process a repeated run would
+# fault pages in afresh at every chunk (~1.3k minor faults per 1e6
+# trajectories at C1, ~440 per 8-chunk run) unless a block of this size
+# has been freed first.
 _HEAP_HEADROOM = 32 * CHUNK * 8
 _TABLE_POINTS = 4097
+# The highest Taylor degree a table cell may carry.  A degree qualifies
+# only where ||B_k|| ~ (2 ||G|| h)^k / k! falls below 2^-52, one rounding of
+# S <= 1, by k = _MAX_DEGREE + 1, which keeps the terms of the cell
+# polynomial, and so its rounding, within an order of magnitude of S; each
+# degree costs two multiply-adds per evaluation.
+_MAX_DEGREE = 14
 # Bisection alone narrows a grid bracket to the step tolerance in ~22 steps.
 _MAX_STEPS = 100
 # chi2_vs_analytic merges cells until each expects this many counts.
 _MIN_EXPECTED = 5.0
+
+
+def _checked_seed(seed: int) -> int:
+    """seed, if it can key a Philox stream: an integer in [0, 2^64)."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -63,6 +79,7 @@ class SimConfig:
             raise ValueError("tau must be positive and finite")
         if self.n_bins < 2:
             raise ValueError("n_bins must be >= 2")
+        _checked_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -160,6 +177,63 @@ def _bracket_finder(table: np.ndarray):
     return bracket
 
 
+def _taylor_ops(p: DetectorParams, h: float):
+    """(B_0 .. B_K, R_K): the operators whose trace forms give the Taylor
+    coefficients of S on a cell of width h, and their remainder bound; None
+    where no degree K in 1 .. _MAX_DEGREE has R_K <= 2^-52.
+
+    With X(t) = U_ns rho0 U_ns^dag, dX/dt = G X + X G^dag, so
+    S^(k)(t) h^k / k! = Tr{X(t) B_k} for B_0 = I and
+    B_{k+1} = (B_k G + G^dag B_k) h / (k + 1), each B_k Hermitian.  As
+    X >= 0 with trace S <= 1, |Tr(X B)| <= ||B||_2, so the Lagrange
+    remainder of degree K anywhere in a cell is at most
+    R_K = ||B_{K+1}||_2.  A norm that overflows certifies nothing.
+    """
+    g = generator(p)
+    g_dag = m2.dag(g)
+    ops = [m2.IDENTITY]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, _MAX_DEGREE + 2):
+            b = (ops[-1] @ g + g_dag @ ops[-1]) * (h / k)
+            # |mean| + radius of the eigenvalues; nothing is squared, so a
+            # norm below 1e-154 does not underflow to 0
+            (b00, b01), (_, b11) = b.tolist()
+            remainder = abs(b00.real + b11.real) / 2.0 + math.hypot((b00.real - b11.real) / 2.0, abs(b01))
+            if k > 1 and remainder <= 2.0**-52:
+                return np.array(ops), remainder
+            ops.append(b)
+    return None
+
+
+def _cell_polynomials(rows: np.ndarray, grid: np.ndarray, h: float):
+    """(t, j) -> (S, rho) at times t in grid cells j, cell j being
+    [grid[j], grid[j] + h], from rows[k, j] = S^(k)(grid[j]) h^k / k!.
+
+    One Horner pass in x = (t - grid[j]) / h forms the polynomial and its
+    slope together, gathering the coefficients one row at a time, so no
+    (K + 1, len(t)) block is held.
+    """
+    inv_h, rate_scale = 1.0 / h, -1.0 / h
+
+    def evaluate(t: np.ndarray, j: np.ndarray):
+        x = t - grid[j]
+        x *= inv_h
+        # gathers are copies, so both sums are formed in place
+        s = rows[-1][j]
+        ds = s.copy()
+        s *= x
+        s += rows[-2][j]
+        for row in rows[:-2][::-1]:
+            ds *= x
+            ds += s
+            s *= x
+            s += row[j]
+        ds *= rate_scale
+        return s, ds
+
+    return evaluate
+
+
 def _survival_inverter(p: DetectorParams, rho0: np.ndarray, tau: float):
     """(S(tau), u -> t): the pulse's survival and a solver of S(t) = u on
     [0, tau] for an array of u with S(tau) < u <= 1.
@@ -182,18 +256,32 @@ def _survival_inverter(p: DetectorParams, rho0: np.ndarray, tau: float):
     long pulse with many precession periods, or rho near zero) falls back
     towards bisection.
 
+    The Newton steps take S and rho by one of two routes, chosen once per
+    call from the parameters and the grid:
+
+    - Taylor cells (Derflinger, Hoermann & Leydold 2010): each grid cell
+      carries the degree-K Taylor polynomial of S at its left end, its
+      coefficients the trace forms of _taylor_ops' operators on the grid
+      (_cell_polynomials), with K the smallest degree whose remainder R_K
+      is below one rounding of S (K = 5 to 7 on the benchmark
+      configurations);
+    - the propagator (_survival_and_density), where no degree up to
+      _MAX_DEGREE qualifies: a pulse with many precession or decay times
+      per cell.
+
     Every returned time t' meets |S(t') - u| <= INVERSION_RESIDUAL_TOL, or
     the call raises BisectionFailureError, since a larger residual would
     indicate a broken survival function rather than bad data.  The residual
     is bounded from values the last Newton step holds: the solve evaluated
-    s = S(t) at t and returns t' with |t' - t| <= INVERSION_STEP_REL_TOL *
-    tau.  As dS/dt = -Tr{Gamma U rho0 U^dag}, U rho0 U^dag >= 0 has trace
-    S <= 1 and Gamma's largest eigenvalue is max(gamma_L, gamma_R),
+    s at t, within R_K of S(t) (R_K = 0 on the propagator's route, whose S
+    row is bit-identical to survival_function), and returns t' with
+    |t' - t| <= INVERSION_STEP_REL_TOL * tau.  As
+    dS/dt = -Tr{Gamma U rho0 U^dag}, U rho0 U^dag >= 0 has trace S <= 1 and
+    Gamma's largest eigenvalue is max(gamma_L, gamma_R),
     |dS/dt| <= max(gamma_L, gamma_R), so
 
-        |S(t') - u| <= |s - u| + max(gamma_L, gamma_R) |t' - t|.
+        |S(t') - u| <= |s - u| + max(gamma_L, gamma_R) |t' - t| + R_K.
 
-    s is the paired evaluator's S row, bit-identical to survival_function.
     Only where the largest bound of a call exceeds the tolerance (about
     max(gamma_L, gamma_R) tau > 500, or a solve still open after
     _MAX_STEPS) is survival_function evaluated at the returned times.  The
@@ -201,7 +289,6 @@ def _survival_inverter(p: DetectorParams, rho0: np.ndarray, tau: float):
     tolerance either.
     """
     surv = survival_function(p, rho0)
-    paired = _survival_and_density(p, rho0)
     grid = np.linspace(0.0, tau, _TABLE_POINTS)
     raw = surv(grid)
     table = np.minimum.accumulate(raw)
@@ -211,12 +298,25 @@ def _survival_inverter(p: DetectorParams, rho0: np.ndarray, tau: float):
     step_tol = INVERSION_STEP_REL_TOL * tau
     gamma_max = max(p.gamma_L, p.gamma_R)
 
+    h = tau / (_TABLE_POINTS - 1)
+    taylor = _taylor_ops(p, h)
+    if taylor is None:
+        paired = _survival_and_density(p, rho0)
+        rho = paired(grid)[1]
+        remainder = 0.0
+
+        def evaluate(t, j):
+            return paired(t)
+    else:
+        ops, remainder = taylor
+        rows = _TraceForms(p, [rho0], ops)(grid)
+        rho = rows[1] * (-1.0 / h)
+        evaluate = _cell_polynomials(rows[:, :-1], grid, h)
+
     # cell j = [grid[j], grid[j + 1]]: the seed grid[j] + w (b1 + w (b2 + w b3))
     # is the Hermite form above expanded in w and scaled by the width h
-    h = tau / (_TABLE_POINTS - 1)
     drop = table[:-1] - table[1:]
     inv_drop = np.divide(1.0, drop, out=np.zeros_like(drop), where=drop > 0.0)
-    rho = paired(grid)[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         m0, m1 = drop / (rho[:-1] * h), drop / (rho[1:] * h)
     hermite = (0.0 < m0) & (m0 < 3.0) & (0.0 < m1) & (m1 < 3.0)
@@ -241,9 +341,9 @@ def _survival_inverter(p: DetectorParams, rho0: np.ndarray, tau: float):
         np.clip(t, lo, hi, out=t)
         times = todo = None
         target, last = u, hi - lo
-        worst = 0.0  # the largest residual bound over the ended solves
+        worst = 0.0  # the largest residual bound over the ended solves, less R_K
         for _ in range(_MAX_STEPS):
-            s, rate = paired(t)
+            s, rate = evaluate(t, j)
             above = s >= target
             lo, hi = np.where(above, t, lo), np.where(above, hi, t)
             gap = s - target
@@ -263,8 +363,8 @@ def _survival_inverter(p: DetectorParams, rho0: np.ndarray, tau: float):
                 times, todo = np.empty_like(u), np.arange(u.size)
             times[todo[done]] = nxt[done]
             keep = ~done
-            todo, target, t, lo, hi, last = (
-                a[keep] for a in (todo, target, nxt, lo, hi, last)
+            todo, target, t, j, lo, hi, last = (
+                a[keep] for a in (todo, target, nxt, j, lo, hi, last)
             )
         else:
             worst = np.inf  # a solve still open has no bound
@@ -273,7 +373,7 @@ def _survival_inverter(p: DetectorParams, rho0: np.ndarray, tau: float):
         else:
             times[todo] = t
         # "not <=" sends a NaN bound to the exact check
-        if not worst <= INVERSION_RESIDUAL_TOL and np.max(np.abs(surv(times) - u)) > INVERSION_RESIDUAL_TOL:
+        if not worst + remainder <= INVERSION_RESIDUAL_TOL and np.max(np.abs(surv(times) - u)) > INVERSION_RESIDUAL_TOL:
             raise BisectionFailureError(
                 "survival inversion residual too large; S(t) appears non-monotone"
             )

@@ -206,6 +206,12 @@ class TestSimulateCommand:
     def test_method_key_rejected(self, tmp_path):
         assert run_cli(["simulate", "--out", tmp_path, "--set", "method=euler"]) == 2
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_philox_key_exits_config(self, tmp_path, capsys, seed):
+        assert run_cli(["simulate", "--out", tmp_path, "--seed", seed, "--set", "n_traj=1000"]) == 2
+        assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+        assert not (tmp_path / "histogram.csv").exists()
+
 
 START_KEYS = {"x0", "status", "nfev", "njev", "deviance", "grad_max", "converged", "error"}
 
@@ -359,6 +365,16 @@ class TestTomographyCommand:
             args += ["--set", assignment]
         assert run_cli(args) == 2
         assert not (tmp_path / "tomography.json").exists()
+
+    @pytest.mark.parametrize("free", [[], FREE_E])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_philox_key_exits_config(self, tmp_path, capsys, free, seed):
+        p = det.DetectorParams(1.0, 5.0, math.pi / 4, 60.0)
+        hist = self.make_histogram(tmp_path, p, tomo.BlochComponents(0, 0, 0.5), n=2000)
+        args = self.fit_args(tmp_path / "out", hist) + free + ["--seed", seed]
+        assert run_cli(args) == 2
+        assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "tomography.json").exists()
 
     def test_malformed_histogram_exit_simulation(self, tmp_path):
         hist = tmp_path / "hist.csv"

@@ -187,6 +187,13 @@ class TestFit:
         np.testing.assert_array_equal(r1.covariance, r2.covariance)
         assert r1.chi2 == r2.chi2
 
+    @pytest.mark.parametrize("free_params", [(), ("E",)])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_philox_key_rejected(self, free_params, seed):
+        h = synthesize(IDENTIFIABLE, tomo.BlochComponents(0.3, -0.4, 0.5), 5000, seed=9)
+        with pytest.raises(ValueError, match="seed"):
+            tomo.fit(h, fixed=IDENTIFIABLE, free_params=free_params, seed=seed)
+
     def test_repeated_state_fit_identical(self, monkeypatch):
         """The up-front verdict at the fixed parameters is taken once per
         (parameters, free names); the fit repeated there is unchanged."""

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import chdtrc
@@ -97,6 +97,13 @@ class TestConfig:
             traj.SimConfig(n_traj=10, tau=-1.0, seed=1)
         with pytest.raises(ValueError):
             traj.SimConfig(n_traj=10, tau=1.0, seed=1, n_bins=1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_philox_key_rejected(self, seed):
+        # a Philox key is a uint64: such a seed would fail only when the
+        # first chunk is drawn, after the set-up
+        with pytest.raises(ValueError, match="seed"):
+            traj.SimConfig(n_traj=10, tau=1.0, seed=seed)
 
 
 class TestExactSampling:
@@ -256,6 +263,18 @@ def assert_inversion_matches_bisection(p, rho0, tau):
     assert err <= 1e-9 * tau, f"inverted times off by {err / tau:.2e} tau"
 
 
+def assert_propagator_route(p, rho0, tau):
+    """The sampler's Newton steps evaluate _survival_and_density, at least
+    once per solve, and no cell polynomial."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        exact = count_points(monkeypatch, "_survival_and_density")
+        cells = count_points(monkeypatch, "_cell_polynomials")
+        s_tau, invert = traj._survival_inverter(p, rho0, tau)
+        exact.clear()  # the set-up's grid call
+        invert(switched_uniforms(s_tau, 256))
+    assert cells == [] and sum(exact) >= 256
+
+
 unit = st.floats(-1.0, 1.0)
 
 
@@ -280,6 +299,56 @@ class TestInversion:
         rho = m2.projector(pure_state(amps[0] + 1j * amps[1], amps[2] + 1j * amps[3]))
         assume(det.survival_probability(p, rho, tau) < 1.0 - 1e-6)
         assert_inversion_matches_bisection(p, rho, tau)
+
+    @settings(max_examples=200)
+    @given(
+        st.floats(0.0, 100.0),
+        st.floats(0.0, 100.0),
+        st.floats(0.0, math.pi),
+        st.floats(0.0, 1000.0),
+        st.floats(1e-3, 1.0),
+        st.tuples(unit, unit, unit, unit).filter(lambda v: sum(x * x for x in v) > 1e-6),
+    )
+    # the exceptional point: beta = pi/2, E = |gamma_minus|
+    @example(0.0, 4.0, math.pi / 2, 2.0, 0.05, (1.0, 0.0, 0.6, 0.3))
+    def test_cell_polynomials_within_remainder(self, gamma_l, gamma_r, beta, e, frac, amps):
+        """Where a degree K is certified, the cell polynomial's S is within
+        R_K of the propagator's, and its rho within the slope's remainder
+        (K + 1) R_K / h, each plus 8 roundings: of 1, and of
+        max(gamma_L, gamma_R) or, at rates near the subnormal range, of
+        rho and of the rows S^(k) h^k / k! it is scaled back from by 1/h.
+        Where none is, the Newton steps evaluate the propagator."""
+        p = det.DetectorParams(gamma_l, gamma_r, beta, e)
+        tau = frac * 30.0 / max(p.gamma_plus, 1e-3)
+        rho = m2.projector(pure_state(amps[0] + 1j * amps[1], amps[2] + 1j * amps[3]))
+        h = tau / (traj._TABLE_POINTS - 1)
+        taylor = traj._taylor_ops(p, h)
+        if taylor is None:
+            assert_propagator_route(p, rho, tau)
+            return
+        ops, remainder = taylor
+        degree = len(ops) - 1
+        assert 1 <= degree <= traj._MAX_DEGREE and remainder <= 2.0**-52
+        grid = np.linspace(0.0, tau, traj._TABLE_POINTS)
+        rows = det._TraceForms(p, [rho], ops)(grid)
+        rng = np.random.default_rng(0)
+        j = rng.integers(0, traj._TABLE_POINTS - 1, 1024)
+        t = grid[j] + h * rng.random(j.size)
+        s, rate = traj._cell_polynomials(rows[:, :-1], grid, h)(t, j)
+        ref_s, ref_rate = det._survival_and_density(p, rho)(t)
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(s - ref_s)) <= remainder + 8.0 * eps
+        rate_ulp = max(eps * max(gamma_l, gamma_r), np.finfo(float).smallest_subnormal * (1.0 + 1.0 / h))
+        rate_tol = (degree + 1) * remainder / h + 8.0 * rate_ulp
+        assert np.max(np.abs(rate - ref_rate)) <= rate_tol
+
+    def test_long_pulse_keeps_the_propagator(self):
+        # max(gamma_L, gamma_R) h = 0.73 per cell: no degree up to
+        # _MAX_DEGREE is certified (test_unbounded_residual_evaluated_exactly
+        # runs this pulse through the exact residual check)
+        p, tau = det.DetectorParams(0.0, 100.0, 1.0, 25.0), 30.0
+        assert traj._taylor_ops(p, tau / (traj._TABLE_POINTS - 1)) is None
+        assert_propagator_route(p, MIXED, tau)
 
     @pytest.mark.parametrize("delta", [0.0, 1e-13, 1e-11])
     def test_matches_bisection_at_exceptional_point(self, delta):
@@ -380,14 +449,14 @@ def count_points(monkeypatch, factory):
     """Patch trajectory.<factory> so that its evaluators record the number
     of times of each call in the returned list."""
     points = []
-    make = getattr(det, factory)
+    make = getattr(traj, factory)
 
-    def counted(p, rho0):
-        f = make(p, rho0)
+    def counted(*args):
+        f = make(*args)
 
-        def g(t):
+        def g(t, *rest):
             points.append(np.size(t))
-            return f(t)
+            return f(t, *rest)
 
         return g
 
@@ -462,13 +531,16 @@ class TestInversionRoute:
 
     @pytest.mark.parametrize("config", CONFIGS)
     def test_one_evaluation_per_solve(self, config, monkeypatch):
-        points = count_points(monkeypatch, "_survival_and_density")
+        exact = count_points(monkeypatch, "_survival_and_density")
+        points = count_points(monkeypatch, "_cell_polynomials")
         p, tau = benchmark_pulse(config)
         s_tau, invert = traj._survival_inverter(p, MIXED, tau)
-        points.clear()  # the setup's grid call
+        exact.clear()  # set-up calls
+        points.clear()
         n = 1 << 16
         invert(switched_uniforms(s_tau, n))
-        assert points, "the sampler no longer evaluates trajectory._survival_and_density"
+        assert exact == [], "the sampler evaluates the propagator after set-up"
+        assert points, "the sampler no longer evaluates trajectory._cell_polynomials"
         per_solve = sum(points) / n
         assert per_solve <= 1.05, f"{per_solve:.3f} survival points per solve"
 
