@@ -44,6 +44,9 @@ CHUNK = 1 << 14
 # has been freed first.
 _HEAP_HEADROOM = 32 * CHUNK * 8
 _TABLE_POINTS = 4097
+# The smallest switched u: 1 - U for the largest double U < 1 a Generator
+# draws, 1 - 2^-53.
+_U_MIN = 2.0**-53
 # The highest Taylor degree a table cell may carry.  A degree qualifies
 # only where ||B_k|| ~ (2 ||G|| h)^k / k! falls below 2^-52, one rounding of
 # S <= 1, by k = _MAX_DEGREE + 1, which keeps the terms of the cell
@@ -234,27 +237,43 @@ def _cell_polynomials(rows: np.ndarray, grid: np.ndarray, h: float):
     return evaluate
 
 
+def _table(surv, tau: float):
+    """(grid, S on it): _TABLE_POINTS equal steps over [0, end], where end is
+    tau halved while S(end / 2) < _U_MIN.
+
+    No switched u lies below _U_MIN, so no root lies beyond end, and a long
+    pulse whose S underflows keeps its cells within reach of the roots.
+    S(end / 2^i) for i up to log2(_TABLE_POINTS - 1) lies on the grid, so
+    a pulse whose S(tau) >= _U_MIN takes one grid evaluation and no probe.
+    """
+    end = tau
+    while True:
+        grid = np.linspace(0.0, end, _TABLE_POINTS)
+        raw = surv(grid)
+        halvings, half = 0, _TABLE_POINTS // 2
+        while half and raw[half] < _U_MIN:
+            halvings, half = halvings + 1, half // 2
+        if not halvings:
+            return grid, raw
+        end /= 2.0**halvings
+
+
 def _survival_inverter(p: DetectorParams, rho0: np.ndarray, tau: float):
     """(S(tau), u -> t): the pulse's survival and a solver of S(t) = u on
-    [0, tau] for an array of u with S(tau) < u <= 1.
+    [0, tau] for an array of u with S(tau) < u <= 1 and u >= _U_MIN.
 
-    S is tabulated once on _TABLE_POINTS grid times and made monotone, and
-    rho = -dS/dt is evaluated at the same times.  Each u takes its grid cell
-    from a guide table (_bracket_finder) and its seed from the cubic Hermite
-    interpolant of the inverse on that cell (Hoermann & Leydold 2003): with
-    w the fraction of the cell's drop in S that lies above u, the fraction
-    of its width h is w + w (1 - w) ((1 - w) c0 - w c1), where
-    c = drop / (rho h) - 1 at either end.  A cell whose end slope
-    drop / (rho h) is not finite, not positive or not below 3 (the
-    Fritsch-Carlson monotone bound) takes the linear seed w instead.
-    Safeguarded Newton steps t += (S(t) - u) / rho(t) follow (Numerical
-    Recipes' rtsafe): each shrinks the bracket, and a step that would leave
-    it, or not halve the previous step, or meets rho = 0, is a bisection
-    instead.  A solve ends once its step is below
-    INVERSION_STEP_REL_TOL * tau, which the Hermite seed makes the first
-    step almost everywhere; S flat or staircase-like on the grid's scale (a
-    long pulse with many precession periods, or rho near zero) falls back
-    towards bisection.
+    S is tabulated once on _TABLE_POINTS grid times over [0, end] and made
+    monotone, and rho = -dS/dt is evaluated at the same times; end is tau,
+    or tau halved while S stays below _U_MIN from end / 2 on (_table), and
+    the cell width h and the step tolerance INVERSION_STEP_REL_TOL * end
+    scale with it.  Each u takes its grid cell from a guide table
+    (_bracket_finder) and its seed from the cubic Hermite interpolant of the
+    inverse on that cell (Hoermann & Leydold 2003): with w the fraction of
+    the cell's drop in S that lies above u, the fraction of its width h is
+    w + w (1 - w) ((1 - w) c0 - w c1), where c = drop / (rho h) - 1 at
+    either end.  A cell whose end slope drop / (rho h) is not finite, not
+    positive or not below 3 (the Fritsch-Carlson monotone bound) takes the
+    linear seed w instead.
 
     The Newton steps take S and rho by one of two routes, chosen once per
     call from the parameters and the grid:
@@ -269,13 +288,26 @@ def _survival_inverter(p: DetectorParams, rho0: np.ndarray, tau: float):
       _MAX_DEGREE qualifies: a pulse with many precession or decay times
       per cell.
 
+    On Taylor cells every solve first takes one Newton step
+    t' = t + (s - u) / rho from its seed t, over the whole array with no
+    mask, and ends there where rho > 0, t' lies in its cell
+    [grid[j], grid[j + 1]] (so in [0, tau]) and |t' - t| is within the
+    step tolerance: every solve on the benchmark configurations.  The
+    solves it leaves open, and every solve on the propagator's route, run
+    safeguarded Newton steps from their seeds (Numerical Recipes' rtsafe):
+    each shrinks the bracket, and a step that would leave it, or not halve
+    the previous step, or meets rho = 0, is a bisection instead.  Such a
+    solve ends once its step is within the tolerance; S flat or
+    staircase-like on the grid's scale (a long pulse with many precession
+    periods, or rho near zero) falls back towards bisection.
+
     Every returned time t' meets |S(t') - u| <= INVERSION_RESIDUAL_TOL, or
     the call raises BisectionFailureError, since a larger residual would
     indicate a broken survival function rather than bad data.  The residual
     is bounded from values the last Newton step holds: the solve evaluated
     s at t, within R_K of S(t) (R_K = 0 on the propagator's route, whose S
     row is bit-identical to survival_function), and returns t' with
-    |t' - t| <= INVERSION_STEP_REL_TOL * tau.  As
+    |t' - t| within the step tolerance.  As
     dS/dt = -Tr{Gamma U rho0 U^dag}, U rho0 U^dag >= 0 has trace S <= 1 and
     Gamma's largest eigenvalue is max(gamma_L, gamma_R),
     |dS/dt| <= max(gamma_L, gamma_R), so
@@ -283,22 +315,21 @@ def _survival_inverter(p: DetectorParams, rho0: np.ndarray, tau: float):
         |S(t') - u| <= |s - u| + max(gamma_L, gamma_R) |t' - t| + R_K.
 
     Only where the largest bound of a call exceeds the tolerance (about
-    max(gamma_L, gamma_R) tau > 500, or a solve still open after
-    _MAX_STEPS) is survival_function evaluated at the returned times.  The
-    tabulated S, before it is made monotone, must not rise by more than the
-    tolerance either.
+    max(gamma_L, gamma_R) end > 500, or a solve still open after
+    _MAX_STEPS safeguarded steps) is survival_function evaluated, once, at
+    all the returned times.  The tabulated S, before it is made monotone,
+    must not rise by more than the tolerance either.
     """
     surv = survival_function(p, rho0)
-    grid = np.linspace(0.0, tau, _TABLE_POINTS)
-    raw = surv(grid)
+    grid, raw = _table(surv, tau)
     table = np.minimum.accumulate(raw)
     if np.max(raw - table) > INVERSION_RESIDUAL_TOL:
         raise BisectionFailureError("tabulated survival rises; S(t) appears non-monotone")
     bracket = _bracket_finder(table)
-    step_tol = INVERSION_STEP_REL_TOL * tau
+    step_tol = INVERSION_STEP_REL_TOL * grid[-1]
     gamma_max = max(p.gamma_L, p.gamma_R)
 
-    h = tau / (_TABLE_POINTS - 1)
+    h = grid[-1] / (_TABLE_POINTS - 1)
     taylor = _taylor_ops(p, h)
     if taylor is None:
         paired = _survival_and_density(p, rho0)
@@ -314,19 +345,17 @@ def _survival_inverter(p: DetectorParams, rho0: np.ndarray, tau: float):
         evaluate = _cell_polynomials(rows[:, :-1], grid, h)
 
     # cell j = [grid[j], grid[j + 1]]: the seed grid[j] + w (b1 + w (b2 + w b3))
-    # is the Hermite form above expanded in w and scaled by the width h
+    # is the Hermite form above expanded in w and scaled by the width h.  A
+    # cell below _U_MIN, which no solve reaches, may drop by a subnormal.
     drop = table[:-1] - table[1:]
-    inv_drop = np.divide(1.0, drop, out=np.zeros_like(drop), where=drop > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv_drop = np.divide(1.0, drop, out=np.zeros_like(drop), where=drop > 0.0)
         m0, m1 = drop / (rho[:-1] * h), drop / (rho[1:] * h)
     hermite = (0.0 < m0) & (m0 < 3.0) & (0.0 < m1) & (m1 < 3.0)
     c0, c1 = np.where(hermite, m0 - 1.0, 0.0), np.where(hermite, m1 - 1.0, 0.0)
     b1, b2, b3 = h * (1.0 + c0), -h * (2.0 * c0 + c1), h * (c0 + c1)
 
-    def invert(u: np.ndarray) -> np.ndarray:
-        k = bracket(u)
-        j = k - 1
-        lo, hi = grid[j], grid[k]
+    def seed(u, j, lo):
         # gathers are copies, so the seed is formed in place
         w = table[j]
         w -= u
@@ -338,7 +367,13 @@ def _survival_inverter(p: DetectorParams, rho0: np.ndarray, tau: float):
         t += b1[j]
         t *= w
         t += lo
-        np.clip(t, lo, hi, out=t)
+        return t
+
+    def safeguarded(u, j):
+        """Times and the largest residual bound, less R_K, of the solves
+        of S(t) = u in cells j, by safeguarded Newton steps from the seeds."""
+        lo, hi = grid[j], grid[j + 1]
+        t = np.clip(seed(u, j, lo), lo, hi)
         times = todo = None
         target, last = u, hi - lo
         worst = 0.0  # the largest residual bound over the ended solves, less R_K
@@ -369,9 +404,37 @@ def _survival_inverter(p: DetectorParams, rho0: np.ndarray, tau: float):
         else:
             worst = np.inf  # a solve still open has no bound
         if times is None:
-            times = t
+            return t, worst
+        times[todo] = t
+        return times, worst
+
+    def invert(u: np.ndarray) -> np.ndarray:
+        k = bracket(u)
+        j = k - 1
+        if taylor is None:
+            times, worst = safeguarded(u, j)
         else:
-            times[todo] = t
+            lo = grid[j]
+            times = seed(u, j, lo)
+            gap, rate = evaluate(times, j)
+            gap -= u
+            # rho = 0, or a step too large to take, ends no solve, and their
+            # bounds are left out of the max
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                step = gap / rate
+                times += step
+                bound = np.abs(step, out=step)
+                ended = bound <= step_tol
+                bound *= gamma_max
+            ended &= rate > 0.0
+            ended &= lo <= times
+            ended &= times <= grid[k]
+            bound += np.abs(gap, out=gap)
+            worst = np.max(bound, where=ended, initial=0.0)
+            if not ended.all():
+                rest = np.flatnonzero(~ended)
+                times[rest], tail = safeguarded(u[rest], j[rest])
+                worst = max(worst, tail)
         # "not <=" sends a NaN bound to the exact check
         if not worst + remainder <= INVERSION_RESIDUAL_TOL and np.max(np.abs(surv(times) - u)) > INVERSION_RESIDUAL_TOL:
             raise BisectionFailureError(
@@ -406,12 +469,18 @@ def run_trajectory(
 
 def _chunked_switch_times(p: DetectorParams, rho0: np.ndarray, cfg: SimConfig):
     """Yield (switching times, no-switch count) for trajectories taken CHUNK
-    at a time in index order, so memory stays O(CHUNK) for any n_traj."""
+    at a time in index order, so memory stays O(CHUNK) for any n_traj.
+
+    One Philox(seed) stream is drawn in order, and 1 - U formed in place.
+    CHUNK is a whole number of counter steps, so each chunk reads the
+    variates _uniforms(seed, start, n) gives, as run_trajectory does."""
     rho0 = _checked_state(rho0)
     np.empty(_HEAP_HEADROOM, dtype=np.uint8)  # freed at once: see _HEAP_HEADROOM
     s_tau, invert = _survival_inverter(p, rho0, cfg.tau)
+    draw = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed))).random
     for start in range(0, cfg.n_traj, CHUNK):
-        u = _uniforms(cfg.seed, start, min(CHUNK, cfg.n_traj - start))
+        u = draw(min(CHUNK, cfg.n_traj - start))
+        np.subtract(1.0, u, out=u)
         switched = u > s_tau
         yield invert(u[switched]), int(u.size - np.count_nonzero(switched))
 
@@ -436,15 +505,47 @@ def sample_switch_times(
     return times[:switched], no_switch
 
 
+def _bin_counter(edges: np.ndarray):
+    """times in [0, edges[-1]] -> counts per bin, equal to
+    np.histogram(times, edges)[0] for edges = np.linspace(0, tau, n + 1),
+    without its sort.
+
+    This is np.histogram's own rule for uniform bins: the index
+    times * n / tau, clipped to n - 1, moved down one where the time lies
+    below its bin's lower edge and up one where it reaches the upper edge,
+    the last bin closed.
+    """
+    n = edges.size - 1
+    scale = n / edges[-1]
+    upper = edges[1:].copy()
+    upper[-1] = np.inf  # the last bin holds tau itself
+
+    def counts(times: np.ndarray) -> np.ndarray:
+        index = (times * scale).astype(np.intp)
+        np.minimum(index, n - 1, out=index)
+        index -= times < edges[index]
+        index += times >= upper[index]
+        return np.bincount(index, minlength=n)
+
+    return counts
+
+
 def _binned_ensemble(p: DetectorParams, rho0: np.ndarray, cfg: SimConfig) -> tuple[Histogram, float]:
     """The histogram of cfg.n_traj trajectories and the sum of their
     switching times, both taken chunk by chunk, so memory stays O(CHUNK)
-    for any n_traj."""
+    for any n_traj.
+
+    The uniforms come from one Philox stream drawn in order
+    (_chunked_switch_times), and each chunk's times are binned by
+    np.histogram's rule for equal bins with no sort (_bin_counter): every
+    switched time lies in [0, tau], so each is counted.
+    """
     edges = np.linspace(0.0, cfg.tau, cfg.n_bins + 1)
+    bin_counts = _bin_counter(edges)
     counts = np.zeros(cfg.n_bins, dtype=np.int64)
     no_switch, time_sum = 0, 0.0
     for times, n in _chunked_switch_times(p, rho0, cfg):
-        counts += np.histogram(times, bins=edges)[0]
+        counts += bin_counts(times)
         time_sum += float(times.sum())
         no_switch += n
     return Histogram(edges, counts, no_switch, cfg.n_traj), time_sum
