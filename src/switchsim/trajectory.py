@@ -469,18 +469,12 @@ def run_trajectory(
 
 def _chunked_switch_times(p: DetectorParams, rho0: np.ndarray, cfg: SimConfig):
     """Yield (switching times, no-switch count) for trajectories taken CHUNK
-    at a time in index order, so memory stays O(CHUNK) for any n_traj.
-
-    One Philox(seed) stream is drawn in order, and 1 - U formed in place.
-    CHUNK is a whole number of counter steps, so each chunk reads the
-    variates _uniforms(seed, start, n) gives, as run_trajectory does."""
+    at a time in index order, so memory stays O(CHUNK) for any n_traj."""
     rho0 = _checked_state(rho0)
     np.empty(_HEAP_HEADROOM, dtype=np.uint8)  # freed at once: see _HEAP_HEADROOM
     s_tau, invert = _survival_inverter(p, rho0, cfg.tau)
-    draw = np.random.Generator(np.random.Philox(key=np.uint64(cfg.seed))).random
     for start in range(0, cfg.n_traj, CHUNK):
-        u = draw(min(CHUNK, cfg.n_traj - start))
-        np.subtract(1.0, u, out=u)
+        u = _uniforms(cfg.seed, start, min(CHUNK, cfg.n_traj - start))
         switched = u > s_tau
         yield invert(u[switched]), int(u.size - np.count_nonzero(switched))
 
@@ -505,47 +499,15 @@ def sample_switch_times(
     return times[:switched], no_switch
 
 
-def _bin_counter(edges: np.ndarray):
-    """times in [0, edges[-1]] -> counts per bin, equal to
-    np.histogram(times, edges)[0] for edges = np.linspace(0, tau, n + 1),
-    without its sort.
-
-    This is np.histogram's own rule for uniform bins: the index
-    times * n / tau, clipped to n - 1, moved down one where the time lies
-    below its bin's lower edge and up one where it reaches the upper edge,
-    the last bin closed.
-    """
-    n = edges.size - 1
-    scale = n / edges[-1]
-    upper = edges[1:].copy()
-    upper[-1] = np.inf  # the last bin holds tau itself
-
-    def counts(times: np.ndarray) -> np.ndarray:
-        index = (times * scale).astype(np.intp)
-        np.minimum(index, n - 1, out=index)
-        index -= times < edges[index]
-        index += times >= upper[index]
-        return np.bincount(index, minlength=n)
-
-    return counts
-
-
 def _binned_ensemble(p: DetectorParams, rho0: np.ndarray, cfg: SimConfig) -> tuple[Histogram, float]:
     """The histogram of cfg.n_traj trajectories and the sum of their
     switching times, both taken chunk by chunk, so memory stays O(CHUNK)
-    for any n_traj.
-
-    The uniforms come from one Philox stream drawn in order
-    (_chunked_switch_times), and each chunk's times are binned by
-    np.histogram's rule for equal bins with no sort (_bin_counter): every
-    switched time lies in [0, tau], so each is counted.
-    """
+    for any n_traj."""
     edges = np.linspace(0.0, cfg.tau, cfg.n_bins + 1)
-    bin_counts = _bin_counter(edges)
     counts = np.zeros(cfg.n_bins, dtype=np.int64)
     no_switch, time_sum = 0, 0.0
     for times, n in _chunked_switch_times(p, rho0, cfg):
-        counts += bin_counts(times)
+        counts += np.histogram(times, bins=edges)[0]
         time_sum += float(times.sum())
         no_switch += n
     return Histogram(edges, counts, no_switch, cfg.n_traj), time_sum

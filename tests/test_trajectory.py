@@ -254,19 +254,22 @@ class TestExactSampling:
             assert pval > 1e-3
 
 
-def assert_inversion_matches_bisection(p, rho0, tau):
+def assert_inversion_matches_bisection(p, rho0, tau, flat=None):
     """The sampler's solve of S(t) = u against the bisection reference, at
-    256 targets spread over the switched range (S(tau), 1], within 1e-9 tau
-    or, where the root is ill conditioned, within the window
-    4 eps / rho(t) in which S moves by four roundings: each solver fixes a
-    root only to the rounding of S over the density."""
+    256 targets spread over the switched range (S(tau), 1], within 1e-9 tau.
+    With flat, a target whose time is further off passes if S at the
+    sampler's time is within flat of u: where S is flat to its own rounding
+    over 1e-9 tau, every time in that stretch is a root to that rounding."""
     s_tau, invert = traj._survival_inverter(p, rho0, tau)
     u = s_tau + (1.0 - s_tau) * np.linspace(0.0, 1.0, 257)[1:]
-    ref = bisect_survival(det.survival_function(p, rho0), u, tau)
-    with np.errstate(divide="ignore"):
-        window = 4.0 * np.finfo(float).eps / det.switch_density_function(p, rho0)(ref)
-    err = np.max(np.abs(invert(u) - ref) / np.maximum(1e-9 * tau, window))
-    assert err <= 1.0, f"inverted times off by {err:.2f} of the bound"
+    surv = det.survival_function(p, rho0)
+    ref = bisect_survival(surv, u, tau)
+    times = invert(u)
+    off = np.abs(times - ref) > 1e-9 * tau
+    if flat is not None:
+        off &= np.abs(surv(times) - u) > flat
+    err = np.max(np.abs(times - ref)[off], initial=0.0)
+    assert not off.any(), f"inverted times off by {err / tau:.2e} tau"
 
 
 def assert_propagator_route(p, rho0, tau):
@@ -294,20 +297,24 @@ class TestInversion:
         st.floats(1e-3, 1.0),
         st.tuples(unit, unit, unit, unit).filter(lambda v: sum(x * x for x in v) > 1e-6),
     )
-    # a density of ~6e-11 at some targets: those roots are fixed only to
-    # ~5e-10 tau by one rounding of S
+    # a density of ~6e-11 at some targets: S moves by one rounding over
+    # ~5e-10 tau, and the sampler's times there are 1.04e-9 tau from
+    # bisection's, both roots to that rounding
     @example(1e-9, 0.0, 2.0, 1.0, 0.25, (0.0, 1.0, 0.0, 1.0))
     def test_matches_bisection_over_parameter_box(self, gamma_l, gamma_r, beta, e, frac, amps):
         """Pulses up to 30 decay times (gamma_plus floored at 1e-3), which
         at E = 1000 spans ~5e3 precession periods, about one per grid cell
         of the table.  Pulses that switch with probability below 1e-6 are
         skipped: their roots move by the 1e-16 rounding of S over a density
-        of ~1e-6 / tau, beyond 1e-9 tau for any solver."""
+        of ~1e-6 / tau, beyond 1e-9 tau for any solver.  Above it, a
+        density may still fall that low at some targets, so a time further
+        than 1e-9 tau from bisection's passes where |S(t) - u| is within
+        four roundings of S, as bisection's own is."""
         p = det.DetectorParams(gamma_l, gamma_r, beta, e)
         tau = frac * 30.0 / max(p.gamma_plus, 1e-3)
         rho = m2.projector(pure_state(amps[0] + 1j * amps[1], amps[2] + 1j * amps[3]))
         assume(det.survival_probability(p, rho, tau) < 1.0 - 1e-6)
-        assert_inversion_matches_bisection(p, rho, tau)
+        assert_inversion_matches_bisection(p, rho, tau, flat=4.0 * np.finfo(float).eps)
 
     @settings(max_examples=200)
     @given(
@@ -387,18 +394,6 @@ class TestInversion:
             if last.switched:
                 assert last.switch_time == times[-1]
 
-    @pytest.mark.parametrize("seed", [0, 5, 2**63 + 7, 2**64 - 1])
-    def test_one_stream_matches_uniforms(self, seed, monkeypatch):
-        # the chunks of one stream drawn in order read the variates that
-        # _uniforms gives each chunk's start, a short last chunk included
-        chunks = []
-        monkeypatch.setattr(traj, "_survival_inverter", lambda p, rho0, tau: (-1.0, lambda u: chunks.append(u) or u))
-        cfg = traj.SimConfig(n_traj=3 * traj.CHUNK + 5, tau=1.0, seed=seed)
-        list(traj._chunked_switch_times(det.DetectorParams(1.0, 4.0, 0.7, 5.0), MIXED, cfg))
-        assert [u.size for u in chunks] == [traj.CHUNK] * 3 + [5]
-        for i, u in enumerate(chunks):
-            np.testing.assert_array_equal(u, traj._uniforms(seed, i * traj.CHUNK, u.size))
-
     @pytest.mark.parametrize(
         "params, tau",
         [
@@ -411,6 +406,15 @@ class TestInversion:
             # propagator's route on the shortened table, and Taylor cells
             ((1e3, 1e6, math.pi / 4, 60.0), 27.9),
             ((1.0, 1e6, math.pi / 4, 1e6), 27.9),
+            # C1 with gamma_R = 1e6: S(tau) = 3.1e-13 keeps the table on
+            # [0, tau], S falls to its plateau within the first cell, and
+            # the safeguarded solves there stop on the step tolerance with
+            # |S(t) - u| up to 1.2e-3 (ROADMAP item 8's u-resolution stop)
+            pytest.param(
+                (1.0, 1e6, math.pi / 4, 60.0),
+                27.9,
+                marks=pytest.mark.xfail(strict=True, raises=BisectionFailureError, reason="two-rate pulse, unresolved"),
+            ),
         ],
     )
     def test_long_pulse_inverted(self, params, tau):
@@ -572,19 +576,6 @@ class TestInversionRoute:
         ref_times = ref_invert(u[u > s_tau])
         np.testing.assert_array_equal(h.counts, np.histogram(ref_times, bins=h.bin_edges)[0])
         assert h.no_switch_count == cfg.n_traj - ref_times.size
-
-    @pytest.mark.parametrize("n_bins", [2, 7, 150, 4096, 5000])
-    def test_bin_counts_match_histogram(self, n_bins):
-        # every edge, the doubles either side of it, and times spread over
-        # the pulse; the sampler's times lie in [0, tau]
-        tau = 3.6 / 3.0
-        edges = np.linspace(0.0, tau, n_bins + 1)
-        rng = np.random.default_rng(n_bins)
-        times = np.concatenate(
-            [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), [0.0, tau], tau * rng.random(10_000)]
-        )
-        times = rng.permutation(times[(0.0 <= times) & (times <= tau)])
-        np.testing.assert_array_equal(traj._bin_counter(edges)(times), np.histogram(times, bins=edges)[0])
 
     def test_bracket_matches_searchsorted(self):
         rng = np.random.default_rng(3)
