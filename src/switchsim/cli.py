@@ -6,8 +6,8 @@ outputs into `--out`.  Outputs are deterministic given the config and
 seed; only the elapsed-time entry of the summary varies between runs.
 
 Exit codes: 0 success, 2 config validation or a file that cannot be read
-or written, 3 simulation error, 4 fit non-convergence, 5 unidentifiable
-configuration.
+or written, 3 simulation error, 4 fit non-convergence, 5 not identifiable
+(the configuration, or a histogram with too few bins).
 """
 
 from __future__ import annotations

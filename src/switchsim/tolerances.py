@@ -44,9 +44,9 @@ REGIME_FACTOR = 10.0
 # two groups.
 IDENTIFIABILITY_REL_TOL = 1e-2
 
-# Stricter threshold used by the fitter to refuse a fit outright: true rank
-# deficiency (exact symmetry nulls and gauge directions), as opposed to the
-# reporting threshold above for practically weak directions.
+# Stricter threshold on the fitted cells' information that refuses a fit:
+# true rank deficiency (exact symmetry nulls, gauge directions, too few
+# bins), as opposed to the reporting threshold above for weak directions.
 RANK_DEFICIENCY_TOL = 1e-8
 
 # Gradient-norm criterion for declaring a fit converged (relative to the

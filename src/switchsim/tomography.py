@@ -5,8 +5,8 @@ depends on all three Bloch components of the initial state (the azimuthal
 precession of the measurement basis scans the equator while the rate
 asymmetry probes the poles), so fitting the histogram reconstructs the
 full state, and optionally the detector parameters with it.  This fails in
-the known degenerate configurations; the identifiability check quantifies
-which directions the data cannot see.
+the known degenerate configurations and on too few bins; `fit` refuses
+both, and `identifiability` names what the switching times cannot see.
 """
 
 from __future__ import annotations
@@ -177,13 +177,14 @@ def identifiability(
     Builds the Poisson information matrix of the density (plus the
     no-switch weight) on a canonical time grid, then flags singular
     directions whose singular value falls below rel_threshold times the
-    largest.  The columns are exact: the density and survival of the
+    largest; it sees the switching times, not a histogram's bins, and no
+    fit calls it.  The columns are exact: the density and survival of the
     state's traceless parts for the Bloch vector, on which they are affine,
     and their trace-form slopes for the detector parameters.  Sensitivities
     are taken per relative parameter change (each direction scaled by its
     magnitude), so directions with different units compare meaningfully.
-    Direction names list the parameters with non-negligible weight in the
-    flagged singular vectors.
+    Direction names list the parameters weighing over 0.3 in the flagged
+    singular vectors.
     """
     free = tuple(free)
     for name in free:
@@ -222,33 +223,38 @@ def identifiability(
     jac_s = np.array([columns[name][0, -1] for name in free]) * scales
 
     info = (jac_d / d0) @ jac_d.T * weight + np.outer(jac_s, jac_s) / s0
-    svals, vecs = np.linalg.eigh(info)
+    svals, degenerate = _degenerate_directions(*np.linalg.eigh(info), free, rel_threshold)
+    return IdentifiabilityReport(free, info, svals, rel_threshold, degenerate, flagged=bool(degenerate))
+
+
+def _degenerate_directions(svals: np.ndarray, vecs: np.ndarray, free: tuple[str, ...], rel_threshold: float):
+    """From eigh of an information matrix: its eigenvalues, largest first and
+    clipped at 0, and the free names of each below rel_threshold * largest."""
     order = np.argsort(svals)[::-1]
     svals = np.maximum(svals[order], 0.0)
     vecs = vecs[:, order]
     top = max(svals[0], 1e-300)
-
     degenerate = []
     for k, sv in enumerate(svals):
         if sv < rel_threshold * top:
             v = np.abs(vecs[:, k])
             names = tuple(nm for nm, wgt in zip(free, v) if wgt > 0.3)
             degenerate.append(names if names else (free[int(np.argmax(v))],))
-    return IdentifiabilityReport(
-        free=free,
-        info=info,
-        singular_values=svals,
-        rel_threshold=rel_threshold,
-        degenerate_directions=tuple(degenerate),
-        flagged=bool(degenerate),
-    )
+    return svals, tuple(degenerate)
 
 
-@functools.lru_cache(maxsize=128)
-def _fixed_point_degeneracy(p: DetectorParams, free: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
-    """The degenerate directions that refuse a state-only fit at p, the
-    same for every histogram, so kept per (p, free) for the process."""
-    return identifiability(p, free=free, rel_threshold=RANK_DEFICIENCY_TOL).degenerate_directions
+def _refuse_rank_deficient(slopes: np.ndarray, probs: np.ndarray, free: tuple[str, ...], where: str) -> None:
+    """Raise NotIdentifiableError unless the cells locally identify the free
+    names (Rothenberg, Econometrica 39, 1971): the Fisher information
+    sum_c dp_c dp_c^T / p_c over the cells with p_c > 0, slopes (free, cells)
+    its dp_c, has every eigenvalue >= RANK_DEFICIENCY_TOL times its largest."""
+    if probs.min() <= 0.0:
+        slopes, probs = slopes[:, probs > 0.0], probs[probs > 0.0]
+    evals, vecs = np.linalg.eigh(np.dot(slopes / probs, slopes.T))
+    ascending = evals.tolist()  # eigh's order
+    if ascending[0] < RANK_DEFICIENCY_TOL * max(ascending[-1], 1e-300):
+        _, degenerate = _degenerate_directions(evals, vecs, free, RANK_DEFICIENCY_TOL)
+        raise NotIdentifiableError(f"degenerate directions {degenerate} at the {where}")
 
 
 @functools.lru_cache(maxsize=128)
@@ -432,6 +438,7 @@ class _StateSolver:
         seen = self.observed > 0.0
         self.seen = slice(None) if seen.all() else seen
         self.counts = self.observed[self.seen]
+        self.free_bloch = free_bloch
         self.free_idx = [BLOCH_NAMES.index(name) for name in free_bloch]
 
     def start(self, a0: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -618,6 +625,9 @@ class _Profile:
             edges = self.edges.tobytes()
             cells = np.array([_cell_model(self.params[k], edges) for k in ks])
         a0, basis = cells[:, 0], cells[:, 1:][:, self.solver.free_idx]
+        if not self.names:
+            for a0_k, basis_k in zip(a0, basis):
+                _refuse_rank_deficient(basis_k, a0_k, self.solver.free_bloch, "fixed detector parameters")
         b = self.b[ks]
         cold = [self.keys[k] is None for k in ks]
         if self.solver.free_idx and any(cold):
@@ -856,15 +866,14 @@ def fit(
     ball; components not in `free_bloch` are held at 0.  With the detector
     parameters fixed (`free_params` empty) that is the whole fit:
     `converged` holds when the KKT conditions of the ball constraint do,
-    and `seed` and `n_starts` go unused.  Such a fit first refuses a
-    configuration rank-deficient at the fixed parameters; that verdict
-    depends on the parameters and the free names alone, so it is taken
-    once per process for each pair (the last 128 pairs are kept).  Its
-    cell model, the cell probabilities of rho = I/2 and of the three Bloch
-    directions, depends on the parameters and the bin edges alone, and is
-    likewise kept for the last 128 pairs (read-only, shared by every fit
-    there), so fitting many histograms binned alike at one calibration
-    evaluates it once.
+    and `seed` and `n_starts` go unused.  Its cell model, the cell
+    probabilities of rho = I/2 and of the three Bloch directions, depends
+    on the parameters and the bin edges alone, and is kept for the last 128
+    pairs (read-only, shared by every fit there), so fitting many
+    histograms binned alike at one calibration evaluates it once.  A fit
+    whose cells cannot resolve every free name raises NotIdentifiableError
+    (_refuse_rank_deficient), a state-only fit before its solve; `dof`, the
+    bins less the free names, is then >= 0, and 0 when exactly determined.
 
     With detector parameters free, the state is profiled out: bounded
     Levenberg-Marquardt (_bounded_lm) searches the free parameters alone,
@@ -898,14 +907,8 @@ def fit(
     free, free_param_names, lo, hi = search_box(bounds, free_bloch, free_params, n_starts)
     free_bloch = free[: len(free) - len(free_param_names)]
 
-    dof = max(len(h.counts) - len(free), 1)  # cells, less the total and the free names
+    dof = len(h.counts) - len(free)  # cells, less the total and the free names
     if not free_param_names:
-        # pure state fit: the information structure is known up front
-        degenerate = _fixed_point_degeneracy(fixed, free)
-        if degenerate:
-            raise NotIdentifiableError(
-                f"degenerate directions {degenerate} at the fixed detector parameters"
-            )
         # one convex solve: the profile at the fixed parameters
         profile = _Profile(h, _StateSolver(h, free), lambda theta: fixed, (), 1)
         errors = profile.at(np.zeros(1, dtype=int), np.empty((1, 0)))
@@ -972,18 +975,13 @@ def fit(
     best = next(idx for idx in ended if records[idx].deviance <= tie)
     deviance, converged = records[best].deviance, records[best].converged
     p_fit, b_fit = params_at(res.x[best]), solver.state(profile.b[best])
+    columns = np.hstack([profile.basis[best].T, profile.columns(np.array([best]))[0].T])
     # with parameters free, rank deficiency (such as the gauge null
     # direction of the all-parameter model) is only visible at the fitted
-    # point
-    report = identifiability(
-        p_fit, free=free, bloch_point=b_fit, rel_threshold=RANK_DEFICIENCY_TOL
-    )
-    if report.flagged:
-        raise NotIdentifiableError(
-            f"degenerate directions {report.degenerate_directions} at the "
-            "fitted parameters"
-        )
-    columns = np.hstack([profile.basis[best].T, profile.columns(np.array([best]))[0].T])
+    # point; directions are per relative change, as identifiability's
+    values = {**vars(b_fit), **vars(p_fit)}
+    scales = np.array([max(abs(values[name]), 0.1) for name in free])
+    _refuse_rank_deficient(columns.T * scales[:, None], profile.probs[best], free, "fitted parameters")
     return TomographyResult(
         bloch=b_fit,
         params=p_fit,

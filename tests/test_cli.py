@@ -354,6 +354,23 @@ class TestTomographyCommand:
         with open(tmp_path / "tomography.json") as fh:
             assert json.load(fh)["converged"] is False
 
+    @pytest.mark.parametrize("seed", range(1, 7))
+    def test_two_bins_not_identifiable(self, tmp_path, seed):
+        """Two bins give three cells, two independent probabilities for the
+        three Bloch components: a state-only fit is refused (exit 5)."""
+        sim = tmp_path / "sim"
+        sets = param_sets(CONFIGS[0]) + [
+            "--set", "bloch.x=0.3", "--set", "bloch.y=-0.4", "--set", "bloch.z=0.5",
+            "--set", "n_traj=300000", "--set", "n_bins=2", "--set", "tau=1.2",
+        ]
+        assert run_cli(["simulate", "--out", sim, "--seed", seed] + sets) == 0
+        fit = ["tomography", "--out", tmp_path / "fit", "--seed", seed, "--set", f"histogram={sim / 'histogram.csv'}"]
+        assert run_cli(fit + param_sets(CONFIGS[0])) == 5
+        with open(tmp_path / "fit" / "tomography.json") as fh:
+            record = json.load(fh)
+        assert record["converged"] is False
+        assert record["error"].startswith("degenerate directions")
+
     @pytest.mark.parametrize(
         "sets", [["n_starts=0"], ["params.gamma_R=0"], ['bounds={"x": [0.5, -0.5]}']]
     )

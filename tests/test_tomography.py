@@ -4,6 +4,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from switchsim import detector as det
 from switchsim import mat2 as m2
@@ -51,6 +53,13 @@ def multinomial_histogram(p, bloch, seed):
     probs = traj.expected_cell_probabilities(empty, p, bloch.to_density())
     cells = np.random.default_rng(seed).multinomial(1_000_000, probs / probs.sum())
     return traj.Histogram(edges, cells[:-1], int(cells[-1]), 1_000_000)
+
+
+def noise_free_histogram(p, bloch, edges):
+    """The expected counts of each cell at a total of 1e6, rounded."""
+    empty = traj.Histogram(edges, np.zeros(len(edges) - 1, dtype=np.int64), 0, 0)
+    cells = np.rint(traj.expected_cell_probabilities(empty, p, bloch.to_density()) * 1e6).astype(np.int64)
+    return traj.Histogram(edges, cells[:-1], int(cells[-1]), int(cells.sum()))
 
 
 class TestBlochComponents:
@@ -195,8 +204,10 @@ class TestFit:
             tomo.fit(h, fixed=IDENTIFIABLE, free_params=free_params, seed=seed)
 
     def test_repeated_state_fit_identical(self, monkeypatch):
-        """The up-front verdict at the fixed parameters is taken once per
-        (parameters, free names); the fit repeated there is unchanged."""
+        """A fit, state-only or with a detector parameter free, takes its
+        identifiability verdict from the cells it fits, never from the
+        continuous-time report, and a fit repeated on one histogram is
+        bit-identical."""
         h = synthesize(IDENTIFIABLE, tomo.BlochComponents(0.3, -0.4, 0.5), 50000, seed=9)
         real, calls = tomo.identifiability, []
 
@@ -205,14 +216,12 @@ class TestFit:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(tomo, "identifiability", counting)
-        tomo._fixed_point_degeneracy.cache_clear()
-        first, second = (tomo.fit(h, fixed=IDENTIFIABLE) for _ in range(2))
-        assert calls == [IDENTIFIABLE]
-        assert first.to_json_dict() == second.to_json_dict()
-        np.testing.assert_array_equal(first.covariance, second.covariance)
-        # another set of free names is another verdict
-        tomo.fit(h, fixed=IDENTIFIABLE, free_bloch=("z",))
-        assert len(calls) == 2
+        for free_params in ((), ("E",)):
+            kwargs = dict(fixed=IDENTIFIABLE, free_params=free_params, bounds={"E": (55.0, 65.0)}, n_starts=2)
+            first, second = (tomo.fit(h, **kwargs) for _ in range(2))
+            assert first.to_json_dict() == second.to_json_dict()
+            np.testing.assert_array_equal(first.covariance, second.covariance)
+        assert calls == []
         # the public report is not cached: no array is shared between calls
         assert real(IDENTIFIABLE).info is not real(IDENTIFIABLE).info
 
@@ -243,9 +252,8 @@ class TestFit:
     def test_aligned_probe_not_identifiable(self):
         p = det.DetectorParams(1.0, 5.0, 0.0, 60.0)
         h = synthesize(p, tomo.BlochComponents(0.3, -0.4, 0.5), 20000, seed=10)
-        tomo._fixed_point_degeneracy.cache_clear()
         messages = []
-        for _ in range(2):  # computed, then kept: refused both times
+        for _ in range(2):  # refused on every call
             with pytest.raises(NotIdentifiableError) as err:
                 tomo.fit(h, fixed=p)
             messages.append(str(err.value))
@@ -440,6 +448,46 @@ class TestStateFit:
             assert result.converged == kkt, i
             assert kkt, i
         assert on_sphere >= 1
+
+    def test_exactly_determined_dof(self):
+        """Three bins give three independent cell probabilities for the
+        three Bloch components: dof 0, with no goodness of fit."""
+        truth = tomo.BlochComponents(0.3, -0.4, 0.5)
+        result = tomo.fit(noise_free_histogram(IDENTIFIABLE, truth, np.linspace(0.0, 1.2, 4)), fixed=IDENTIFIABLE)
+        assert result.converged
+        assert result.dof == 0
+
+    @settings(max_examples=59)  # and the explicit example below: 60 fits
+    @given(
+        st.floats(0.0, 10.0),
+        st.floats(0.1, 10.0),
+        st.floats(0.0, math.pi),
+        st.floats(0.0, 200.0),
+        st.tuples(*[st.floats(-0.9, 0.9)] * 3),
+        st.sampled_from((2, 3, 4, 6, 8, 150)),
+    )
+    # README's configuration C1 over two bins
+    @example(1.0, 5.0, math.pi / 4, 60.0, (0.3, -0.4, 0.5), 2)
+    def test_identified_or_refused(self, gamma_l, gamma_r, beta, e, bloch, n_bins):
+        """A state-only fit of noise-free counts either refuses the cells as
+        not identifying the state, or converges to the truth within five of
+        its own standard deviations (at least 1e-3).  It never fails on a
+        singular matrix or steps out of the ball, and (the suite turning
+        them into errors) emits no RuntimeWarning: two bins, three cells
+        and so two independent probabilities for three components, are
+        always refused."""
+        p = det.DetectorParams(gamma_l, gamma_r, beta, e)
+        truth = np.array(bloch) * min(1.0, 0.9 / max(np.linalg.norm(bloch), 1e-300))
+        edges = np.linspace(0.0, 3.6 / p.gamma_plus, n_bins + 1)
+        try:
+            result = tomo.fit(noise_free_histogram(p, tomo.BlochComponents(*truth), edges), fixed=p)
+        except NotIdentifiableError:
+            return
+        assert n_bins > 2
+        assert result.converged
+        fitted = np.array([result.bloch.x, result.bloch.y, result.bloch.z])
+        sigmas = np.sqrt(np.diag(result.covariance))
+        assert np.all(np.abs(fitted - truth) <= np.maximum(1e-3, 5.0 * sigmas))
 
 
 FREE_PARAMS = ("gamma_R", "beta", "E")
