@@ -58,6 +58,12 @@ FIT_GRADIENT_TOL = 1e-8
 # deviance rounds at ~1e-10, so among them the lowest start index wins.
 FIT_START_TIE_TOL = 1e-9
 
+# A free-fit start retires into a start that stopped on its gradient once
+# that start's quadratic model (its J^T J about its optimum) predicts the
+# start's actual excess deviance to within this many counts: the two lie in
+# one basin, so searching on re-confirms the optimum.
+FIT_RETIRE_TOL = 1.0
+
 # The state-only fit's Newton iteration stops once a step is this many
 # standard deviations long (its length in the Fisher metric).
 FIT_NEWTON_STEP_TOL = 1e-9

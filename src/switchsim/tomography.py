@@ -30,6 +30,7 @@ from .errors import (
 from .tolerances import (
     FIT_GRADIENT_TOL,
     FIT_NEWTON_STEP_TOL,
+    FIT_RETIRE_TOL,
     FIT_START_TIE_TOL,
     IDENTIFIABILITY_REL_TOL,
     RANK_DEFICIENCY_TOL,
@@ -87,12 +88,16 @@ class FitStart:
     (njev) evaluations it took, and the deviance and max|J^T r| at its end;
     or the text of the exception it raised.  The starts are stepped
     together, and nfev and njev count this start's own evaluations (the
-    batched rounds it took part in); every field is what the start gives
-    when run alone.
+    batched rounds it took part in); a start that stops on its own has
+    every field it gives when run alone.
 
     status is positive on a normal stop: 1 once the projected gradient is
     at most a tenth of the convergence threshold, 2 once a step is below
-    1e-14 of the parameters; 0 when the evaluation cap ran out.
+    1e-14 of the parameters, 3 once the start retired into the start
+    `joined`, which stopped with status 1 and whose quadratic model
+    predicts this start's excess deviance (_bounded_lm); 0 when the
+    evaluation cap ran out.  A retired start ends where it ends alone with
+    its evaluations capped at its nfev.
     """
 
     x0: tuple[float, ...]
@@ -103,6 +108,7 @@ class FitStart:
     grad_max: Optional[float] = None
     converged: bool = False
     error: Optional[str] = None
+    joined: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -325,8 +331,9 @@ def search_box(
 # A batch of K starts is stepped together, one row each.  Every contraction
 # keeps the shape and summation order one row has alone (a BLAS dot, gemv or
 # gemm per row, never one product over the rows), and each stacked LAPACK call
-# factors each matrix on its own, so a row's result never depends on the
-# others in its batch.
+# factors each matrix on its own, so a row's arithmetic never depends on the
+# others in its batch; only _bounded_lm's retire rule reads across rows, and
+# it ends a row's search without changing its values.
 _START_FAILURES = (SwitchSimError, ValueError, FloatingPointError, np.linalg.LinAlgError)
 
 
@@ -403,11 +410,20 @@ def _secular_step(evals: np.ndarray, w: np.ndarray, radius) -> tuple[np.ndarray,
 
 def _ball_step(hess: np.ndarray, c: np.ndarray):
     """For each row k: the minimizer x of x.hess.x/2 + c.x over |x| <= 1,
-    hess[k] positive definite, and its multiplier lam >= 0:
+    hess[k] positive semidefinite, and its multiplier lam >= 0:
     (hess + lam I) x = -c, c and x columns (K, n, 1).  Also the rows whose
-    hess cannot be factored."""
+    hess cannot be factored.
+
+    An eigen-direction whose eigenvalue is at most a few eps times the
+    largest is one the cells cannot see (the x and y rows at beta = 0 or
+    pi): x takes 0 there, as _bounded_lm's step does along the singular
+    values it drops, where dividing by the eigenvalue would blow up."""
     (evals, vecs), errors = _lapack(np.linalg.eigh, hess)
-    x, lam = _secular_step(evals, (vecs.swapaxes(1, 2) @ c)[:, :, 0], 1.0)
+    w = (vecs.swapaxes(1, 2) @ c)[:, :, 0]
+    blind = evals <= 4.0 * np.finfo(float).eps * evals[:, -1:]
+    if blind.any():
+        evals, w = np.where(blind, 1.0, evals), np.where(blind, 0.0, w)
+    x, lam = _secular_step(evals, w, 1.0)
     return vecs @ x[:, :, None], lam, errors
 
 
@@ -716,6 +732,8 @@ class _LMResult:
     nfev: np.ndarray
     njev: np.ndarray
     errors: list
+    # the start each retired start (status 3) joined, -1 for the others
+    joined: np.ndarray
 
 
 def _bounded_lm(fun, jac, x0, lo: np.ndarray, hi: np.ndarray, gtol: float, max_nfev: int) -> _LMResult:
@@ -748,6 +766,18 @@ def _bounded_lm(fun, jac, x0, lo: np.ndarray, hi: np.ndarray, gtol: float, max_n
     held at a bound left out) is at most gtol, 2 once a step is below
     1e-14 of |x| (scaled), and 0 once max_nfev residual evaluations are
     spent; nfev and njev count each start's own evaluations.
+
+    Each start that stops with status 1 becomes a reference: its point
+    x_r, |r_r|^2 and J_r^T J_r.  Every round, each start still searching
+    retires at its accepted point x (status 3, the reference's index in
+    `joined`) into the first reference whose quadratic model predicts its
+    actual excess to within FIT_RETIRE_TOL: ||r|^2 - |r_r|^2 - (x -
+    x_r)^T J_r^T J_r (x - x_r)| <= FIT_RETIRE_TOL.  The two lie in one
+    basin (multi-level single linkage, Rinnooy Kan & Timmer, Math. Prog.
+    39, 1987), and a start below the model, in a lower basin or a mirror
+    optimum, is never retired.  So each start that stops on its own
+    (status 0, 1 or 2) is bit-identical alone and in the batch, and a
+    retired start ends where it ends alone capped at its nfev.
     """
     x = np.clip(np.asarray(x0, dtype=float), lo, hi)
     n_rows, n = x.shape
@@ -774,7 +804,10 @@ def _bounded_lm(fun, jac, x0, lo: np.ndarray, hi: np.ndarray, gtol: float, max_n
     jacobian, ok = evaluate(jac, rows, x[rows])
     jac_t[rows[ok]] = jacobian[ok].swapaxes(1, 2)
     nfev, njev = np.ones(n_rows, dtype=int), np.ones(n_rows, dtype=int)
-    status = np.zeros(n_rows, dtype=int)
+    status, joined = np.zeros(n_rows, dtype=int), np.full(n_rows, -1)
+    # the starts stopped on their gradient, in the order they stopped, and
+    # each one's Gauss-Newton Hessian J^T J there
+    refs, bowl = np.zeros(0, dtype=int), np.zeros((0, n, n))
     scale, radius = np.zeros((n_rows, n)), np.full(n_rows, math.nan)
     while (live := np.flatnonzero(searching)).size:
         x_l, jt = x[live], jac_t[live]
@@ -782,6 +815,18 @@ def _bounded_lm(fun, jac, x0, lo: np.ndarray, hi: np.ndarray, gtol: float, max_n
         held = ((x_l <= lo) & (g > 0.0)) | ((x_l >= hi) & (g < 0.0))
         done = np.max(np.abs(np.where(held, 0.0, g)), axis=1) <= gtol
         status[live[done]] = 1
+        refs, bowl = np.append(refs, live[done]), np.concatenate([bowl, jt[done] @ jt[done].swapaxes(1, 2)])
+        if refs.size:
+            # retire into the first reference whose quadratic model predicts
+            # the start's actual excess deviance to within FIT_RETIRE_TOL
+            dx = x_l[:, None, :] - x[refs]
+            model = (dx[:, :, None, :] @ bowl @ dx[:, :, :, None])[:, :, 0, 0]
+            excess = _dot(r[live], r[live])[:, None] - _dot(r[refs], r[refs])
+            on_bowl = ~done[:, None] & (np.abs(excess - model) <= FIT_RETIRE_TOL)
+            retired = on_bowl.any(axis=1)
+            status[live[retired]] = 3
+            joined[live[retired]] = refs[on_bowl.argmax(axis=1)[retired]]
+            done |= retired
         searching[live[done | (nfev[live] >= max_nfev)]] = False
         go = searching[live]
         live, x_l, jt, held = live[go], x_l[go], jt[go], held[go]
@@ -838,7 +883,7 @@ def _bounded_lm(fun, jac, x0, lo: np.ndarray, hi: np.ndarray, gtol: float, max_n
             jacobian, ok = evaluate(jac, moved, x[moved])
             njev[moved] += 1
             jac_t[moved[ok]] = jacobian[ok].swapaxes(1, 2)
-    return _LMResult(x, r, jac_t.swapaxes(1, 2), status, nfev, njev, errors)
+    return _LMResult(x, r, jac_t.swapaxes(1, 2), status, nfev, njev, errors, joined)
 
 
 def fit(
@@ -880,11 +925,15 @@ def fit(
     on the residuals of the profiled deviance min_b D(params, b), from
     n_starts Latin-hypercube starts drawn deterministically from the
     parameters' `bounds` (names in PARAM_NAMES; DEFAULT_BOUNDS for the
-    others); the winner is the lowest start index whose deviance lies
-    within FIT_START_TIE_TOL (relative, at least 1 count) of the lowest.
-    The starts are stepped together, each round evaluating every start
-    still searching in one batch, and each start's result is bit-identical
-    to that of the start run alone.
+    others).  The starts are stepped together, each round evaluating every
+    start still searching in one batch, and a start retires (status 3)
+    once it sits on the quadratic bowl of a start that stopped on its
+    gradient, recording that start in `joined`; each start that stops on
+    its own has the result it has run alone.  A retired start stands for
+    the start it joined: the winner is the start standing for the first
+    start, in index order, whose deviance (its own, or its reference's if
+    it retired) lies within FIT_START_TIE_TOL (relative, at least 1 count)
+    of the lowest, so a retired start never wins.
     `converged` holds when the profiled gradient is below FIT_GRADIENT_TOL
     times the histogram total, the parameters lie strictly inside their
     box, and the inner solve meets its KKT test.  Each start stops once its
@@ -958,8 +1007,10 @@ def fit(
             res.status[idx] > 0 and grad_norm < FIT_GRADIENT_TOL * h.total and interior
             and profile.converged(idx)
         )
+        joined = int(res.joined[idx]) if res.status[idx] == 3 else None
         records.append(FitStart(
-            x0, int(res.status[idx]), int(res.nfev[idx]), int(res.njev[idx]), deviance, grad_norm, converged
+            x0, int(res.status[idx]), int(res.nfev[idx]), int(res.njev[idx]), deviance, grad_norm, converged,
+            joined=joined,
         ))
     ended = [idx for idx, record in enumerate(records) if record.error is None]
     if not ended:
@@ -969,10 +1020,12 @@ def fit(
             starts=records,
         )
 
-    # the first start tied with the lowest deviance wins (FIT_START_TIE_TOL)
-    lowest = min(records[idx].deviance for idx in ended)
+    # a retired start stands for the optimum it joined, and the first start
+    # tied with the lowest deviance (FIT_START_TIE_TOL) gives the winner
+    basin = [idx if record.joined is None else record.joined for idx, record in enumerate(records)]
+    lowest = min(records[basin[idx]].deviance for idx in ended)
     tie = lowest + FIT_START_TIE_TOL * max(1.0, lowest)
-    best = next(idx for idx in ended if records[idx].deviance <= tie)
+    best = basin[next(idx for idx in ended if records[basin[idx]].deviance <= tie)]
     deviance, converged = records[best].deviance, records[best].converged
     p_fit, b_fit = params_at(res.x[best]), solver.state(profile.b[best])
     columns = np.hstack([profile.basis[best].T, profile.columns(np.array([best]))[0].T])

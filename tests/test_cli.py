@@ -213,21 +213,23 @@ class TestSimulateCommand:
         assert not (tmp_path / "histogram.csv").exists()
 
 
-START_KEYS = {"x0", "status", "nfev", "njev", "deviance", "grad_max", "converged", "error"}
+START_KEYS = {"x0", "status", "nfev", "njev", "deviance", "grad_max", "converged", "error", "joined"}
 
 
 def check_start_record(start, n_params):
     """Hand-written schema of one per-start record (jsonschema is not a
-    test dependency): a start either ran to a status or raised."""
+    test dependency): a start either ran to a status or raised, and names
+    the start it joined exactly when it retired (status 3)."""
     assert set(start) == START_KEYS
     assert len(start["x0"]) == n_params and all(isinstance(v, float) for v in start["x0"])
     assert isinstance(start["converged"], bool)
     if start["error"] is None:
         assert all(isinstance(start[k], int) for k in ("status", "nfev", "njev"))
         assert all(isinstance(start[k], float) for k in ("deviance", "grad_max"))
+        assert isinstance(start["joined"], int) if start["status"] == 3 else start["joined"] is None
     else:
         assert isinstance(start["error"], str) and start["converged"] is False
-        assert all(start[k] is None for k in ("status", "nfev", "njev", "deviance", "grad_max"))
+        assert all(start[k] is None for k in ("status", "nfev", "njev", "deviance", "grad_max", "joined"))
 
 
 def check_tomography_json(record, n_params):
@@ -370,6 +372,34 @@ class TestTomographyCommand:
             record = json.load(fh)
         assert record["converged"] is False
         assert record["error"].startswith("degenerate directions")
+
+    @pytest.fixture(scope="class")
+    def readme_histogram(self, tmp_path_factory):
+        """README's all-in-one histogram: C1, 300000 trajectories, seed 7."""
+        out = tmp_path_factory.mktemp("readme")
+        sets = param_sets((1, 5, 0.785, 60)) + [
+            "--set", "bloch.x=0.3", "--set", "bloch.y=-0.4", "--set", "bloch.z=0.5",
+            "--set", "n_traj=300000", "--set", "n_bins=150", "--set", "tau=1.2",
+        ]
+        assert run_cli(["simulate", "--out", out, "--seed", 7] + sets) == 0
+        return out / "histogram.csv"
+
+    @pytest.mark.parametrize("seed, beta", [(1, 0.786047), (2, 0.786047), (3, 2.355546), (4, 2.355546),
+                                            (5, 2.355546), (6, 2.355546), (7, 2.355546)])
+    def test_readme_free_beta_twin(self, tmp_path, readme_histogram, seed, beta):
+        """README's histogram fitted with beta alone free in its default
+        bounds [0, pi], which hold both mirror optima 0.786 and pi - 0.786:
+        each --seed converges and keeps the twin it returned before starts
+        retired into one another.  Seeds 2 and 5 step a start to beta = 0
+        or pi, where the state Hessian is singular (the suite turns a
+        divide-by-zero RuntimeWarning into an error)."""
+        fit = ["tomography", "--out", tmp_path, "--seed", seed, "--set", f"histogram={readme_histogram}"]
+        assert run_cli(fit + param_sets((1, 5, 0.785, 60)) + ["--set", 'free_params=["beta"]']) == 0
+        with open(tmp_path / "tomography.json") as fh:
+            record = json.load(fh)
+        assert record["converged"] is True
+        assert record["params"]["beta"] == pytest.approx(beta, abs=1e-6)
+        assert record["starts"][record["best_start"]]["status"] in (1, 2)
 
     @pytest.mark.parametrize(
         "sets", [["n_starts=0"], ["params.gamma_R=0"], ['bounds={"x": [0.5, -0.5]}']]
