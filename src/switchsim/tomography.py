@@ -301,8 +301,9 @@ def search_box(
     """Check fit's options without fitting: (free names, free detector
     parameter names, lower and upper corners of their search box).
 
-    Raises ValueError on an unknown name, nothing to fit, an empty box or
-    n_starts < 1.
+    Raises ValueError on an unknown name, nothing to fit, n_starts < 1, an
+    empty box, or a free parameter's bound that is not finite or leaves
+    DetectorParams' domain (rates and E >= 0, 0 <= beta <= pi).
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be >= 1, got {n_starts}")
@@ -325,6 +326,10 @@ def search_box(
     hi = np.array([box[name][1] for name in free_param_names])
     if np.any(hi <= lo):
         raise ValueError("bounds box is empty")
+    for name, a, b in zip(free_param_names, lo, hi):
+        top = math.pi if name == "beta" else math.inf
+        if not (0.0 <= a and b <= top and math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"bounds of {name} must be finite and lie in [0, {top}], got [{a}, {b}]")
     return free, free_param_names, lo, hi
 
 

@@ -275,8 +275,9 @@ def _survival_inverter(p: DetectorParams, rho0: np.ndarray, tau: float):
     positive or not below 3 (the Fritsch-Carlson monotone bound) takes the
     linear seed w instead.
 
-    The Newton steps take S and rho by one of two routes, chosen once per
-    call from the parameters and the grid:
+    Each solve runs one sequence of Newton steps; a route, chosen once per
+    call from the parameters and the grid, sets only where they take S and
+    rho:
 
     - Taylor cells (Derflinger, Hoermann & Leydold 2010): each grid cell
       carries the degree-K Taylor polynomial of S at its left end, its
@@ -288,18 +289,20 @@ def _survival_inverter(p: DetectorParams, rho0: np.ndarray, tau: float):
       _MAX_DEGREE qualifies: a pulse with many precession or decay times
       per cell.
 
-    On Taylor cells every solve first takes one Newton step
-    t' = t + (s - u) / rho from its seed t, over the whole array with no
-    mask, and ends there where rho > 0, t' lies in its cell
-    [grid[j], grid[j + 1]] (so in [0, tau]) and |t' - t| is within the
-    step tolerance: every solve on the benchmark configurations.  The
-    solves it leaves open, and every solve on the propagator's route, run
-    safeguarded Newton steps from their seeds (Numerical Recipes' rtsafe):
-    each shrinks the bracket, and a step that would leave it, or not halve
-    the previous step, or meets rho = 0, is a bisection instead.  Such a
-    solve ends once its step is within the tolerance; S flat or
-    staircase-like on the grid's scale (a long pulse with many precession
-    periods, or rho near zero) falls back towards bisection.
+    Every solve first takes one Newton step t' = t + (s - u) / rho from its
+    seed t, over the whole array with no mask, and ends there where
+    rho > 0, t' lies in its cell [grid[j], grid[j + 1]] (so in [0, tau])
+    and |t' - t| is within the step tolerance: every solve on the
+    benchmark configurations.  The solves it leaves open go on from the
+    seed, with the s and rho already evaluated there, by safeguarded
+    Newton steps (Numerical Recipes' rtsafe): each shrinks the bracket, and
+    a step that would leave it, or not halve the previous step, or meets
+    rho = 0, is a bisection instead.  Such a solve ends once its step is
+    within the tolerance; S flat or staircase-like on the grid's scale (a
+    long pulse with many precession periods, or rho near zero) falls back
+    towards bisection.  A seed that rounding puts an ulp outside its cell
+    is evaluated there: S lies on the same side of u as at the cell's
+    edge, so the bracket still encloses the root.
 
     Every returned time t' meets |S(t') - u| <= INVERSION_RESIDUAL_TOL, or
     the call raises BisectionFailureError, since a larger residual would
@@ -369,19 +372,16 @@ def _survival_inverter(p: DetectorParams, rho0: np.ndarray, tau: float):
         t += lo
         return t
 
-    def safeguarded(u, j):
+    def safeguarded(u, j, t, gap, rate):
         """Times and the largest residual bound, less R_K, of the solves
-        of S(t) = u in cells j, by safeguarded Newton steps from the seeds."""
+        of S(t) = u in cells j, by safeguarded Newton steps from the
+        evaluated times t, where S - u = gap and rho = rate."""
         lo, hi = grid[j], grid[j + 1]
-        t = np.clip(seed(u, j, lo), lo, hi)
-        times = todo = None
-        target, last = u, hi - lo
+        times, todo, last = np.empty_like(u), np.arange(u.size), hi - lo
         worst = 0.0  # the largest residual bound over the ended solves, less R_K
         for _ in range(_MAX_STEPS):
-            s, rate = evaluate(t, j)
-            above = s >= target
+            above = gap >= 0.0
             lo, hi = np.where(above, t, lo), np.where(above, hi, t)
-            gap = s - target
             step = np.divide(gap, rate, out=np.full_like(t, np.inf), where=rate > 0.0)
             nxt = t + step
             newton = (lo <= nxt) & (nxt <= hi) & (2.0 * np.abs(step) <= last)
@@ -391,50 +391,42 @@ def _survival_inverter(p: DetectorParams, rho0: np.ndarray, tau: float):
             bound = np.abs(gap, out=gap)
             bound += gamma_max * last
             worst = np.max(bound, where=done, initial=worst)
-            if done.all():
-                t = nxt
-                break
-            if times is None:
-                times, todo = np.empty_like(u), np.arange(u.size)
             times[todo[done]] = nxt[done]
             keep = ~done
-            todo, target, t, j, lo, hi, last = (
-                a[keep] for a in (todo, target, nxt, j, lo, hi, last)
-            )
-        else:
-            worst = np.inf  # a solve still open has no bound
-        if times is None:
-            return t, worst
+            if not keep.any():
+                return times, worst
+            todo, u, t, j, lo, hi, last = (a[keep] for a in (todo, u, nxt, j, lo, hi, last))
+            gap, rate = evaluate(t, j)
+            gap -= u
         times[todo] = t
-        return times, worst
+        return times, np.inf  # a solve still open has no bound
 
     def invert(u: np.ndarray) -> np.ndarray:
         k = bracket(u)
         j = k - 1
-        if taylor is None:
-            times, worst = safeguarded(u, j)
-        else:
-            lo = grid[j]
-            times = seed(u, j, lo)
-            gap, rate = evaluate(times, j)
-            gap -= u
-            # rho = 0, or a step too large to take, ends no solve, and their
-            # bounds are left out of the max
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                step = gap / rate
-                times += step
-                bound = np.abs(step, out=step)
-                ended = bound <= step_tol
-                bound *= gamma_max
-            ended &= rate > 0.0
-            ended &= lo <= times
-            ended &= times <= grid[k]
-            bound += np.abs(gap, out=gap)
-            worst = np.max(bound, where=ended, initial=0.0)
-            if not ended.all():
-                rest = np.flatnonzero(~ended)
-                times[rest], tail = safeguarded(u[rest], j[rest])
-                worst = max(worst, tail)
+        lo = grid[j]
+        times = seed(u, j, lo)
+        gap, rate = evaluate(times, j)
+        gap -= u
+        # rho = 0, or a step too large to take, ends no solve, and their
+        # bounds are left out of the max
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            step = gap / rate
+            times += step
+            bound = np.abs(step, out=step)
+            ended = bound <= step_tol
+            bound *= gamma_max
+        ended &= rate > 0.0
+        ended &= lo <= times
+        ended &= times <= grid[k]
+        worst = 0.0
+        if not ended.all():
+            # the open solves go on from their seeds, where S is evaluated
+            rest = np.flatnonzero(~ended)
+            u_open, j_open = u[rest], j[rest]
+            times[rest], worst = safeguarded(u_open, j_open, seed(u_open, j_open, lo[rest]), gap[rest], rate[rest])
+        bound += np.abs(gap, out=gap)
+        worst = np.max(bound, where=ended, initial=worst)
         # "not <=" sends a NaN bound to the exact check
         if not worst + remainder <= INVERSION_RESIDUAL_TOL and np.max(np.abs(surv(times) - u)) > INVERSION_RESIDUAL_TOL:
             raise BisectionFailureError(

@@ -301,10 +301,11 @@ def bisect_survival(surv, u: np.ndarray, tau: float) -> np.ndarray:
 
 
 def table_newton_inverter(p: DetectorParams, rho0: np.ndarray, tau: float):
-    """(S(tau), u -> t) with the same safeguarded Newton loop as the
-    sampler's inverter, but each bracket found by binary search in the
-    4097-point table and each solve seeded by linear interpolation in it: a
-    second route to the same roots, two Newton steps per solve."""
+    """(S(tau), u -> t) by safeguarded Newton steps on the propagator
+    alone, the rule the sampler's open solves follow, with no unmasked
+    first step, each bracket found by binary search in the 4097-point table
+    and each solve seeded by linear interpolation in it: a second route to
+    the same roots, two Newton steps per solve."""
     surv = det.survival_function(p, rho0)
     paired = det._survival_and_density(p, rho0)
     grid = np.linspace(0.0, tau, traj._TABLE_POINTS)

@@ -402,7 +402,17 @@ class TestTomographyCommand:
         assert record["starts"][record["best_start"]]["status"] in (1, 2)
 
     @pytest.mark.parametrize(
-        "sets", [["n_starts=0"], ["params.gamma_R=0"], ['bounds={"x": [0.5, -0.5]}']]
+        "sets",
+        [
+            ["n_starts=0"],
+            ["params.gamma_R=0"],
+            ['bounds={"x": [0.5, -0.5]}'],
+            # free bounds that are not finite or leave the parameter's domain
+            ['free_params=["beta"]', 'bounds={"beta": [NaN, 1]}'],
+            ['free_params=["beta"]', 'bounds={"beta": [-1, 1]}'],
+            ['free_params=["beta"]', 'bounds={"beta": [0.5, 4]}'],
+            ['free_params=["E"]', 'bounds={"E": [55, Infinity]}'],
+        ],
     )
     def test_bad_values_exit_config(self, tmp_path, sets):
         p = det.DetectorParams(1.0, 5.0, math.pi / 4, 60.0)

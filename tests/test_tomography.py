@@ -203,6 +203,22 @@ class TestFit:
         with pytest.raises(ValueError, match="seed"):
             tomo.fit(h, fixed=IDENTIFIABLE, free_params=free_params, seed=seed)
 
+    @pytest.mark.parametrize(
+        "name, box",
+        [("beta", (math.nan, 1.0)), ("beta", (-1.0, 1.0)), ("beta", (0.5, 4.0)),
+         ("E", (55.0, math.inf)), ("gamma_L", (-0.5, 2.0))],
+    )
+    def test_bounds_outside_domain_rejected(self, name, box):
+        """A free parameter's bound that is not finite or leaves the domain
+        of DetectorParams is refused before any start runs, as a start
+        there could not build its parameters; boxes reaching 0 or pi, and
+        a fixed parameter's bounds, pass."""
+        h = synthesize(IDENTIFIABLE, tomo.BlochComponents(0.3, -0.4, 0.5), 5000, seed=9)
+        with pytest.raises(ValueError, match=f"bounds of {name} must be finite"):
+            tomo.fit(h, fixed=IDENTIFIABLE, free_params=(name,), bounds={name: box})
+        tomo.search_box({name: box}, free_params=("E" if name == "beta" else "beta",))
+        tomo.search_box({"beta": (0.0, math.pi), "gamma_L": (0.0, 1.0)}, free_params=("beta", "gamma_L"))
+
     def test_repeated_state_fit_identical(self, monkeypatch):
         """A fit, state-only or with a detector parameter free, takes its
         identifiability verdict from the cells it fits, never from the

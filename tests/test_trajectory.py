@@ -434,8 +434,10 @@ class TestInversion:
 
     def test_open_solves_stay_in_their_cells(self, monkeypatch):
         # S is a staircase on the grid's scale, so the first Newton step
-        # leaves solves open for the safeguarded steps
-        points = count_points(monkeypatch, "_cell_polynomials")
+        # leaves solves open for the safeguarded steps, which go on from
+        # the seed that step evaluated rather than evaluate it again
+        evaluated = []
+        points = count_points(monkeypatch, "_cell_polynomials", evaluated)
         p, tau = det.DetectorParams(0.0, 1.0, 1.0, 25.0), 60.0
         s_tau, invert = traj._survival_inverter(p, MIXED, tau)
         surv = det.survival_function(p, MIXED)
@@ -443,11 +445,15 @@ class TestInversion:
         table = np.minimum.accumulate(surv(grid))
         u = switched_uniforms(s_tau, 1 << 14)
         points.clear()
+        evaluated.clear()
         times = invert(u)
         assert sum(points) > 1.05 * u.size
         k = np.clip(np.searchsorted(-table, -u, side="right"), 1, table.size - 1)
         assert np.all((grid[k - 1] <= times) & (times <= grid[k]))
         assert np.max(np.abs(surv(times) - u)) <= INVERSION_RESIDUAL_TOL
+        evaluated = np.concatenate(evaluated)
+        repeats = evaluated.size - np.unique(evaluated).size
+        assert repeats == 0, f"{repeats} times evaluated twice"
 
     @pytest.fixture
     def wiggly_survival(self, monkeypatch):
@@ -518,9 +524,10 @@ def switched_uniforms(s_tau, n, seed=0):
     return s_tau + (1.0 - s_tau) * (1.0 - np.random.default_rng(seed).random(n))
 
 
-def count_points(monkeypatch, factory):
+def count_points(monkeypatch, factory, evaluated=None):
     """Patch trajectory.<factory> so that its evaluators record the number
-    of times of each call in the returned list."""
+    of times of each call in the returned list, and a copy of the times
+    themselves in the list evaluated, if given."""
     points = []
     make = getattr(traj, factory)
 
@@ -529,6 +536,8 @@ def count_points(monkeypatch, factory):
 
         def g(t, *rest):
             points.append(np.size(t))
+            if evaluated is not None:
+                evaluated.append(np.array(t, dtype=float))
             return f(t, *rest)
 
         return g
@@ -550,6 +559,10 @@ class TestInversionRoute:
              m2.projector(pure_state(1.0, 0.6 + 0.3j)), 1.5),
             (det.DetectorParams(0.0, 3.0, 0.0, 2.0),
              m2.projector(pure_state(math.cos(0.01), math.sin(0.01))), 5.0),
+            # Taylor cells where about half the solves stay open after the
+            # first Newton step, and the propagator's route
+            (det.DetectorParams(10.0, 2.0, 0.9, 700.0), BlochComponents(1.0, 0.0, 0.0).to_density(), 0.5),
+            (det.DetectorParams(0.0, 100.0, 0.1, 25.0), MIXED, 30.0),
         ],
     )
     def test_matches_table_newton_oracle(self, params, rho, tau):
