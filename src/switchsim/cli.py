@@ -72,7 +72,7 @@ DEFAULTS = {
         "free_params": [],
         "free_bloch": ["x", "y", "z"],
         "bounds": {},
-        "n_starts": 8,
+        "n_starts": 2,
         "seed": 1,
         "time_unit": None,
     },
@@ -379,7 +379,8 @@ def main(argv=None) -> int:
             return EXIT_NOT_IDENTIFIABLE
         except NoConvergenceError as exc:
             starts = [dataclasses.asdict(start) for start in exc.starts]
-            _write_json(out / "tomography.json", {"converged": False, "error": str(exc), "starts": starts})
+            record = {"converged": False, "error": str(exc), "starts": starts, "scan_points": exc.scan_points}
+            _write_json(out / "tomography.json", record)
             print(f"fit failed: {exc}", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
         except (SwitchSimError, ValueError) as exc:

@@ -59,11 +59,13 @@ class NotIdentifiableError(SwitchSimError):
 
 
 class NoConvergenceError(SwitchSimError):
-    """All fit starts failed to converge; `starts` holds each start's record."""
+    """All fit starts failed to converge; `starts` holds each start's record
+    and `scan_points` the size of the scan they were taken from."""
 
-    def __init__(self, message: str, starts=()):
+    def __init__(self, message: str, starts=(), scan_points: int = 0):
         super().__init__(message)
         self.starts = tuple(starts)
+        self.scan_points = scan_points
 
 
 class UnphysicalBlochError(SwitchSimError):

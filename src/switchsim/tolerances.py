@@ -58,6 +58,22 @@ FIT_GRADIENT_TOL = 1e-8
 # deviance rounds at ~1e-10, so among them the lowest start index wins.
 FIT_START_TIE_TOL = 1e-9
 
+# A free fit evaluates the profiled deviance at this many Latin-hypercube
+# points of its box, then polishes only the lowest of them.
+FIT_SCAN_POINTS = 64
+
+# The polish goes on from the next scan points until a start converges to a
+# deviance at most this many standard deviations, sqrt(2 dof), above dof: at
+# the optimum of a correct model the deviance is chi-squared on dof degrees
+# of freedom, so a start that ends higher sits in a wrong basin.
+FIT_PLAUSIBLE_SIGMAS = 5.0
+
+# The polish takes at most this many scan points (or n_starts, if more), twice
+# the starts a free fit searched from before it scanned, and ends there with
+# the lowest optimum it reached: where the box holds more precession aliases
+# than the scan resolves, no start may reach a plausible deviance.
+FIT_POLISH_CAP = 16
+
 # A free-fit start retires into a start that stopped on its gradient once
 # that start's quadratic model (its J^T J about its optimum) predicts the
 # start's actual excess deviance to within this many counts: the two lie in

@@ -30,7 +30,10 @@ from .errors import (
 from .tolerances import (
     FIT_GRADIENT_TOL,
     FIT_NEWTON_STEP_TOL,
+    FIT_PLAUSIBLE_SIGMAS,
+    FIT_POLISH_CAP,
     FIT_RETIRE_TOL,
+    FIT_SCAN_POINTS,
     FIT_START_TIE_TOL,
     IDENTIFIABILITY_REL_TOL,
     RANK_DEFICIENCY_TOL,
@@ -43,9 +46,13 @@ PARAM_NAMES = ("gamma_L", "gamma_R", "beta", "E")
 DEFAULT_BOUNDS = {
     "gamma_L": (0.0, 100.0),
     "gamma_R": (1e-6, 100.0),
-    "beta": (0.0, math.pi),
+    "beta": (0.0, math.pi / 2),
     "E": (0.0, 1000.0),
 }
+
+# the free fit's scan evaluates its points in stacked slices of at most
+# this many rows, which bounds the memory of one trace-form evaluation
+_SCAN_SLICE = 32
 
 
 @dataclass(frozen=True)
@@ -83,13 +90,15 @@ class BlochComponents:
 
 @dataclass(frozen=True)
 class FitStart:
-    """How one free-parameter start ended: its starting point, how its
-    Levenberg-Marquardt search stopped, the residual (nfev) and Jacobian
-    (njev) evaluations it took, and the deviance and max|J^T r| at its end;
-    or the text of the exception it raised.  The starts are stepped
-    together, and nfev and njev count this start's own evaluations (the
-    batched rounds it took part in); a start that stops on its own has
-    every field it gives when run alone.
+    """How one polished free-parameter start ended: its starting point, a
+    scan point, and the deviance the scan found there (scan_deviance, None
+    if the scan failed there), how its Levenberg-Marquardt search stopped,
+    the residual (nfev, the scan's included) and Jacobian (njev)
+    evaluations it took, and the deviance and max|J^T r| at its end; or the
+    text of the exception it raised.  The starts are stepped together, and
+    nfev and njev count this start's own evaluations (the batched rounds it
+    took part in); a start that stops on its own has every field it gives
+    when run alone.
 
     status is positive on a normal stop: 1 once the projected gradient is
     at most a tenth of the convergence threshold, 2 once a step is below
@@ -109,6 +118,7 @@ class FitStart:
     converged: bool = False
     error: Optional[str] = None
     joined: Optional[int] = None
+    scan_deviance: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -120,12 +130,14 @@ class TomographyResult:
     chi2: float
     dof: int
     free_names: tuple[str, ...]
-    # free-parameter fits only: one record per start, and the winner's index
+    # free-parameter fits only: one record per polished start, the winner's
+    # index, and the number of points the scan evaluated
     starts: tuple[FitStart, ...] = ()
     best_start: Optional[int] = None
+    scan_points: int = 0
 
     def to_json_dict(self) -> dict:
-        return {
+        record = {
             "bloch": {"x": self.bloch.x, "y": self.bloch.y, "z": self.bloch.z},
             "params": {
                 "gamma_L": self.params.gamma_L,
@@ -141,6 +153,9 @@ class TomographyResult:
             "starts": [asdict(start) for start in self.starts],
             "best_start": self.best_start,
         }
+        if self.scan_points:
+            record["scan_points"] = self.scan_points
+        return record
 
 
 def model_density(p: DetectorParams, b: BlochComponents, t: float) -> float:
@@ -292,11 +307,43 @@ def _latin_hypercube(rng: np.random.Generator, n: int, lo: np.ndarray, hi: np.nd
     return pts
 
 
+def _apart(points: np.ndarray, deviance: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The indices of the scan points that lie apart, lowest deviance first
+    (a tie to the lower index): each at least one point spacing,
+    len(points)^(-1/d) in the box scaled to the unit cube, from every point
+    taken before it.  The polish starts from them in turn, one per basin the
+    scan resolves (multi-level single linkage, Rinnooy Kan & Timmer, Math.
+    Prog. 39, 1987)."""
+    unit = (points - lo) / (hi - lo)
+    near = np.sum((unit[:, None, :] - unit[None, :, :]) ** 2, axis=2) < len(points) ** (-2.0 / points.shape[1])
+    taken, blocked = [], np.zeros(len(points), dtype=bool)
+    for k in np.argsort(deviance, kind="stable"):
+        if not blocked[k]:
+            taken.append(k)
+            blocked |= near[k]
+    return np.array(taken, dtype=int)
+
+
+def _refuse_mirror(beta: float, lo: float, hi: float) -> None:
+    """Raise NotIdentifiableError when the mirror pi - beta of a fitted beta
+    is another point of beta's box [lo, hi].  H is real and diagonal and
+    Gamma real, so G(pi - beta) = sigma_x G(beta)* sigma_x and
+    S(t; pi - beta) of (x, y, -z) equals S(t; beta) of (x, y, z) at every
+    parameter point: the two are exact optima alike, however near pi/2, and
+    the sign of z, the energy-basis population, is not determined."""
+    mirror = math.pi - beta
+    if lo <= mirror <= hi and mirror != beta:
+        raise NotIdentifiableError(
+            f"beta = {beta!r} and its mirror pi - beta = {mirror!r}, both within the beta bounds "
+            f"[{lo!r}, {hi!r}], fit alike with z of opposite signs; bound beta on one side of pi/2"
+        )
+
+
 def search_box(
     bounds: Optional[dict] = None,
     free_bloch: Sequence[str] = BLOCH_NAMES,
     free_params: Optional[Sequence[str]] = None,
-    n_starts: int = 8,
+    n_starts: int = 2,
 ) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray, np.ndarray]:
     """Check fit's options without fitting: (free names, free detector
     parameter names, lower and upper corners of their search box).
@@ -379,37 +426,36 @@ def _lapack(fn, *stacks):
     return fn(*stacks), errors
 
 
-def _secular_root(evals: np.ndarray, w: np.ndarray, radius: float) -> tuple[np.ndarray, float]:
-    """In the eigenbasis of a positive definite model Hessian (eigenvalues
-    evals, gradient components w): the minimizer -x of the quadratic model
-    over |x| <= radius, x = w / (evals + lam), and its multiplier lam >= 0.
+def _secular_step(evals: np.ndarray, w: np.ndarray, radius) -> tuple[np.ndarray, np.ndarray]:
+    """In the eigenbasis of positive definite model Hessians, one per row of
+    the stacks evals (eigenvalues) and w (gradient components), (K, n), and
+    radius (K,), or one float for every row: the minimizers -x of the
+    quadratic models over |x| <= radius, x = w / (evals + lam), and their
+    multipliers lam >= 0.
 
     On the sphere lam solves the secular equation 1/|x(lam)| = 1/radius.
     1/|x(lam)| is increasing and concave, so Newton's method from lam = 0
     climbs to the root without overshooting (Moré & Sorensen, "Computing a
-    trust region step", SIAM J. Sci. Stat. Comput. 4, 1983).
+    trust region step", SIAM J. Sci. Stat. Comput. 4, 1983).  The rows
+    whose unconstrained minimizer lies inside take one stacked pass; the
+    others take their Newton steps together, each row ending once its
+    minimizer lies inside or its step is below 1e-15 of lam.
     """
-    lam = 0.0
-    for _ in range(100):
-        x = w / (evals + lam)
-        norm = math.sqrt(x @ x)
-        if norm <= radius:
-            break
-        step = (norm - radius) / radius * norm**2 / (x @ (x / (evals + lam)))
-        if step <= 1e-15 * lam:
-            break
-        lam += step
-    return x, lam
-
-
-def _secular_step(evals: np.ndarray, w: np.ndarray, radius) -> tuple[np.ndarray, np.ndarray]:
-    """_secular_root for each row of the stacks evals and w (K, n) and
-    radius (K,), or one float for every row: (minimizers, multipliers).
-    The rows whose unconstrained minimizer lies inside take one stacked
-    pass, each other row its own root search."""
     x, lam = w / (evals + 0.0), np.zeros(len(w))
-    for k in (~(np.sqrt(_dot(x, x)) <= radius)).nonzero()[0]:
-        x[k], lam[k] = _secular_root(evals[k], w[k], np.broadcast_to(radius, len(w))[k])
+    norm = np.sqrt(_dot(x, x))
+    out = np.flatnonzero(~(norm <= radius))
+    if out.size:
+        evals, w, radius = evals[out], w[out], np.broadcast_to(radius, len(lam))[out]
+        x_o, norm, lam_o = x[out], norm[out], lam[out]
+        for _ in range(100):
+            step = (norm - radius) / radius * norm**2 / _dot(x_o, x_o / (evals + lam_o[:, None]))
+            go = step > 1e-15 * lam_o
+            if not go.any():
+                break
+            lam_o = np.where(go, lam_o + step, lam_o)
+            x_o = np.where(go[:, None], w / (evals + lam_o[:, None]), x_o)
+            norm = np.sqrt(_dot(x_o, x_o))
+        x[out], lam[out] = x_o, lam_o
     return -x, lam
 
 
@@ -592,7 +638,7 @@ def _residual_slopes(observed: np.ndarray, expected: np.ndarray, res: np.ndarray
 class _Profile:
     """Profiled deviance residuals r(theta) = r(theta, b*(theta)) over the
     free detector parameters theta, and their Jacobian, for a batch of
-    starts, one row each.
+    starts (a free fit's scan points), one row each.
 
     `residuals(rows, theta)` and `jacobian(rows, theta)` evaluate the starts
     `rows` at theta (one point per row) and return their values with the
@@ -898,7 +944,7 @@ def fit(
     free_bloch: Sequence[str] = BLOCH_NAMES,
     free_params: Optional[Sequence[str]] = None,
     seed: int = 0,
-    n_starts: int = 8,
+    n_starts: int = 2,
 ) -> TomographyResult:
     """Fit the switching-time histogram by Poisson deviance minimization.
 
@@ -925,28 +971,40 @@ def fit(
     (_refuse_rank_deficient), a state-only fit before its solve; `dof`, the
     bins less the free names, is then >= 0, and 0 when exactly determined.
 
-    With detector parameters free, the state is profiled out: bounded
-    Levenberg-Marquardt (_bounded_lm) searches the free parameters alone,
-    on the residuals of the profiled deviance min_b D(params, b), from
-    n_starts Latin-hypercube starts drawn deterministically from the
-    parameters' `bounds` (names in PARAM_NAMES; DEFAULT_BOUNDS for the
-    others).  The starts are stepped together, each round evaluating every
-    start still searching in one batch, and a start retires (status 3)
-    once it sits on the quadratic bowl of a start that stopped on its
-    gradient, recording that start in `joined`; each start that stops on
-    its own has the result it has run alone.  A retired start stands for
-    the start it joined: the winner is the start standing for the first
-    start, in index order, whose deviance (its own, or its reference's if
-    it retired) lies within FIT_START_TIE_TOL (relative, at least 1 count)
-    of the lowest, so a retired start never wins.
-    `converged` holds when the profiled gradient is below FIT_GRADIENT_TOL
-    times the histogram total, the parameters lie strictly inside their
-    box, and the inner solve meets its KKT test.  Each start stops once its
-    projected profiled gradient is a tenth of that threshold, before the
-    deviance flattens to its rounding floor.  Every start leaves a FitStart
-    record in `starts`, the winner's index in `best_start`; a start that
-    fails records its exception, and NoConvergenceError carries the
-    records when every start fails.
+    With detector parameters free, the state is profiled out, and the
+    free parameters alone are searched on the profiled deviance
+    min_b D(params, b) over their `bounds` box (names in PARAM_NAMES;
+    DEFAULT_BOUNDS for the others, beta's [0, pi/2]) in two stages.  The
+    scan evaluates it at FIT_SCAN_POINTS Latin-hypercube points drawn
+    deterministically from `seed`, in stacked slices of _SCAN_SLICE rows.
+    The polish runs bounded Levenberg-Marquardt (_bounded_lm) on its
+    residuals from the n_starts lowest scan points that lie apart
+    (_apart), each going on from its scan point's state, and then from the
+    next n_starts, until a start converges to a deviance within
+    FIT_PLAUSIBLE_SIGMAS standard deviations, sqrt(2 dof), above dof, or
+    max(n_starts, FIT_POLISH_CAP) points are polished.  The starts of one
+    call are stepped together, each
+    round evaluating every start still searching in one batch, and a
+    start retires (status 3) once it sits on the quadratic bowl of a start
+    that stopped on its gradient, recording that start in `joined`; each
+    start that stops on its own has the result it has run alone.  A
+    retired start stands for the start it joined: the winner is the start
+    standing for the first start, in polish order, whose deviance (its
+    own, or its reference's if it retired) lies within FIT_START_TIE_TOL
+    (relative, at least 1 count) of the lowest, so a retired start never
+    wins.  `converged` holds when the profiled gradient is below
+    FIT_GRADIENT_TOL times the histogram total, the parameters lie strictly
+    inside their box, and the inner solve meets its KKT test.  Each start
+    stops once its projected profiled gradient is a tenth of that
+    threshold, before the deviance flattens to its rounding floor.  Every
+    polished start leaves a FitStart record in `starts`, with the scan's
+    deviance at its x0, the winner's index in `best_start`, and the scan's
+    size in `scan_points`; a start that fails records its exception, and
+    NoConvergenceError carries the records when every start fails.
+
+    With beta free, a fit whose mirror pi - beta is another point of beta's
+    box raises NotIdentifiableError (_refuse_mirror): both fit alike, with
+    z of opposite signs.
 
     The covariance is the inverse Fisher information at the optimum, over
     the free names in `free_names` order; its columns are exact, the
@@ -979,50 +1037,76 @@ def fit(
 
     solver = _StateSolver(h, free_bloch)
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
-    starts = np.clip(_latin_hypercube(rng, n_starts, lo, hi), lo, hi)
-    profile = _Profile(h, solver, params_at, free_param_names, len(starts))
-    # stop on the profiled gradient, at a tenth of `converged`'s bound
-    # below, before the deviance flattens to its rounding floor
-    res = _bounded_lm(
-        profile.residuals, profile.jacobian, starts, lo, hi,
-        gtol=0.1 * FIT_GRADIENT_TOL * h.total, max_nfev=2000,
-    )
-    errors = list(res.errors)
-    for idx, x in enumerate(res.x):
-        if errors[idx] is None and not np.all(np.isfinite(x)):
-            errors[idx] = FloatingPointError(f"non-finite parameters {x.tolist()}")
-    ended = np.array([idx for idx, exc in enumerate(errors) if exc is None], dtype=int)
-    for i, exc in profile.at(ended, res.x[ended]).items():
-        errors[ended[i]] = exc
-
-    records = []
-    for idx, x0 in enumerate(starts):
-        x0 = tuple(map(float, x0))
-        if errors[idx] is not None:
-            records.append(FitStart(x0, error=f"{type(errors[idx]).__name__}: {errors[idx]}"))
-            continue
-        x, fun, jac = res.x[idx], res.fun[idx], res.jac[idx]
-        deviance = float(np.sum(fun**2))
-        grad_norm = float(np.max(np.abs(jac.T @ fun)))
-        interior = bool(np.all(x > lo + 1e-9 * (hi - lo)) and np.all(x < hi - 1e-9 * (hi - lo)))
-        # the deviance is measured in counts, so its gradient scale is the
-        # histogram total; a stalled or boundary-pinned start sits orders of
-        # magnitude above this threshold
-        converged = bool(
-            res.status[idx] > 0 and grad_norm < FIT_GRADIENT_TOL * h.total and interior
-            and profile.converged(idx)
+    points = np.clip(_latin_hypercube(rng, FIT_SCAN_POINTS, lo, hi), lo, hi)
+    profile = _Profile(h, solver, params_at, free_param_names, len(points))
+    scan = np.full(len(points), math.inf)
+    for first in range(0, len(points), _SCAN_SLICE):
+        rows = np.arange(first, min(first + _SCAN_SLICE, len(points)))
+        fun, failed = profile.residuals(rows, points[rows])
+        scan[rows] = np.sum(fun**2, axis=1)
+        scan[rows[list(failed)]] = math.inf
+    scan[~np.isfinite(scan)] = math.inf
+    # the polish's first Jacobian forms its own rows' slopes, not a slice's
+    profile.last = (), None, None
+    order = _apart(points, scan, lo, hi)[: max(n_starts, FIT_POLISH_CAP)]
+    # the deviance of the model at its optimum is chi-squared on dof degrees
+    # of freedom: until a start converges below dof + FIT_PLAUSIBLE_SIGMAS
+    # standard deviations, the starts so far lie in wrong basins or stalled
+    plausible = dof + FIT_PLAUSIBLE_SIGMAS * math.sqrt(2.0 * max(dof, 1))
+    records, ends = [], []
+    for first in range(0, len(order), n_starts):
+        picked = order[first : first + n_starts]
+        # each polished start is its scan point's row of the profile, so its
+        # first evaluation is the scan's; stop on the profiled gradient, at a
+        # tenth of `converged`'s bound below, before the deviance flattens to
+        # its rounding floor
+        res = _bounded_lm(
+            lambda rows, theta: profile.residuals(picked[rows], theta),
+            lambda rows, theta: profile.jacobian(picked[rows], theta),
+            points[picked], lo, hi, gtol=0.1 * FIT_GRADIENT_TOL * h.total, max_nfev=2000,
         )
-        joined = int(res.joined[idx]) if res.status[idx] == 3 else None
-        records.append(FitStart(
-            x0, int(res.status[idx]), int(res.nfev[idx]), int(res.njev[idx]), deviance, grad_norm, converged,
-            joined=joined,
-        ))
+        errors = list(res.errors)
+        for idx, x in enumerate(res.x):
+            if errors[idx] is None and not np.all(np.isfinite(x)):
+                errors[idx] = FloatingPointError(f"non-finite parameters {x.tolist()}")
+        ended = np.array([idx for idx, exc in enumerate(errors) if exc is None], dtype=int)
+        for i, exc in profile.at(picked[ended], res.x[ended]).items():
+            errors[ended[i]] = exc
+
+        for idx, k in enumerate(picked):
+            x0 = tuple(map(float, points[k]))
+            scan_deviance = float(scan[k]) if math.isfinite(scan[k]) else None
+            if errors[idx] is not None:
+                records.append(FitStart(
+                    x0, error=f"{type(errors[idx]).__name__}: {errors[idx]}", scan_deviance=scan_deviance
+                ))
+                continue
+            x, fun, jac = res.x[idx], res.fun[idx], res.jac[idx]
+            deviance = float(np.sum(fun**2))
+            grad_norm = float(np.max(np.abs(jac.T @ fun)))
+            interior = bool(np.all(x > lo + 1e-9 * (hi - lo)) and np.all(x < hi - 1e-9 * (hi - lo)))
+            # the deviance is measured in counts, so its gradient scale is the
+            # histogram total; a stalled or boundary-pinned start sits orders
+            # of magnitude above this threshold
+            converged = bool(
+                res.status[idx] > 0 and grad_norm < FIT_GRADIENT_TOL * h.total and interior
+                and profile.converged(k)
+            )
+            joined = first + int(res.joined[idx]) if res.status[idx] == 3 else None
+            records.append(FitStart(
+                x0, int(res.status[idx]), int(res.nfev[idx]), int(res.njev[idx]), deviance, grad_norm, converged,
+                joined=joined, scan_deviance=scan_deviance,
+            ))
+        ends.extend(res.x)
+        if any(record.converged and record.deviance <= plausible for record in records):
+            break
     ended = [idx for idx, record in enumerate(records) if record.error is None]
     if not ended:
         raise NoConvergenceError(
-            f"all {len(starts)} fit starts failed: "
+            f"all {len(records)} fit starts failed: "
             + "; ".join(f"start {idx}: {record.error}" for idx, record in enumerate(records)),
             starts=records,
+            scan_points=len(points),
         )
 
     # a retired start stands for the optimum it joined, and the first start
@@ -1032,22 +1116,27 @@ def fit(
     tie = lowest + FIT_START_TIE_TOL * max(1.0, lowest)
     best = basin[next(idx for idx in ended if records[basin[idx]].deviance <= tie)]
     deviance, converged = records[best].deviance, records[best].converged
-    p_fit, b_fit = params_at(res.x[best]), solver.state(profile.b[best])
-    columns = np.hstack([profile.basis[best].T, profile.columns(np.array([best]))[0].T])
+    row = order[best]
+    p_fit, b_fit = params_at(ends[best]), solver.state(profile.b[row])
+    columns = np.hstack([profile.basis[row].T, profile.columns(np.array([row]))[0].T])
     # with parameters free, rank deficiency (such as the gauge null
     # direction of the all-parameter model) is only visible at the fitted
     # point; directions are per relative change, as identifiability's
     values = {**vars(b_fit), **vars(p_fit)}
     scales = np.array([max(abs(values[name]), 0.1) for name in free])
-    _refuse_rank_deficient(columns.T * scales[:, None], profile.probs[best], free, "fitted parameters")
+    _refuse_rank_deficient(columns.T * scales[:, None], profile.probs[row], free, "fitted parameters")
+    if "beta" in free_param_names:
+        k = free_param_names.index("beta")
+        _refuse_mirror(p_fit.beta, float(lo[k]), float(hi[k]))
     return TomographyResult(
         bloch=b_fit,
         params=p_fit,
-        covariance=_covariance(h.total, profile.probs[best], columns),
+        covariance=_covariance(h.total, profile.probs[row], columns),
         converged=converged,
         chi2=deviance,
         dof=dof,
         free_names=free,
         starts=tuple(records),
         best_start=best,
+        scan_points=len(points),
     )

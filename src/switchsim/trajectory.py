@@ -291,18 +291,24 @@ def _survival_inverter(p: DetectorParams, rho0: np.ndarray, tau: float):
 
     Every solve first takes one Newton step t' = t + (s - u) / rho from its
     seed t, over the whole array with no mask, and ends there where
-    rho > 0, t' lies in its cell [grid[j], grid[j + 1]] (so in [0, tau])
-    and |t' - t| is within the step tolerance: every solve on the
-    benchmark configurations.  The solves it leaves open go on from the
+    rho > 0, t' lies in its cell [grid[j], grid[j + 1]] (so in [0, tau]),
+    |t' - t| is within the step tolerance and the residual bound below is
+    within INVERSION_RESIDUAL_TOL: every solve on the benchmark
+    configurations.  The solves it leaves open go on from the
     seed, with the s and rho already evaluated there, by safeguarded
     Newton steps (Numerical Recipes' rtsafe): each shrinks the bracket, and
     a step that would leave it, or not halve the previous step, or meets
     rho = 0, is a bisection instead.  Such a solve ends once its step is
-    within the tolerance; S flat or staircase-like on the grid's scale (a
-    long pulse with many precession periods, or rho near zero) falls back
-    towards bisection.  A seed that rounding puts an ulp outside its cell
-    is evaluated there: S lies on the same side of u as at the cell's
-    edge, so the bracket still encloses the root.
+    within the step tolerance and its residual bound within
+    INVERSION_RESIDUAL_TOL (the u-resolution stop of Derflinger, Hoermann &
+    Leydold), or once its step is at t's rounding, 4e-16 |t|; S flat or
+    staircase-like on the grid's scale (a long pulse with many precession
+    periods, or rho near zero) falls back towards bisection.  Where S falls
+    by much within one step tolerance (a fast rate), the stop in u goes on
+    stepping after the stop in t would have ended.  A seed that rounding
+    puts an ulp outside its cell is evaluated there: S lies on the same
+    side of u as at the cell's edge, so the bracket still encloses the
+    root.
 
     Every returned time t' meets |S(t') - u| <= INVERSION_RESIDUAL_TOL, or
     the call raises BisectionFailureError, since a larger residual would
@@ -317,10 +323,10 @@ def _survival_inverter(p: DetectorParams, rho0: np.ndarray, tau: float):
 
         |S(t') - u| <= |s - u| + max(gamma_L, gamma_R) |t' - t| + R_K.
 
-    Only where the largest bound of a call exceeds the tolerance (about
-    max(gamma_L, gamma_R) end > 500, or a solve still open after
-    _MAX_STEPS safeguarded steps) is survival_function evaluated, once, at
-    all the returned times.  The tabulated S, before it is made monotone,
+    Only where the largest bound of a call exceeds the tolerance (a solve
+    ended at t's rounding above it, or still open after _MAX_STEPS
+    safeguarded steps) is survival_function evaluated, once, at all the
+    returned times.  The tabulated S, before it is made monotone,
     must not rise by more than the tolerance either.
     """
     surv = survival_function(p, rho0)
@@ -387,9 +393,9 @@ def _survival_inverter(p: DetectorParams, rho0: np.ndarray, tau: float):
             newton = (lo <= nxt) & (nxt <= hi) & (2.0 * np.abs(step) <= last)
             nxt = np.where(newton, nxt, 0.5 * (lo + hi))
             last = np.abs(nxt - t)
-            done = last <= step_tol
             bound = np.abs(gap, out=gap)
             bound += gamma_max * last
+            done = ((last <= step_tol) & (bound <= INVERSION_RESIDUAL_TOL - remainder)) | (last <= 4e-16 * np.abs(t))
             worst = np.max(bound, where=done, initial=worst)
             times[todo[done]] = nxt[done]
             keep = ~done
@@ -419,13 +425,14 @@ def _survival_inverter(p: DetectorParams, rho0: np.ndarray, tau: float):
         ended &= rate > 0.0
         ended &= lo <= times
         ended &= times <= grid[k]
+        bound += np.abs(gap)
+        ended &= bound <= INVERSION_RESIDUAL_TOL - remainder
         worst = 0.0
         if not ended.all():
             # the open solves go on from their seeds, where S is evaluated
             rest = np.flatnonzero(~ended)
             u_open, j_open = u[rest], j[rest]
             times[rest], worst = safeguarded(u_open, j_open, seed(u_open, j_open, lo[rest]), gap[rest], rate[rest])
-        bound += np.abs(gap, out=gap)
         worst = np.max(bound, where=ended, initial=worst)
         # "not <=" sends a NaN bound to the exact check
         if not worst + remainder <= INVERSION_RESIDUAL_TOL and np.max(np.abs(surv(times) - u)) > INVERSION_RESIDUAL_TOL:

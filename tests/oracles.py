@@ -17,7 +17,7 @@ from switchsim import tomography as tomo
 from switchsim import trajectory as traj
 from switchsim.detector import DetectorParams
 from switchsim.errors import BisectionFailureError
-from switchsim.tolerances import HERMITIAN_TOL, INVERSION_RESIDUAL_TOL, INVERSION_STEP_REL_TOL
+from switchsim.tolerances import FIT_GRADIENT_TOL, HERMITIAN_TOL, INVERSION_RESIDUAL_TOL, INVERSION_STEP_REL_TOL
 
 # Norm or trace below which a state cannot be normalized.
 ZERO_TRACE_TOL = 1e-15
@@ -428,6 +428,36 @@ def joint_free_fit(h, fixed: DetectorParams, free_params, bounds, n_starts: int 
     covariance = np.linalg.pinv(best.jac.T @ best.jac, hermitian=True)
     b, _ = unpack(best.x)
     return b, best.x[3:], 0.5 * (covariance + covariance.T), best_dev
+
+
+def multistart_free_fit(h, fixed: DetectorParams, free_params, bounds, n_starts: int = 8, seed: int = 0):
+    """The profiled free fit searched without a scan: (deviance, free
+    parameter values).
+
+    Bounded Levenberg-Marquardt (tomography._bounded_lm) on the profiled
+    deviance residuals from n_starts Latin-hypercube starts over the whole
+    box, stepped together, each first solving its state from scratch; the
+    lowest deviance over the starts that ended wins (a retired start stands
+    for the start it joined).  The reference for the scan-then-polish
+    search of `fit`, which must reach as low a deviance.
+    """
+    free, names, lo, hi = tomo.search_box(bounds, tomo.BLOCH_NAMES, free_params, n_starts)
+    base = {"gamma_L": fixed.gamma_L, "gamma_R": fixed.gamma_R, "beta": fixed.beta, "E": fixed.E}
+
+    def params_at(theta):
+        return DetectorParams(**{**base, **dict(zip(names, map(float, theta)))})
+
+    rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
+    starts = np.clip(tomo._latin_hypercube(rng, n_starts, lo, hi), lo, hi)
+    profile = tomo._Profile(h, tomo._StateSolver(h, tomo.BLOCH_NAMES), params_at, names, n_starts)
+    res = tomo._bounded_lm(
+        profile.residuals, profile.jacobian, starts, lo, hi,
+        gtol=0.1 * FIT_GRADIENT_TOL * h.total, max_nfev=2000,
+    )
+    ended = [k for k, exc in enumerate(res.errors) if exc is None]
+    deviances = {k: float(np.sum(res.fun[k if res.status[k] != 3 else res.joined[k]] ** 2)) for k in ended}
+    best = min(ended, key=deviances.get)
+    return deviances[best], res.x[best if res.status[best] != 3 else res.joined[best]]
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -17,6 +17,7 @@ from switchsim import detector as det
 from switchsim import tomography as tomo
 from switchsim import trajectory as traj
 from switchsim.errors import BisectionFailureError
+from switchsim.tolerances import FIT_POLISH_CAP, FIT_SCAN_POINTS
 
 
 def run_cli(args):
@@ -213,16 +214,17 @@ class TestSimulateCommand:
         assert not (tmp_path / "histogram.csv").exists()
 
 
-START_KEYS = {"x0", "status", "nfev", "njev", "deviance", "grad_max", "converged", "error", "joined"}
+START_KEYS = {"x0", "status", "nfev", "njev", "deviance", "grad_max", "converged", "error", "joined", "scan_deviance"}
 
 
 def check_start_record(start, n_params):
     """Hand-written schema of one per-start record (jsonschema is not a
-    test dependency): a start either ran to a status or raised, and names
-    the start it joined exactly when it retired (status 3)."""
+    test dependency): a polished start either ran to a status or raised,
+    names the start it joined exactly when it retired (status 3), and gives
+    the deviance the scan found at its x0 (null where the scan failed)."""
     assert set(start) == START_KEYS
     assert len(start["x0"]) == n_params and all(isinstance(v, float) for v in start["x0"])
-    assert isinstance(start["converged"], bool)
+    assert isinstance(start["converged"], bool) and isinstance(start["scan_deviance"], (float, type(None)))
     if start["error"] is None:
         assert all(isinstance(start[k], int) for k in ("status", "nfev", "njev"))
         assert all(isinstance(start[k], float) for k in ("deviance", "grad_max"))
@@ -233,11 +235,12 @@ def check_start_record(start, n_params):
 
 
 def check_tomography_json(record, n_params):
-    """Hand-written schema of a fitted tomography.json."""
+    """Hand-written schema of a fitted tomography.json; a free fit's also
+    gives the size of its scan."""
     assert set(record) == {
         "bloch", "params", "covariance", "chi2", "dof", "converged", "free_names",
         "starts", "best_start",
-    }
+    } | ({"scan_points"} if n_params else set())
     assert set(record["bloch"]) == {"x", "y", "z"}
     assert set(record["params"]) == {"gamma_L", "gamma_R", "beta", "E"}
     for value in [*record["bloch"].values(), *record["params"].values(), record["chi2"]]:
@@ -304,6 +307,7 @@ class TestTomographyCommand:
             record = json.load(fh)
         check_tomography_json(record, 1)
         assert len(record["starts"]) == 3 and record["converged"]
+        assert record["scan_points"] == FIT_SCAN_POINTS
 
     def test_cached_cell_model_writes_same_file(self, tmp_path):
         """Two state-only calls on one histogram, the first filling the
@@ -334,8 +338,11 @@ class TestTomographyCommand:
         assert run_cli(self.fit_args(tmp_path, hist) + self.FREE_E) == 4
         with open(tmp_path / "tomography.json") as fh:
             record = json.load(fh)
-        assert set(record) == {"converged", "error", "starts"} and record["converged"] is False
-        assert len(record["starts"]) == 3
+        assert set(record) == {"converged", "error", "starts", "scan_points"} and record["converged"] is False
+        assert record["scan_points"] == FIT_SCAN_POINTS
+        # with no start ended, the polish goes on, three scan points at a
+        # time, up to FIT_POLISH_CAP points
+        assert len(record["starts"]) == FIT_POLISH_CAP
         for start in record["starts"]:
             check_start_record(start, 1)
             assert start["error"] == "FloatingPointError: residuals are not finite"
@@ -384,22 +391,28 @@ class TestTomographyCommand:
         assert run_cli(["simulate", "--out", out, "--seed", 7] + sets) == 0
         return out / "histogram.csv"
 
-    @pytest.mark.parametrize("seed, beta", [(1, 0.786047), (2, 0.786047), (3, 2.355546), (4, 2.355546),
-                                            (5, 2.355546), (6, 2.355546), (7, 2.355546)])
+    @pytest.mark.parametrize("seed, beta", [(seed, 0.786047) for seed in range(1, 8)])
     def test_readme_free_beta_twin(self, tmp_path, readme_histogram, seed, beta):
-        """README's histogram fitted with beta alone free in its default
-        bounds [0, pi], which hold both mirror optima 0.786 and pi - 0.786:
-        each --seed converges and keeps the twin it returned before starts
-        retired into one another.  Seeds 2 and 5 step a start to beta = 0
-        or pi, where the state Hessian is singular (the suite turns a
-        divide-by-zero RuntimeWarning into an error)."""
-        fit = ["tomography", "--out", tmp_path, "--seed", seed, "--set", f"histogram={readme_histogram}"]
-        assert run_cli(fit + param_sets((1, 5, 0.785, 60)) + ["--set", 'free_params=["beta"]']) == 0
-        with open(tmp_path / "tomography.json") as fh:
+        """README's histogram fitted with beta alone free.  The default
+        bounds [0, pi/2] hold one of the mirror optima 0.786 and
+        pi - 0.786 = 2.3555, so every --seed converges to beta = 0.786 with
+        z = +0.5036.  Bounds [0, pi] hold both: the fit refuses the sign of
+        z at every seed (exit 5), naming the mirror point."""
+        fit = ["tomography", "--out", tmp_path / "half", "--seed", seed, "--set", f"histogram={readme_histogram}"]
+        fit += param_sets((1, 5, 0.785, 60)) + ["--set", 'free_params=["beta"]']
+        assert run_cli(fit) == 0
+        with open(tmp_path / "half" / "tomography.json") as fh:
             record = json.load(fh)
         assert record["converged"] is True
         assert record["params"]["beta"] == pytest.approx(beta, abs=1e-6)
+        assert record["bloch"]["z"] == pytest.approx(0.5036, abs=1e-4)
         assert record["starts"][record["best_start"]]["status"] in (1, 2)
+        fit[2] = tmp_path / "full"
+        assert run_cli(fit + ["--set", 'bounds={"beta": [0, 3.14159]}']) == 5
+        with open(tmp_path / "full" / "tomography.json") as fh:
+            record = json.load(fh)
+        assert record["converged"] is False
+        assert "its mirror pi - beta = " in record["error"] and "bound beta on one side of pi/2" in record["error"]
 
     @pytest.mark.parametrize(
         "sets",

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,9 +18,16 @@ from switchsim.errors import (
     SwitchSimError,
     UnphysicalBlochError,
 )
-from switchsim.tolerances import FIT_GRADIENT_TOL, FIT_START_TIE_TOL, RANK_DEFICIENCY_TOL
+from switchsim.tolerances import (
+    FIT_GRADIENT_TOL,
+    FIT_PLAUSIBLE_SIGMAS,
+    FIT_POLISH_CAP,
+    FIT_SCAN_POINTS,
+    FIT_START_TIE_TOL,
+    RANK_DEFICIENCY_TOL,
+)
 
-from oracles import joint_free_fit, model_density_slow_form, multistart_state_fit
+from oracles import joint_free_fit, model_density_slow_form, multistart_free_fit, multistart_state_fit
 
 IDENTIFIABLE = det.DetectorParams(1.0, 5.0, math.pi / 4, 60.0)  # E = 20 gamma_plus
 
@@ -346,9 +354,13 @@ class TestFit:
             return real(fun, jac, x0, *args, **kwargs)
 
         monkeypatch.setattr(tomo, "_bounded_lm", counting)
-        tomo.fit(h, fixed=IDENTIFIABLE, free_params=("E",), bounds={"E": (55.0, 65.0)}, n_starts=3)
-        # the three starts are stepped together, in one call
+        result = tomo.fit(h, fixed=IDENTIFIABLE, free_params=("E",), bounds={"E": (55.0, 65.0)}, n_starts=3)
+        # the scan evaluates FIT_SCAN_POINTS points, and the polish steps three
+        # of them together, in one call, as the first reaches a plausible
+        # deviance
         assert calls == [3]
+        assert result.scan_points == FIT_SCAN_POINTS and len(result.starts) == 3
+        assert result.chi2 <= result.dof + FIT_PLAUSIBLE_SIGMAS * math.sqrt(2.0 * result.dof)
         with pytest.raises(ValueError):
             tomo.fit(h, fixed=IDENTIFIABLE, n_starts=0)
         # with the detector parameters fixed the state is one convex solve
@@ -371,11 +383,18 @@ class TestFit:
         assert set(d["params"]) == {"gamma_L", "gamma_R", "beta", "E"}
         assert len(d["covariance"]) == 9
         assert d["starts"] == [] and d["best_start"] is None
+        assert "scan_points" not in d
         # a free fit's start records name the start each retired one joined
+        # and the deviance the scan found at x0; the record gives the scan size
         free = tomo.fit(h, fixed=IDENTIFIABLE, free_params=("E",), bounds={"E": (55.0, 65.0)}, n_starts=3)
-        for start in free.to_json_dict()["starts"]:
-            assert set(start) == {"x0", "status", "nfev", "njev", "deviance", "grad_max", "converged", "error", "joined"}
+        record = free.to_json_dict()
+        assert record["scan_points"] == FIT_SCAN_POINTS
+        for start in record["starts"]:
+            assert set(start) == {
+                "x0", "status", "nfev", "njev", "deviance", "grad_max", "converged", "error", "joined", "scan_deviance",
+            }
             assert (start["joined"] is not None) == (start["status"] == 3)
+            assert start["deviance"] <= start["scan_deviance"]
 
     def test_covariance_psd(self):
         truth = tomo.BlochComponents(0.1, 0.2, 0.3)
@@ -552,13 +571,14 @@ class TestFreeFit:
 
     @pytest.mark.parametrize("k", range(len(CONFIGS)))
     def test_start_alone_equals_in_batch(self, k, monkeypatch):
-        """Each start that ends by its own stop (status 0, 1 or 2) has a
-        record and end point bit-identical whether it runs alone from its x0
-        or together with every start: no start's arithmetic depends on
-        another's (each contraction over the cells keeps one start's shape
-        and summation order).  A start that retired (status 3) ends where
-        the same start ends alone when its evaluations are capped at its
-        nfev."""
+        """Each polished start that ends by its own stop (status 0, 1 or 2)
+        has a record and end point bit-identical whether the scan and polish
+        run on its x0 alone or on every scan point: no point's arithmetic
+        depends on another's, in the scan's slices or the polish's batch
+        (each contraction over the cells keeps one row's shape and summation
+        order), and a polished start goes on from its scan point's state.  A
+        start that retired (status 3) ends where the same start ends alone
+        when its evaluations are capped at its nfev."""
         _, h, options = free_fit_problem(k)
         real, ends, cap = tomo._bounded_lm, [], {}
 
@@ -615,15 +635,21 @@ class TestFreeFit:
         assert result.starts[1].nfev is None and result.best_start != 1
         assert [start.error for k, start in enumerate(result.starts) if k != 1] == [None, None]
 
+        # with no start ended the polish goes on, three scan points at a time,
+        # until FIT_POLISH_CAP points have failed
+        calls.clear()
         monkeypatch.setattr(
             tomo, "_bounded_lm", failing({0, 1, 2}, lambda: np.linalg.LinAlgError("SVD did not converge"))
         )
         with pytest.raises(NoConvergenceError) as err:
             tomo.fit(h, **options)
-        for idx in range(3):
+        starts = err.value.starts
+        assert calls == [3] * 5 + [1] and len(starts) == FIT_POLISH_CAP == 16
+        for idx in range(len(starts)):
             assert f"start {idx}: LinAlgError: SVD did not converge" in str(err.value)
-        assert [start.error for start in err.value.starts] == ["LinAlgError: SVD did not converge"] * 3
-        assert all(55.0 <= start.x0[0] <= 65.0 for start in err.value.starts)
+        assert [start.error for start in starts] == ["LinAlgError: SVD did not converge"] * len(starts)
+        assert all(55.0 <= start.x0[0] <= 65.0 for start in starts)
+        assert len({start.x0 for start in starts}) == len(starts) and err.value.scan_points == FIT_SCAN_POINTS
 
         def bug(*args, **kwargs):
             raise TypeError("not a fit failure")
@@ -638,51 +664,71 @@ class TestFreeFit:
             tomo.fit(h, **options)
 
     def test_start_failure_isolated(self, monkeypatch):
-        """A start whose residuals turn non-finite mid-batch, or whose
-        Jacobian the stacked SVD cannot factor (numpy's stacked call raises
-        for the whole stack), records its own error; every start that is
-        neither that start nor one that retired into it keeps a bit-identical
-        record, and the fit returns the same optimum from a start that
-        stopped on its own."""
+        """A polished start whose residuals turn non-finite mid-batch, or
+        whose Jacobian the stacked SVD cannot factor (numpy's stacked call
+        raises for the whole stack), records its own error; every start that
+        is neither that start nor one that retired into it keeps a
+        bit-identical record, and the fit returns the same optimum from a
+        start that stopped on its own."""
         _, h, options = free_fit_problem(0)
         options = {**options, "n_starts": 6}
         clean = tomo.fit(h, **options)
         assert all(start.error is None for start in clean.starts)
-        for method, start, message in (
-            ("residuals", 1, "FloatingPointError: residuals are not finite at "),
-            ("jacobian", 4, "LinAlgError: SVD did not converge"),
+        real_lm = tomo._bounded_lm
+        for which, start, message in (
+            (0, 1, "FloatingPointError: residuals are not finite at "),
+            (1, 4, "LinAlgError: SVD did not converge"),
         ):
-            real, seen = getattr(tomo._Profile, method), []
+            seen = []
 
-            def faulty(self, rows, theta, real=real, start=start, seen=seen):
-                values, errors = real(self, rows, theta)
-                seen.extend(k for k in rows if k == start)
-                if start in rows and len(seen) == 3:
-                    values = values.copy()
-                    values[list(rows).index(start)] = np.nan
-                return values, errors
+            def faulty(evaluate, start=start, seen=seen):
+                """evaluate, with start's values NaN at its third call."""
+
+                def wrapped(rows, theta):
+                    values, errors = evaluate(rows, theta)
+                    seen.extend(k for k in rows if k == start)
+                    if start in rows and len(seen) == 3:
+                        values = values.copy()
+                        values[list(rows).index(start)] = np.nan
+                    return values, errors
+
+                return wrapped
+
+            def lm(fun, jac, *args, which=which, **kwargs):
+                evaluations = [fun, jac]
+                evaluations[which] = faulty(evaluations[which])
+                return real_lm(*evaluations, *args, **kwargs)
 
             with monkeypatch.context() as patch:
-                patch.setattr(tomo._Profile, method, faulty)
+                patch.setattr(tomo, "_bounded_lm", lm)
                 faulted = tomo.fit(h, **options)
             assert len(seen) >= 3
             assert faulted.starts[start].error.startswith(message)
             assert faulted.starts[start].nfev is None
             kept = [k for k, record in enumerate(clean.starts) if start not in (k, record.joined)]
-            assert len(kept) >= 2, method
+            assert len(kept) >= 2, which
             for k in kept:
-                assert faulted.starts[k] == clean.starts[k], (method, k)
+                assert faulted.starts[k] == clean.starts[k], (which, k)
             best = faulted.best_start
             assert best != start and faulted.starts[best].status in (1, 2)
             assert abs(faulted.chi2 - clean.chi2) <= FIT_START_TIE_TOL * clean.chi2
 
-    def test_start_records(self):
+    def test_start_records(self, monkeypatch):
+        """One record per polished start: its x0 a scan point, taken lowest
+        scan deviance first, and its deviance no higher than the scan's
+        there; the scan's FIT_SCAN_POINTS points are drawn from the seed."""
         p, h, options = free_fit_problem(0)
+        real, drawn = tomo._latin_hypercube, []
+        monkeypatch.setattr(tomo, "_latin_hypercube", lambda *args: drawn.append(real(*args)) or drawn[-1])
         result = tomo.fit(h, **options)
-        assert len(result.starts) == 4
+        assert len(result.starts) == 4 and result.scan_points == FIT_SCAN_POINTS == len(drawn[0])
+        points = {tuple(map(float, x)) for x in drawn[0]}
         for start in result.starts:
             assert start.error is None and start.status > 0 and start.nfev >= start.njev > 0
             assert all(lo <= x <= hi for x, (lo, hi) in zip(start.x0, options["bounds"].values()))
+            assert start.x0 in points and start.deviance <= start.scan_deviance
+        scan = [start.scan_deviance for start in result.starts]
+        assert scan == sorted(scan) and len(set(scan)) == len(scan)
         best = result.starts[result.best_start]
         lowest = min(start.deviance for start in result.starts)
         assert best.deviance == result.chi2 <= lowest + FIT_START_TIE_TOL * max(1.0, lowest)
@@ -695,14 +741,14 @@ class TestFreeFit:
 
     @pytest.mark.parametrize("k", range(len(CONFIGS)))
     def test_start_tie_goes_to_lowest_index(self, k, monkeypatch):
-        """The basin rule: a start that retired stands for the start it
-        joined, and the winner is the start standing for the first start
-        whose deviance ties with the lowest.  Starts that reached one
-        optimum differ in deviance by its rounding alone (up to ~1e-10
-        here), so the first start's basin wins; an absolute 1e-12 margin
-        made rounding pick starts 1, 1, 1 and 3.  A basin lower by more than
-        the tie tolerance still wins, and a retired start never does,
-        however low its own deviance."""
+        """The basin rule over the polished starts: a start that retired
+        stands for the start it joined, and the winner is the start standing
+        for the first start, the lowest in the scan, whose deviance ties with
+        the lowest.  Starts that reached one optimum differ in deviance by
+        its rounding alone (up to ~1e-10 here), so the first start's basin
+        wins; an absolute 1e-12 margin made rounding pick later starts.  A
+        basin lower by more than the tie tolerance still wins, and a retired
+        start never does, however low its own deviance."""
         _, h, options = free_fit_problem(k)
         result = tomo.fit(h, **options)
         basin = [idx if start.joined is None else start.joined for idx, start in enumerate(result.starts)]
@@ -742,8 +788,9 @@ class TestFreeFit:
     def test_free_beta_over_the_box(self, beta, below, above, seed):
         """A free-beta fit of noise-free counts, in a box about the truth
         that may reach 0 or pi and hold the mirror optimum pi - beta, either
-        converges to one of the two within five of its standard deviations
-        or raises a named error.  A start at beta = 0 or pi leaves the x and
+        converges to the truth within five of its standard deviations or
+        raises a named error (the mirror rule's, where the box holds a
+        mirror resolvably apart).  A point at beta = 0 or pi leaves the x and
         y cell rows zero, so the state Hessian singular: the ball step must
         not divide by its zero eigenvalues (the suite turns RuntimeWarnings
         into errors).  The winner stopped on its own (status 1 or 2)."""
@@ -757,13 +804,81 @@ class TestFreeFit:
         assert result.converged
         assert result.starts[result.best_start].status in (1, 2)
         sigma = math.sqrt(result.covariance[3, 3])
-        assert min(abs(result.params.beta - beta), abs(result.params.beta - (math.pi - beta))) <= 5.0 * sigma
+        assert abs(result.params.beta - beta) <= 5.0 * sigma
+
+    @settings(max_examples=10)  # and the explicit example below: 22 fits
+    @given(
+        st.floats(0.2, math.pi - 0.2),
+        st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
+        st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+        st.tuples(st.integers(0, 2**16), st.integers(0, 2**16)),
+    )
+    # C1 over beta in [0, pi], both mirror optima in the box
+    @example(math.pi / 4, 0.0, 1.0, (1, 3))
+    def test_mirror_refused_or_recovered(self, beta, below, above, seeds):
+        """A free fit of (gamma_R, beta, E) to noise-free counts, in a beta
+        box about the truth that may touch 0 or pi and hold the mirror
+        pi - beta, either recovers the truth within five of its standard
+        deviations or raises NotIdentifiableError, never returning the twin
+        with z negated as converged: naming the mirror where the box holds it
+        resolvably apart, or the direction z where beta is so near pi/2 that
+        the twins merge and z is not resolved.  It emits no RuntimeWarning
+        (the suite turns them into errors), and two seeds give one answer."""
+        p = det.DetectorParams(1.0, 5.0, beta, 60.0)
+        h = noise_free_histogram(p, tomo.BlochComponents(0.3, -0.4, 0.5), np.linspace(0.0, 3.6 / p.gamma_plus, 151))
+        bounds = {"gamma_R": (3.0, 8.0), "beta": (below * beta, beta + above * (math.pi - beta)), "E": (55.0, 65.0)}
+        truth = np.array([p.gamma_R, p.beta, p.E])
+        answers = []
+        for seed in seeds:
+            try:
+                result = tomo.fit(h, fixed=p, free_params=FREE_PARAMS, bounds=bounds, seed=seed)
+            except NotIdentifiableError as exc:
+                mirror = "its mirror pi - beta = " in str(exc) and "bound beta on one side of pi/2" in str(exc)
+                assert mirror or str(exc) == "degenerate directions (('z',),) at the fitted parameters"
+                answers.append(mirror)
+                continue
+            assert result.converged
+            theta = np.array([getattr(result.params, name) for name in FREE_PARAMS])
+            assert np.all(np.abs(theta - truth) <= 5.0 * np.sqrt(np.diag(result.covariance)[3:]))
+            answers.append(theta)
+        if isinstance(answers[0], bool) or isinstance(answers[1], bool):
+            assert answers[0] is answers[1]
+        else:
+            np.testing.assert_allclose(answers[0], answers[1], rtol=1e-5)
+
+    @settings(max_examples=8)
+    @given(
+        st.floats(0.5, 2.0),
+        st.floats(3.0, 20.0),
+        st.floats(0.2, math.pi / 2 - 0.1),
+        st.floats(10.0, 200.0),
+        st.tuples(*[st.floats(-0.5, 0.5)] * 3),
+        st.integers(0, 2**16),
+    )
+    def test_scan_reaches_multistart_optimum(self, gamma_l, gamma_r, beta, e, bloch, seed):
+        """Over wide boxes, gamma_R in [0.3, 3] and E in [0.5, 2] times the
+        truth and beta in [0, pi/2], where the deviance has many local
+        optima (E's aliases), the scan-then-polish fit reaches a deviance at
+        most one count above that of eight Latin-hypercube starts each
+        searched to its end (oracles.multistart_free_fit).  The oracle gives
+        no identifiability verdict, so neither does the fit here: with beta
+        fitted near pi/2 and switching fast against precession, z can sit
+        below the rank test's threshold at the optimum both reach."""
+        p = det.DetectorParams(gamma_l, gamma_r, beta, e)
+        h = multinomial_histogram(p, tomo.BlochComponents(*bloch), seed)
+        bounds = {"gamma_R": (0.3 * gamma_r, 3.0 * gamma_r), "beta": (0.0, math.pi / 2), "E": (0.5 * e, 2.0 * e)}
+        with mock.patch.object(tomo, "_refuse_rank_deficient", lambda *args: None):
+            result = tomo.fit(h, fixed=p, free_params=FREE_PARAMS, bounds=bounds, seed=seed)
+        deviance, _ = multistart_free_fit(h, p, FREE_PARAMS, bounds, seed=seed)
+        assert result.chi2 <= deviance + 1.0
 
     def test_stop_rule_evaluation_count(self):
-        """Each start stops on the profiled gradient: the C1-C4 fits above
-        take at most 75% of the residual and Jacobian evaluations that
-        stopping at the deviance's rounding floor (trf's xtol) took, 413
-        nfev + njev over the four fits (95, 101, 109 and 108)."""
+        """Each polished start stops on the profiled gradient from a scan
+        point in its basin: the C1-C4 fits above, four polished starts each,
+        take at most half the residual and Jacobian evaluations that eight
+        Latin-hypercube starts stopping at the deviance's rounding floor
+        (trf's xtol) took, 413 nfev + njev over the four fits (95, 101, 109
+        and 108); 160 are measured."""
         counts = []
         for k in range(len(CONFIGS)):
             _, h, options = free_fit_problem(k)
@@ -771,7 +886,7 @@ class TestFreeFit:
             assert result.converged
             counts += [start.nfev + start.njev for start in result.starts]
         assert len(counts) == 16
-        assert sum(counts) <= 0.75 * 413
+        assert sum(counts) <= 0.5 * 413
 
     @pytest.mark.parametrize("k", range(len(CONFIGS)))
     def test_one_ulp_reproducible(self, k, monkeypatch):
