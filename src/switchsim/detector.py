@@ -352,21 +352,19 @@ class _TraceForms:
         out += outer(w_ss, (s * s.conjugate()).real)
         return out
 
-    def slopes(self, names, t: np.ndarray, coefficients, op_slopes=None) -> np.ndarray:
+    def slopes(self, names, t: np.ndarray, coefficients) -> np.ndarray:
         """Derivatives of a stack's rows in the named detector parameters
         over an array of finite times t, shape (K, len(names), rows,
-        len(t)), from the coefficients (C, S) at t; op_slopes, shape
-        (len(names), len(ops), 2, 2), are the ops' own, the same for every
-        point (zero when None).
+        len(t)), from the coefficients (C, S) at t; the ops are held fixed.
 
         dU = m' t U + (r^2)' (C' I + S' N) + S N', with G' = dG/dtheta,
         m' = Re tr G'/2, N' = G' - m' I, (r^2)' = tr(N N'), and C' = t S/2
         and S' the slopes of C and S in r^2.  With a, b, d the row's traces
-        of op, op N and N^dag op N, and A, B, D those of op', op N' + op' N
-        and N^dag (2 op N' + op' N), d Tr{U^dag op U rho} =
-        2 Re Tr(rho U^dag op dU) + Tr{U^dag op' U rho} is the real part of v
-        (below) against [cs, q, t cs, t q, conj(C) S', conj(S) S'],
-        cs = conj(C) S and q = |C|^2 + i|S|^2: one complex product.
+        of op, op N and N^dag op N, and B, D those of op N' and
+        2 N^dag op N', d Tr{U^dag op U rho} = 2 Re Tr(rho U^dag op dU) is the
+        real part of v (below) against [cs, q, t cs, t q, conj(C) S',
+        conj(S) S'], cs = conj(C) S and q = |C|^2 + i|S|^2: one complex
+        product.
         """
         prop = self.propagator
         n = prop.n[:, None]
@@ -378,20 +376,19 @@ class _TraceForms:
         r2_dot = (nn[..., 0] + nn[..., 1] + nn[..., 2] + nn[..., 3])[..., None]
         op_n_dot = self.ops @ (g_dot - m_dot[..., None] * IDENTITY)[..., None, :, :]
         op_n_dot = op_n_dot.reshape(*op_n_dot.shape[:-4], -1, 2, 2)
-        op_dot = np.zeros_like(op_n_dot) if op_slopes is None else op_slopes.reshape(-1, 2, 2)
-        big_b = op_n_dot + op_dot @ n
-        own = _weights(self.rhos, op_dot, big_b, n.conj().swapaxes(-1, -2) @ (big_b + op_n_dot))
+        # _weights' first kind, the trace of op' = 0, goes unused
+        own = _weights(self.rhos, np.zeros_like(op_n_dot), op_n_dot, n.conj().swapaxes(-1, -2) @ (2.0 * op_n_dot))
         # (kind, K, rho, name, op) -> (kind, K, name, rho-major rows)
         k = (len(self.p), len(self.rhos), len(names), len(self.ops))
         own = np.reshape(own, (4, *k)).swapaxes(-3, -2)
-        w_a, w_re, w_im, w_d = own.reshape(4, k[0], k[2], -1)
+        _, w_re, w_im, w_d = own.reshape(4, k[0], k[2], -1)
         a, two_b, d = (w[..., None, :] for w in (
             self.weights[0], self.weights[1] - 1j * self.weights[2], self.weights[3]
         ))
-        # 2B, A - iD, 4m'b + (r^2)'a, 2m'(a - id) - i Re[(r^2)' conj(b)], 2(r^2)'b, 2(r^2)'d
+        # 2B, -iD, 4m'b + (r^2)'a, 2m'(a - id) - i Re[(r^2)' conj(b)], 2(r^2)'b, 2(r^2)'d
         v = np.stack((
             w_re - 1j * w_im,
-            w_a - 1j * w_d,
+            -1j * w_d,
             2.0 * m_dot * two_b + r2_dot * a,
             2.0 * m_dot * (a - 1j * d) - 0.5j * (r2_dot * two_b.conjugate()).real,
             r2_dot * two_b,

@@ -38,10 +38,11 @@ REGIME_FACTOR = 10.0
 
 # Relative singular-value threshold for flagging degenerate directions in
 # the identifiability information matrix.  Exactly degenerate configurations
-# (probe aligned with or orthogonal to the Hamiltonian axis) sit at ~1e-22;
-# switching 10x faster than precession suppresses the coherence directions
-# to ~2e-3; healthy regimes stay above ~3e-2.  The threshold separates the
-# two groups.
+# (probe aligned with or orthogonal to the Hamiltonian axis) sit at 0, as
+# the flat directions' cells vanish; switching 10x faster than precession
+# suppresses the coherence directions to ~2e-3 and ~5e-6 (beta = pi/4);
+# healthy regimes (E >= 10 gamma_plus, 0.3 <= beta <= pi/2 - 0.3) stay above
+# ~4e-2.  The threshold separates the two groups.
 IDENTIFIABILITY_REL_TOL = 1e-2
 
 # Stricter threshold on the fitted cells' information that refuses a fit:

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import mat2 as m2
-from .detector import DetectorParams, _generator_slopes, _TraceForms, rate_matrix, switch_density
+from .detector import DetectorParams, _TraceForms, switch_density
 from .errors import (
     InsufficientDataError,
     NoConvergenceError,
@@ -190,62 +190,56 @@ _CELL_STATES = np.array([_MIXED, *_BLOCH_BASIS.values()])
 def identifiability(
     p: DetectorParams,
     free: Sequence[str] = BLOCH_NAMES,
-    bloch_point: Optional[BlochComponents] = None,
     rel_threshold: float = IDENTIFIABILITY_REL_TOL,
 ) -> IdentifiabilityReport:
     """Rank analysis of the switching-time model in the free directions.
 
-    Builds the Poisson information matrix of the density (plus the
-    no-switch weight) on a canonical time grid, then flags singular
-    directions whose singular value falls below rel_threshold times the
-    largest; it sees the switching times, not a histogram's bins, and no
-    fit calls it.  The columns are exact: the density and survival of the
-    state's traceless parts for the Bloch vector, on which they are affine,
-    and their trace-form slopes for the detector parameters.  Sensitivities
-    are taken per relative parameter change (each direction scaled by its
-    magnitude), so directions with different units compare meaningfully.
-    Direction names list the parameters weighing over 0.3 in the flagged
-    singular vectors.
+    Builds the Fisher information of the survival cells (_fisher) of a
+    canonical state on a canonical grid, n equal cells to t_max = 5 /
+    gamma_plus (16 per precession period, 256 <= n <= 8192) and the
+    no-switch cell beyond it, then flags singular directions whose
+    singular value falls below rel_threshold times the largest; it sees the
+    switching times on that grid, not a histogram's bins, and no fit calls
+    it.  The columns are exact: the cells of the state's traceless parts
+    for the Bloch vector, on which they are affine, and their trace-form
+    slopes for the detector parameters.  Sensitivities are taken per
+    relative parameter change (each direction scaled by its magnitude), so
+    directions with different units compare meaningfully.  Direction names
+    list the parameters weighing over 0.3 in the flagged singular vectors.
     """
     free = tuple(free)
     for name in free:
         if name not in BLOCH_NAMES + PARAM_NAMES:
             raise ValueError(f"unknown parameter name {name!r}")
-    b0 = bloch_point if bloch_point is not None else _CANONICAL_BLOCH
-    # weigh at a point strictly inside the ball, where the density has no zeros
-    r0 = math.sqrt(b0.x**2 + b0.y**2 + b0.z**2)
-    if r0 > 0.99:
-        shrink = 0.99 / r0
-        b0 = BlochComponents(b0.x * shrink, b0.y * shrink, b0.z * shrink)
-
     t_max = 5.0 / max(p.gamma_plus, 1e-12) if p.gamma_plus > 0 else 5.0
     n = int(min(max(256.0, 16.0 * max(p.E, 1.0) * t_max / (2.0 * math.pi)), 8192.0))
-    grid = np.linspace(0.0, t_max, n)
-    weight = t_max / n
+    edges = np.linspace(0.0, t_max, n + 1)
 
-    # survival and density of each state on the grid, shape (4, 2, n), and
-    # rho0's slopes, from a stack of one; the grid ends at t_max, so the
-    # last survival value is S(t_max)
-    forms = _TraceForms([p], [b0.to_density(), *_BLOCH_BASIS.values()], [m2.IDENTITY, rate_matrix(p)])
-    coefficients = forms.propagator.coefficients(grid)
-    rows = forms.combine(*coefficients)[0].reshape(4, 2, n)
-    columns = dict(zip(BLOCH_NAMES, rows[1:]))
+    # the cells of the canonical state and of the traceless basis, shape
+    # (4, n + 1), and the canonical state's slopes, from a stack of one
+    forms = _TraceForms([p], [_CANONICAL_BLOCH.to_density(), *_BLOCH_BASIS.values()], [m2.IDENTITY])
+    coefficients = forms.propagator.coefficients(edges)
+    cells = _cells(forms.combine(*coefficients)[0])
+    columns = dict(zip(BLOCH_NAMES, cells[1:]))
     param_names = [name for name in free if name in PARAM_NAMES]
     if param_names:
-        g_dot = _generator_slopes([p], param_names)[0]
-        gam_dot = -(g_dot + g_dot.conj().transpose(0, 2, 1))
-        slopes = forms.slopes(param_names, grid, coefficients, np.stack((0 * gam_dot, gam_dot), 1))[0]
-        columns.update(zip(param_names, slopes[:, :2]))
-    d0, s0 = np.maximum(rows[0, 1], 1e-12), max(rows[0, 0, -1], 1e-12)
+        columns.update(zip(param_names, _cells(forms.slopes(param_names, edges, coefficients))[0, :, 0]))
 
-    values = {**vars(b0), **vars(p)}
+    values = {**vars(_CANONICAL_BLOCH), **vars(p)}
     scales = np.array([max(abs(values[name]), 0.1) for name in free])
-    jac_d = np.array([columns[name][1] for name in free]) * scales[:, None]
-    jac_s = np.array([columns[name][0, -1] for name in free]) * scales
-
-    info = (jac_d / d0) @ jac_d.T * weight + np.outer(jac_s, jac_s) / s0
+    info = _fisher(np.array([columns[name] for name in free]) * scales[:, None], cells[0])
     svals, degenerate = _degenerate_directions(*np.linalg.eigh(info), free, rel_threshold)
     return IdentifiabilityReport(free, info, svals, rel_threshold, degenerate, flagged=bool(degenerate))
+
+
+def _fisher(slopes: np.ndarray, probs: np.ndarray, total=1.0) -> np.ndarray:
+    """The multinomial Fisher information total * sum_c dp_c dp_c^T / p_c
+    of cell probabilities probs, slopes (free, cells) their dp_c, over the
+    cells with p_c > 0: a cell whose probability underflows to 0, as far
+    into a long pulse's tail, would add 0/0."""
+    if probs.min() <= 0.0:
+        slopes, probs = slopes[:, probs > 0.0], probs[probs > 0.0]
+    return (total * (slopes / probs)) @ slopes.T
 
 
 def _degenerate_directions(svals: np.ndarray, vecs: np.ndarray, free: tuple[str, ...], rel_threshold: float):
@@ -266,12 +260,10 @@ def _degenerate_directions(svals: np.ndarray, vecs: np.ndarray, free: tuple[str,
 
 def _refuse_rank_deficient(slopes: np.ndarray, probs: np.ndarray, free: tuple[str, ...], where: str) -> None:
     """Raise NotIdentifiableError unless the cells locally identify the free
-    names (Rothenberg, Econometrica 39, 1971): the Fisher information
-    sum_c dp_c dp_c^T / p_c over the cells with p_c > 0, slopes (free, cells)
-    its dp_c, has every eigenvalue >= RANK_DEFICIENCY_TOL times its largest."""
-    if probs.min() <= 0.0:
-        slopes, probs = slopes[:, probs > 0.0], probs[probs > 0.0]
-    evals, vecs = np.linalg.eigh(np.dot(slopes / probs, slopes.T))
+    names (Rothenberg, Econometrica 39, 1971): the cells' Fisher information
+    (_fisher), slopes (free, cells) their dp_c, has every eigenvalue >=
+    RANK_DEFICIENCY_TOL times its largest."""
+    evals, vecs = np.linalg.eigh(_fisher(slopes, probs))
     ascending = evals.tolist()  # eigh's order
     if ascending[0] < RANK_DEFICIENCY_TOL * max(ascending[-1], 1e-300):
         _, degenerate = _degenerate_directions(evals, vecs, free, RANK_DEFICIENCY_TOL)
@@ -478,10 +470,11 @@ def _ball_step(hess: np.ndarray, c: np.ndarray):
     return vecs @ x[:, :, None], lam, errors
 
 
-def _covariance(total: int, probs: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Inverse Fisher information of the cell probabilities, whose
-    derivatives in the free names are the columns."""
-    covariance = np.linalg.inv(total * (columns.T / probs) @ columns)
+def _covariance(total: int, probs: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    """Inverse Fisher information (_fisher) of total counts over the cell
+    probabilities, whose derivatives in the free names are the rows of
+    slopes."""
+    covariance = np.linalg.inv(_fisher(slopes, probs, total))
     return 0.5 * (covariance + covariance.T)
 
 
@@ -1026,7 +1019,7 @@ def fit(
         errors = profile.at(np.zeros(1, dtype=int), np.empty((1, 0)))
         if errors:
             raise errors[0]
-        covariance = _covariance(h.total, profile.probs[0], profile.basis[0].T)
+        covariance = _covariance(h.total, profile.probs[0], profile.basis[0])
         state, deviance = profile.solver.state(profile.b[0]), float(np.sum(profile.res[0] ** 2))
         return TomographyResult(state, fixed, covariance, profile.converged(0), deviance, dof, free)
 
@@ -1131,7 +1124,7 @@ def fit(
     return TomographyResult(
         bloch=b_fit,
         params=p_fit,
-        covariance=_covariance(h.total, profile.probs[row], columns),
+        covariance=_covariance(h.total, profile.probs[row], columns.T),
         converged=converged,
         chi2=deviance,
         dof=dof,

@@ -143,6 +143,43 @@ def exp_slopes(p: DetectorParams, rho: np.ndarray, t: float, names) -> np.ndarra
     return np.array(out)
 
 
+def continuous_information(p: DetectorParams, free) -> np.ndarray:
+    """The switching times' Poisson information in the free names, as
+    identifiability formed it before it took survival cells: a Riemann sum
+    of the density's, d' d'^T / d times t_max / n over n times spanning
+    [0, t_max], plus the survival's at t_max, s' s'^T / s.  It has
+    identifiability's t_max, n, state (0.25, 0.25, 0.25) and per-relative
+    scales; the traces come from scipy's expm, the detector parameters'
+    slopes from exp_slopes."""
+    t_max = 5.0 / max(p.gamma_plus, 1e-12) if p.gamma_plus > 0 else 5.0
+    n = int(min(max(256.0, 16.0 * max(p.E, 1.0) * t_max / (2.0 * math.pi)), 8192.0))
+    b0 = tomo.BlochComponents(0.25, 0.25, 0.25)
+    # rho0 and the traceless parts of the three Bloch directions
+    rhos = [b0.to_density()] + [
+        tomo.BlochComponents(*e).to_density() - 0.5 * np.eye(2) for e in np.eye(3)
+    ]
+    params = [name for name in free if name in tomo.PARAM_NAMES]
+    values = {**vars(b0), **vars(p)}
+    scales = np.array([max(abs(values[name]), 0.1) for name in free])
+    g, gam = det.generator(p), det.rate_matrix(p)
+
+    def columns(t):
+        """(S, d) of rho0, and the free names' (S', d') at t, scaled."""
+        u = expm(g * t)
+        forms = [[m2.trace(m2.dag(u) @ op @ u @ rho).real for op in (np.eye(2), gam)] for rho in rhos]
+        slopes = dict(zip(("x", "y", "z"), forms[1:]))
+        if params:
+            slopes.update(zip(params, exp_slopes(p, rhos[0], t, params)))
+        return np.array(forms[0]), np.array([slopes[name] for name in free]) * scales[:, None]
+
+    info = np.zeros((len(free), len(free)))
+    for t in np.linspace(0.0, t_max, n):
+        (_, d0), jac = columns(t)
+        info += np.outer(jac[:, 1], jac[:, 1]) / max(d0, 1e-12) * (t_max / n)
+    (s0, _), jac = columns(t_max)
+    return info + np.outer(jac[:, 0], jac[:, 0]) / max(s0, 1e-12)
+
+
 def p_no_switch(p: DetectorParams, dt: float) -> np.ndarray:
     """No-switch operator sqrt(1-gL dt)|L><L| + sqrt(1-gR dt)|R><R|.
 
