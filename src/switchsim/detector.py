@@ -178,16 +178,17 @@ class _Propagator:
     C and S are half-sums of e^{(m +- r) t}, which cannot overflow as
     Re(m +- r) <= 0, or Taylor series where |r t| < _SERIES_RADIUS.
     `coefficients` evaluates a float t with cmath and anything else as a
-    numpy array, with the series only when it covers every time; the call
-    gives the (2, 2) matrix at one time, taken as a float.
+    numpy array; the call gives the (2, 2) matrix at one time, taken as a
+    float.
 
     g is one generator, shape (2, 2), or a stack of K, shape (K, 2, 2),
     whose m and r have shape (K, 1) and broadcast over a 1-d array of times
-    to (K, len(t)); each row takes the series only when it covers that
-    row's every time.  Each row's constants (r, 1/2r, ...) are formed in
-    Python's complex arithmetic, as for one generator, so a row of a stack
-    is bit-identical to its generator evaluated alone.  A float t, and so
-    the call, needs one generator.
+    to (K, len(t)).  Each row, a stack's or the one generator's over times
+    of any shape, takes the series only when it covers the row's every
+    time.  Each row's constants (r, 1/2r, ...) are formed in Python's
+    complex arithmetic, as for one generator, so a row of a stack is
+    bit-identical to its generator evaluated alone; 1/2r^2 is NaN where
+    r^2 is 0 or subnormal.  A float t, and so the call, needs one generator.
 
     t = inf, a float or an array element, gives the limit.  Both modes
     decay, or, where the probe leaves a state dark, the slow one keeps
@@ -207,7 +208,8 @@ class _Propagator:
         for n00, n01, n10, n11 in entries:
             r = cmath.sqrt(n01 * n10 - n00 * n11)
             r2 = r**2
-            rows.append((r, abs(r), 0.5 / r if r else nan, r2, 0.5 / r2 if r2 else nan))
+            half_inv_r2 = 0.5 / r2 if r2 else nan  # inf where r2 is subnormal
+            rows.append((r, abs(r), 0.5 / r if r else nan, r2, half_inv_r2 if cmath.isfinite(half_inv_r2) else nan))
         if g.ndim == 2:
             self.m = float(m)
             self.r, self._abs_r, self._half_inv_r, self._r2, self._half_inv_r2 = rows[0]
@@ -244,13 +246,9 @@ class _Propagator:
             c_inf, s_inf = self._limit()
             return np.where(infinite, c_inf, c), np.where(infinite, s_inf, s)
         small = self._abs_r * np.abs(t) < _SERIES_RADIUS
-        if isinstance(m, float):
-            # one generator: the series only where it covers every time
-            if small.all():
-                return _series_coefficients(m, r, t)
-            return _exp_coefficients(m, r, self._half_inv_r, t)
-        # a stack: each row takes its own branch
-        series = small.all(axis=-1)
+        # each row takes the series only where it covers that row's every
+        # time; one generator is one row over all its times, a 0-d flag
+        series = small.reshape(np.shape(m)[:1] + (-1,)).all(axis=-1)
         if series.all():
             return _series_coefficients(m, r, t)
         if not series.any():

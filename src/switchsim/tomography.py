@@ -50,11 +50,6 @@ DEFAULT_BOUNDS = {
     "E": (0.0, 1000.0),
 }
 
-# the free fit's scan evaluates its points in stacked slices of at most
-# this many rows, which bounds the memory of one trace-form evaluation
-_SCAN_SLICE = 32
-
-
 @dataclass(frozen=True)
 class BlochComponents:
     """Bloch vector with z = rho_11 - rho_00, x = rho_10 + rho_01,
@@ -543,8 +538,6 @@ class _StateSolver:
         def cost(b):
             probs = a_l + (design @ b).swapaxes(1, 2)
             inside = probs.min(axis=2)[:, 0] > 0.0
-            if all(inside):
-                return -(counts @ np.log(probs).swapaxes(1, 2))[:, 0]
             logs = np.log(np.where(inside[:, None, None], probs, 1.0))
             return np.where(inside, -(counts @ logs.swapaxes(1, 2))[:, 0], math.inf)
 
@@ -969,7 +962,7 @@ def fit(
     min_b D(params, b) over their `bounds` box (names in PARAM_NAMES;
     DEFAULT_BOUNDS for the others, beta's [0, pi/2]) in two stages.  The
     scan evaluates it at FIT_SCAN_POINTS Latin-hypercube points drawn
-    deterministically from `seed`, in stacked slices of _SCAN_SLICE rows.
+    deterministically from `seed`, all in one stacked evaluation.
     The polish runs bounded Levenberg-Marquardt (_bounded_lm) on its
     residuals from the n_starts lowest scan points that lie apart
     (_apart), each going on from its scan point's state, and then from the
@@ -1032,14 +1025,11 @@ def fit(
     rng = np.random.default_rng(np.random.Philox(key=np.uint64(seed)))
     points = np.clip(_latin_hypercube(rng, FIT_SCAN_POINTS, lo, hi), lo, hi)
     profile = _Profile(h, solver, params_at, free_param_names, len(points))
-    scan = np.full(len(points), math.inf)
-    for first in range(0, len(points), _SCAN_SLICE):
-        rows = np.arange(first, min(first + _SCAN_SLICE, len(points)))
-        fun, failed = profile.residuals(rows, points[rows])
-        scan[rows] = np.sum(fun**2, axis=1)
-        scan[rows[list(failed)]] = math.inf
+    fun, failed = profile.residuals(np.arange(len(points)), points)
+    scan = np.sum(fun**2, axis=1)
+    scan[list(failed)] = math.inf
     scan[~np.isfinite(scan)] = math.inf
-    # the polish's first Jacobian forms its own rows' slopes, not a slice's
+    # the polish's first Jacobian forms its own rows' slopes, not the scan's
     profile.last = (), None, None
     order = _apart(points, scan, lo, hi)[: max(n_starts, FIT_POLISH_CAP)]
     # the deviance of the model at its optimum is chi-squared on dof degrees

@@ -614,6 +614,20 @@ STACK_RHOS = [
 STACK_OPS = [np.eye(2), np.array([[2.0, 0.5 - 1.0j], [0.5 + 1.0j, 0.25]])]
 
 
+def test_one_generator_branch_over_all_times():
+    """One generator takes the series only when it covers every time, of
+    an array of any shape: a 2-d array of times, one row inside the series
+    radius and one outside, gives its ravelled times' coefficients."""
+    prop = det.propagator(det.DetectorParams(1.0, 5.0, math.pi / 4, 60.0))
+    t = np.array([[1e-6, 2e-6], [0.3, 0.4]])
+    for grid, flat in zip(prop.coefficients(t), prop.coefficients(t.ravel())):
+        assert grid.tobytes() == flat.tobytes()
+    small = t[:1]
+    assert np.all(abs(prop.r) * small < det._SERIES_RADIUS)
+    for grid, flat in zip(prop.coefficients(small), det._series_coefficients(prop.m, prop.r, small.ravel())):
+        assert grid.tobytes() == flat.tobytes()
+
+
 @settings(max_examples=100)
 @given(
     st.lists(st.tuples(rates, rates, st.floats(0.0, math.pi), st.floats(0.0, 1000.0)), min_size=1, max_size=4),
@@ -623,6 +637,8 @@ STACK_OPS = [np.eye(2), np.array([[2.0, 0.5 - 1.0j], [0.5 + 1.0j, 0.25]])]
 # the exceptional point itself (r = 0), and 1e-7 from it
 @example([(1.0, 5.0, math.pi / 4, 60.0)], 0.0, 1.0)
 @example([(0.0, 0.0, 0.3, 1.0), (2.0, 8.0, 1.0, 20.0)], 1e-7, 5.0)
+# r^2 subnormal (-7.7e-317), whose 1/2r^2 overflows, next to C1's rows
+@example([(0.0, 0.0, 0.0, 1.76e-158)], 0.0, 1.0)
 def test_stacked_forms_match_single(points, offset, t_max):
     """Rows and cells of K stacked parameter points are bit-identical to the
     K points evaluated alone, and slopes to each point's stack of one.  Each

@@ -538,6 +538,24 @@ class TestStateFit:
             assert kkt, i
         assert on_sphere >= 1
 
+    def test_far_start_backtracks_to_the_fit(self):
+        """On the one-sided aligned detector a z-only histogram of z = -0.9,
+        solved from z0 = 0.25, takes Newton steps of more than 1/4 standard
+        deviation: backtracking halves them, past trial points where a cell's
+        probability is not positive (cost inf).  The solve still ends where
+        the solve from `start` does, and meets its KKT test."""
+        p = det.DetectorParams(0.0, 5.0, 0.0, 60.0)
+        h = synthesize(p, tomo.BlochComponents(0.0, 0.0, -0.9), 100_000, seed=3, tau=3.6 / p.gamma_plus, n_bins=50)
+        cells = cell_rows(p, h.bin_edges)
+        a0, basis = cells[None, 0], cells[None, 3:]
+        solver = tomo._StateSolver(h, ("z",))
+        b, lam, errors = solver.solve(a0, basis, np.array([[0.25]]))
+        ref, _, _ = solver.solve(a0, basis, solver.start(a0, basis))
+        assert errors == {}
+        assert b[0, 0] == pytest.approx(ref[0, 0], abs=1e-9)
+        assert b[0, 0] == pytest.approx(-0.90007, abs=1e-5)
+        assert solver.converged(a0[0], basis[0].T, b[0], lam[0])
+
     def test_exactly_determined_dof(self):
         """Three bins give three independent cell probabilities for the
         three Bloch components: dof 0, with no goodness of fit."""

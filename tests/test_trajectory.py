@@ -690,6 +690,30 @@ class TestChi2:
         with pytest.raises(InsufficientCountsError):
             traj.chi2_vs_analytic(h, det.DetectorParams(1, 2, 0.3, 1.0), MIXED)
 
+    def test_thin_tail_folds_into_last_kept_cell(self):
+        """At tau = 20 on C1 the cells from t ~ 5 on, and the no-switch
+        cell, expect under 5 counts: cells 12-14 gather to one kept cell,
+        and the 36 thin cells left after it fold into that cell, so cells
+        12-50 form one.  Four trajectories expect too few counts for two
+        cells."""
+        p = det.DetectorParams(1.0, 5.0, math.pi / 4, 60.0)
+        rho = BlochComponents(0.3, 0.0, -0.4).to_density()
+        h = traj.run_ensemble(p, rho, traj.SimConfig(n_traj=20000, tau=20.0, seed=1, n_bins=50))
+        expected = traj.expected_cell_probabilities(h, p, rho) * h.total
+        observed = np.append(h.counts, h.no_switch_count)
+        assert np.all(expected[:12] >= 5.0) and expected[12:14].sum() < 5.0 <= expected[12:15].sum()
+        assert 0.0 < expected[15:].sum() < 5.0
+        merged_e = np.append(expected[:12], expected[12:].sum())
+        merged_o = np.append(observed[:12], observed[12:].sum())
+        stat, dof, pval = traj.chi2_vs_analytic(h, p, rho)
+        assert dof == 12
+        assert stat == pytest.approx(np.sum((merged_o - merged_e) ** 2 / merged_e), rel=1e-12)
+        assert pval == traj._chi2_tail(12, stat)
+
+        few = traj.run_ensemble(p, rho, traj.SimConfig(n_traj=4, tau=1.2, seed=1, n_bins=50))
+        with pytest.raises(InsufficientCountsError, match="fewer than two cells"):
+            traj.chi2_vs_analytic(few, p, rho)
+
     def test_tail_matches_chdtrc(self):
         """The p-value's finite series Q(k/2, x/2) agrees with scipy's
         chdtrc to 1e-12 relative over k = 1-400, out beyond x ~ 1490 where
